@@ -14,9 +14,9 @@ Modules:
     cli         `encore` command line front end
     seeds       stable derived seeding
 
-The few numeric hot spots (DTW fill/backtrack, note rendering) are JIT
-compiled when numba is importable; set ENCORE_NO_NUMBA=1 to force the
-pure-numpy fallback.
+The numeric hot spots (DTW fill/backtrack, note rendering) live in
+_kernels, one numpy implementation each; note rendering takes sin/cos once
+per 256-sample block rather than once per sample and partial.
 """
 
 __version__ = "0.1.0"
@@ -37,7 +37,7 @@ from .notes import Note, NoteSequence, Window, segment
 from .prompts import PromptSpec, render_prompt
 from .seeds import derive_seed
 from .smf import MidiParseError, parse_midi, write_midi
-from .synth import SynthConfig, render, render_clicks
+from .synth import RenderTooLongError, SynthConfig, render, render_clicks
 from .tokenizer import TokenStream, decode, encode
 
 __all__ = [
@@ -51,6 +51,7 @@ __all__ = [
     "Note",
     "NoteSequence",
     "PromptSpec",
+    "RenderTooLongError",
     "SPEED_TIERS",
     "SynthConfig",
     "TokenStream",

@@ -20,8 +20,16 @@ from .notes import NoteSequence
 # audible; the envelope is shrunk proportionally to fit short notes.
 MIN_NOTE_SECONDS = 0.001
 
+# Longest buffer render() allocates: 4 h at 44.1 kHz is about 5 GB of
+# float64.  A crafted MIDI can put a note billions of seconds out.
+MAX_RENDER_SECONDS = 4 * 3600.0
+
 _CLICK_SECONDS = 0.01
 _CLICK_SEED = 0x5EED
+
+
+class RenderTooLongError(ValueError):
+    """The sequence would render to more than MAX_RENDER_SECONDS of audio."""
 
 
 @dataclass(frozen=True)
@@ -56,6 +64,9 @@ def render(seq: NoteSequence, cfg: SynthConfig = SynthConfig()) -> np.ndarray:
     ``cfg.gain``.  Notes mix additively.  If the mix would clip, the
     whole buffer is rescaled to a 0.9 peak; otherwise samples are
     returned untouched, so rendering is linear in the notes.
+
+    Raises RenderTooLongError, before allocating, if the buffer would be
+    longer than ``MAX_RENDER_SECONDS``.
     """
     sr = float(cfg.sample_rate)
     durs = np.array(
@@ -63,7 +74,13 @@ def render(seq: NoteSequence, cfg: SynthConfig = SynthConfig()) -> np.ndarray:
     )
     starts = np.array([n.start for n in seq.notes], dtype=np.float64)
     tail = float(np.max(starts + durs)) if len(seq.notes) else 0.0
-    total = int(np.ceil(max(seq.total_duration, tail) * sr))
+    seconds = max(seq.total_duration, tail)
+    if seconds > MAX_RENDER_SECONDS:
+        raise RenderTooLongError(
+            f"{seq.source_id!r}: {seconds:.6g} s of audio exceeds"
+            f" the {MAX_RENDER_SECONDS:g} s render limit"
+        )
+    total = int(np.ceil(seconds * sr))
     out = np.zeros(total, dtype=np.float64)
     if len(seq.notes):
         freqs = np.array([_pitch_hz(n.pitch) for n in seq.notes], dtype=np.float64)

@@ -392,6 +392,23 @@ class TestSynth:
         wav = out / "a.wav"
         assert wav.exists() and wav.stat().st_size > 1000
 
+    def test_overlong_input_is_item_failure(self, midi_dir, tmp_path, capsys):
+        # 40-byte format-0 SMF, PPQ 1, tempo 0xFFFFFF (16.8 s per tick), one
+        # note-on after a 0x0FFFFFFF-tick delta: the note starts at 4.5e9 s
+        track = bytes.fromhex("00FF5103FFFFFF" "FFFFFF7F903C40" "00FF2F00")
+        far = midi_dir / "far.mid"
+        far.write_bytes(
+            b"MThd" + (6).to_bytes(4, "big") + bytes.fromhex("000000010001")
+            + b"MTrk" + len(track).to_bytes(4, "big") + track
+        )
+        out = tmp_path / "audio"
+        assert _run("synth", midi_dir / "a.mid", far, "--out", out) == EXIT_OK
+        rows = json.loads((out / "index.json").read_text())
+        assert [r["status"] for r in rows] == ["ok", "error"]
+        assert "far.mid" in rows[1]["error"] and "render limit" in rows[1]["error"]
+        assert "Traceback" not in capsys.readouterr().err
+        assert _run("synth", far, "--out", out, "--strict") == EXIT_FAILURES
+
     def test_clicks(self, tmp_path):
         out = tmp_path / "audio"
         code = _run("synth", "--clicks", "120", "--duration", "5", "--out", out)

@@ -1,33 +1,72 @@
-"""Both kernel paths (JIT and numpy) must agree."""
+"""The kernels against straightforward reference loops kept here as oracles."""
 
-import os
-import subprocess
-import sys
-import textwrap
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from encore import _kernels as kernels
+from encore.synth import MIN_NOTE_SECONDS
 
-FORCED_OFF = os.environ.get("ENCORE_NO_NUMBA", "") not in ("", "0")
+_TWO_PI = 2.0 * math.pi
 
 
-def test_numba_active_by_default():
-    if FORCED_OFF:
-        pytest.skip("ENCORE_NO_NUMBA set for this run")
-    assert kernels.NUMBA_ENABLED
+def _dtw_fill_scalar(cost):
+    n, m = cost.shape
+    acc = np.empty((n, m), dtype=np.float64)
+    acc[0, 0] = cost[0, 0]
+    for j in range(1, m):
+        acc[0, j] = acc[0, j - 1] + cost[0, j]
+    for i in range(1, n):
+        acc[i, 0] = acc[i - 1, 0] + cost[i, 0]
+        for j in range(1, m):
+            best = acc[i - 1, j - 1]
+            if acc[i - 1, j] < best:
+                best = acc[i - 1, j]
+            if acc[i, j - 1] < best:
+                best = acc[i, j - 1]
+            acc[i, j] = cost[i, j] + best
+    return acc
+
+
+def _render_notes_per_sample(starts, durs, freqs, amps, n_partials, attack, release, sr, out):
+    # one sin call per sample and partial, envelope on every sample
+    total = out.shape[0]
+    for n in range(starts.shape[0]):
+        s = starts[n]
+        dur = durs[n]
+        a = attack
+        r = release
+        if a + r > dur:
+            fit = dur / (a + r)
+            a *= fit
+            r *= fit
+        i0 = max(0, int(round(s * sr)))
+        i1 = min(total, int(round((s + dur) * sr)))
+        if i1 <= i0:
+            continue
+        t = np.arange(i0, i1, dtype=np.float64) / sr - s
+        env = np.ones_like(t)
+        if a > 0.0:
+            np.minimum(env, t / a, out=env)
+        if r > 0.0:
+            np.minimum(env, (dur - t) / r, out=env)
+        np.clip(env, 0.0, 1.0, out=env)
+        x = np.zeros_like(t)
+        for k in range(1, n_partials + 1):
+            fk = k * freqs[n]
+            if fk >= sr / 2.0:
+                break
+            x += np.sin(_TWO_PI * fk * t) / k
+        out[i0:i1] += amps[n] * env * x
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (6, 6), (23, 17), (40, 64)])
 def test_dtw_fill_paths_bit_identical(shape):
     rng = np.random.default_rng(hash(shape) % 2**32)
     cost = rng.random(shape)
-    scalar = kernels._dtw_fill_scalar(cost)
-    vectorized = kernels._dtw_fill_numpy(cost)
-    active = kernels.dtw_fill(cost)
-    assert np.array_equal(scalar, vectorized)
-    assert np.array_equal(scalar, active)
+    assert np.array_equal(kernels.dtw_fill(cost), _dtw_fill_scalar(cost))
 
 
 def test_dtw_fill_propagates_inf():
@@ -35,7 +74,7 @@ def test_dtw_fill_propagates_inf():
     acc = kernels.dtw_fill(cost)
     assert np.isinf(acc[0, 1]) and np.isinf(acc[0, 2])
     assert np.isfinite(acc[2, 2])
-    assert np.array_equal(acc, kernels._dtw_fill_numpy(cost))
+    assert np.array_equal(acc, _dtw_fill_scalar(cost))
 
 
 def test_backtrack_prefers_diagonal_on_ties():
@@ -56,14 +95,22 @@ def test_backtrack_single_cell():
     assert path.tolist() == [[0, 0]]
 
 
-def test_backtrack_paths_agree():
+def test_backtrack_path_cost_matches_fill():
     rng = np.random.default_rng(11)
     for _ in range(50):
         n, m = rng.integers(1, 12, size=2)
-        acc = kernels.dtw_fill(rng.random((n, m)))
-        a = np.asarray(kernels.dtw_backtrack(acc))
-        b = np.asarray(kernels._dtw_backtrack_py(acc))
-        assert np.array_equal(a, b)
+        cost = rng.random((n, m))
+        acc = kernels.dtw_fill(cost)
+        path = np.asarray(kernels.dtw_backtrack(acc))
+        assert path[0].tolist() == [0, 0] and path[-1].tolist() == [n - 1, m - 1]
+        steps = {tuple(step) for step in np.diff(path, axis=0)}
+        assert steps <= {(1, 0), (0, 1), (1, 1)}
+        # the fill adds each cell's cost to the best predecessor, so summing
+        # along the path in the same order reproduces the total exactly
+        total = 0.0
+        for i, j in path:
+            total = cost[i, j] + total
+        assert total == acc[-1, -1]
 
 
 def _random_note_arrays(rng, n):
@@ -77,16 +124,54 @@ def _random_note_arrays(rng, n):
 def test_render_paths_agree():
     rng = np.random.default_rng(5)
     starts, durs, freqs, amps = _random_note_arrays(rng, 12)
-    out_scalar = np.zeros(3 * 44100)
-    out_numpy = np.zeros_like(out_scalar)
-    out_active = np.zeros_like(out_scalar)
+    expected = np.zeros(3 * 44100)
+    out = np.zeros_like(expected)
     args = (starts, durs, freqs, amps, 4, 0.01, 0.05, 44100.0)
-    kernels._render_notes_scalar(*args, out_scalar)
-    kernels._render_notes_numpy(*args, out_numpy)
-    kernels.render_notes(*args, out_active)
-    # sin() rounding differs between numpy's SIMD loops and libm scalars
-    np.testing.assert_allclose(out_numpy, out_scalar, atol=1e-9)
-    np.testing.assert_allclose(out_active, out_scalar, atol=1e-9)
+    _render_notes_per_sample(*args, expected)
+    kernels.render_notes(*args, out)
+    np.testing.assert_allclose(out, expected, rtol=0, atol=1e-9)
+
+
+_notes = st.lists(
+    st.tuples(
+        st.floats(0.0, 2.0),  # start, s
+        st.one_of(  # duration, s
+            st.just(MIN_NOTE_SECONDS),
+            st.floats(MIN_NOTE_SECONDS, 0.1),  # at or under attack + release
+            st.floats(MIN_NOTE_SECONDS, 1.5),
+        ),
+        st.integers(0, 127),  # pitch
+        st.floats(0.0, 1.0),  # amplitude
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    notes=_notes,
+    n_partials=st.integers(1, 32),
+    attack=st.one_of(st.just(0.0), st.floats(1e-6, 0.1)),
+    release=st.one_of(st.just(0.0), st.floats(1e-6, 0.1)),
+    sample_rate=st.sampled_from([8000.0, 22050.0, 44100.0]),
+    seconds=st.floats(0.01, 2.5),  # buffer length; notes may run past it
+)
+def test_render_matches_per_sample_oracle(
+    notes, n_partials, attack, release, sample_rate, seconds
+):
+    starts, durs, pitches, amps = (
+        np.array(column, dtype=np.float64) for column in zip(*notes)
+    )
+    # high pitches at low rates put upper partials, or the fundamental,
+    # at or above Nyquist
+    freqs = 440.0 * 2.0 ** ((pitches - 69) / 12.0)
+    args = (starts, durs, freqs, amps, n_partials, attack, release, sample_rate)
+    expected = np.zeros(int(seconds * sample_rate))
+    out = np.zeros_like(expected)
+    _render_notes_per_sample(*args, expected)
+    kernels.render_notes(*args, out)
+    np.testing.assert_allclose(out, expected, rtol=0, atol=1e-9)
 
 
 def test_render_drops_partials_above_nyquist():
@@ -110,24 +195,3 @@ def test_render_drops_partials_above_nyquist():
     # everything above the fundamental stays at noise level
     above = spec[freqs > 13000.0]
     assert above.max() < 0.01 * spec.max()
-
-
-def test_env_flag_selects_numpy_path():
-    script = textwrap.dedent(
-        """
-        import numpy as np
-        from encore import _kernels as k
-        assert not k.NUMBA_ENABLED
-        assert k.dtw_fill is k._dtw_fill_numpy
-        assert k.render_notes is k._render_notes_numpy
-        cost = np.arange(12.0).reshape(3, 4) % 5
-        print(repr(k.dtw_fill(cost)[-1, -1]))
-        """
-    )
-    env = dict(os.environ, ENCORE_NO_NUMBA="1")
-    proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env
-    )
-    assert proc.returncode == 0, proc.stderr
-    here = kernels.dtw_fill((np.arange(12.0).reshape(3, 4) % 5))[-1, -1]
-    assert proc.stdout.strip() == repr(here)

@@ -3,7 +3,13 @@ import pytest
 
 from encore.augment import stretch
 from encore.notes import Note, NoteSequence
-from encore.synth import SynthConfig, render, render_clicks
+from encore.synth import (
+    MAX_RENDER_SECONDS,
+    RenderTooLongError,
+    SynthConfig,
+    render,
+    render_clicks,
+)
 
 
 @pytest.mark.parametrize(
@@ -94,6 +100,15 @@ def test_zero_length_note_still_sounds():
     buf = render(seq)
     assert buf.shape[0] == int(np.ceil(0.001 * 44100))
     assert buf.any()
+
+
+def test_overlong_sequence_rejected_before_allocating():
+    # 4.5e9 s would be a 1.6 PB buffer
+    far = NoteSequence([Note(4.5e9, 60, 4.5e9)], source_id="far.mid")
+    with pytest.raises(RenderTooLongError, match="far.mid"):
+        render(far)
+    with pytest.raises(RenderTooLongError):
+        render(NoteSequence([], total_duration=MAX_RENDER_SECONDS + 1.0))
 
 
 def test_click_count_and_spacing():
