@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
+import functools
+import io
 import json
 import logging
 import os
@@ -57,16 +58,18 @@ EXIT_OK = 0
 EXIT_FAILURES = 1
 EXIT_CONFIG = 2
 
-
 class ConfigError(Exception):
     pass
 
 
 def _workers(args) -> int:
-    if args.workers is not None:
-        value = args.workers
-    else:
-        value = int(os.environ.get(WORKERS_ENV, "1"))
+    value = args.workers
+    if value is None:
+        raw = os.environ.get(WORKERS_ENV, "1")
+        try:
+            value = int(raw)
+        except ValueError:
+            raise ConfigError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
     if value < 1:
         raise ConfigError(f"workers must be >= 1, got {value}")
     return value
@@ -80,18 +83,21 @@ def _map_items(fn, items, workers: int):
         return list(pool.map(fn, items))
 
 
-def _atomic_write_json(path: Path, payload) -> None:
+def _atomic_write(path: Path, text: str) -> None:
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    tmp.write_text(text, newline="")
     os.replace(tmp, path)
 
 
-def _write_run_record(out_dir: Path, command: str, config: dict) -> None:
+def _json_text(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _write_run_record(out_dir: Path, args) -> None:
+    skip = {"func", "parser", "config"}
     record = {
-        "command": command,
-        "config": {k: str(v) if isinstance(v, Path) else v for k, v in config.items()},
+        "command": args.command,
+        "config": {k: v for k, v in vars(args).items() if k not in skip},
         "versions": {
             "encore": __version__,
             "numpy": np.__version__,
@@ -100,46 +106,43 @@ def _write_run_record(out_dir: Path, command: str, config: dict) -> None:
         },
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
-    _atomic_write_json(out_dir / "run_record.json", record)
+    _atomic_write(out_dir / "run_record.json", _json_text(record))
 
 
-def _config_value_ok(value, fallback) -> bool:
-    """True when a config value can stand in for the built-in default."""
-    if isinstance(fallback, bool) or isinstance(value, bool):
-        return isinstance(value, bool) and isinstance(fallback, bool)
-    if isinstance(fallback, float):
-        return isinstance(value, (int, float))
-    return isinstance(value, type(fallback))
+def _json_lines(rows):
+    return map(json.dumps, rows)
 
 
-def _apply_config_file(args: argparse.Namespace, parser_defaults: dict) -> None:
-    """Fill options the user left unset from the config file.
+def _run_batch(
+    args, items, work, index: Path, *, key="file", report=_json_lines, index_text=_json_text
+) -> int:
+    """Run work over (name, item) pairs, in input order, into one row each.
 
-    Precedence: explicit flags > config file > built-in defaults.
+    A row is {key: name, "status": "ok", **work(item)}, or an error row if
+    work raises OSError, ValueError or MetricError. Prints report(rows),
+    writes index_text(rows) atomically to index and the run record next to
+    it, and returns the --strict exit code.
     """
-    if args.config is not None:
+
+    def one(named) -> dict:
+        name, item = named
         try:
-            with open(args.config) as fh:
-                overrides = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-        if not isinstance(overrides, dict):
-            raise ConfigError(f"config {args.config} must hold a JSON object")
-        for key, value in overrides.items():
-            attr = key.replace("-", "_")
-            if attr not in vars(args):
-                raise ConfigError(f"config {args.config}: unknown option {key!r}")
-            fallback = parser_defaults.get(attr)
-            if fallback is not None and not _config_value_ok(value, fallback):
-                raise ConfigError(
-                    f"config {args.config}: {key!r} expects "
-                    f"{type(fallback).__name__}, got {value!r}"
-                )
-            if getattr(args, attr) is None:  # not given on the command line
-                setattr(args, attr, value)
-    for attr, fallback in parser_defaults.items():
-        if getattr(args, attr, None) is None:
-            setattr(args, attr, fallback)
+            return {key: name, "status": "ok", **work(item)}
+        except (OSError, ValueError, MetricError) as exc:
+            log.error("%s: %s", name, exc)
+            return {key: name, "status": "error", "error": str(exc)}
+
+    rows = _map_items(one, items, _workers(args))
+    for line in report(rows):
+        print(line)
+    _atomic_write(index, index_text(rows))
+    _write_run_record(index.parent, args)
+    failed = any(row["status"] == "error" for row in rows)
+    return EXIT_FAILURES if failed and args.strict else EXIT_OK
+
+
+def _inputs(args) -> list[tuple[str, Path]]:
+    return [(str(path), path) for path in map(Path, args.inputs)]
 
 
 def _out_dir(args) -> Path:
@@ -148,55 +151,80 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _config_dict(args) -> dict:
-    skip = {"func", "defaults", "config"}
-    return {k: v for k, v in vars(args).items() if k not in skip}
+def _config_fits(value, want: type, action: argparse.Action) -> bool:
+    """True when a JSON config value can stand in for the option's default."""
+    if value is None:
+        return action.default is None
+    if action.choices is not None:
+        return value in action.choices
+    if isinstance(value, bool):
+        return want is bool
+    return isinstance(value, (int, float) if want is float else want)
+
+
+def _read_config(path: str, parser: argparse.ArgumentParser) -> dict:
+    """Option defaults from a JSON config file, each value checked against
+    the type and choices its option declares."""
+    try:
+        with open(path) as fh:
+            values = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(values, dict):
+        raise ConfigError(f"config {path} must hold a JSON object")
+    actions = {
+        action.dest: action
+        for action in parser._actions
+        if action.option_strings and action.dest not in ("help", "config")
+    }
+    defaults = {}
+    for key, value in values.items():
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
+            raise ConfigError(f"config {path}: unknown option {key!r}")
+        want = bool if isinstance(action.default, bool) else action.type or str
+        if not _config_fits(value, want, action):
+            expected = list(action.choices) if action.choices else want.__name__
+            raise ConfigError(f"config {path}: {key!r} expects {expected}, got {value!r}")
+        defaults[action.dest] = value
+    return defaults
 
 
 # ---------------------------------------------------------------------------
 # tokenize
 
 
+def _tokenize_line(row: dict) -> str:
+    if row["status"] != "ok":
+        return f"{row['file']}: FAILED ({row['error']})"
+    return (
+        f"{row['file']}: {row['windows']} windows, tokens "
+        f"min {row['tokens_min']} mean {row['tokens_mean']} max {row['tokens_max']}"
+    )
+
+
 def cmd_tokenize(args) -> int:
     out = _out_dir(args)
-    workers = _workers(args)
 
-    def one(path_str: str) -> dict:
-        path = Path(path_str)
-        try:
-            seq = parse_midi(path.read_bytes(), source_id=path.name)
-            windows = segment(seq, args.window, args.hop)
-            counts = []
-            for k, window in enumerate(windows):
-                stream = encode(window)
-                (out / f"{path.stem}_w{k:04d}.tok").write_bytes(stream.to_bytes())
-                counts.append(len(stream.tokens))
-            return {
-                "file": str(path),
-                "status": "ok",
-                "windows": len(windows),
-                "tokens_min": min(counts, default=0),
-                "tokens_mean": round(float(np.mean(counts)) if counts else 0.0, 1),
-                "tokens_max": max(counts, default=0),
-            }
-        except (OSError, ValueError) as exc:
-            log.error("%s: %s", path, exc)
-            return {"file": str(path), "status": "error", "error": str(exc)}
+    def work(path: Path) -> dict:
+        seq = parse_midi(path.read_bytes(), source_id=path.name)
+        windows = segment(seq, args.window, args.hop)
+        counts = []
+        for k, window in enumerate(windows):
+            stream = encode(window)
+            (out / f"{path.stem}_w{k:04d}.tok").write_bytes(stream.to_bytes())
+            counts.append(len(stream.tokens))
+        return {
+            "windows": len(windows),
+            "tokens_min": min(counts, default=0),
+            "tokens_mean": round(float(np.mean(counts)) if counts else 0.0, 1),
+            "tokens_max": max(counts, default=0),
+        }
 
-    rows = _map_items(one, args.inputs, workers)
-    for row in rows:
-        if row["status"] == "ok":
-            print(
-                f"{row['file']}: {row['windows']} windows, tokens "
-                f"min {row['tokens_min']} mean {row['tokens_mean']} "
-                f"max {row['tokens_max']}"
-            )
-        else:
-            print(f"{row['file']}: FAILED ({row['error']})")
-    _atomic_write_json(out / "index.json", rows)
-    _write_run_record(out, "tokenize", _config_dict(args))
-    failed = any(r["status"] == "error" for r in rows)
-    return EXIT_FAILURES if failed and args.strict else EXIT_OK
+    return _run_batch(
+        args, _inputs(args), work, out / "index.json",
+        report=lambda rows: map(_tokenize_line, rows),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -205,49 +233,35 @@ def cmd_tokenize(args) -> int:
 
 def cmd_augment(args) -> int:
     out = _out_dir(args)
-    workers = _workers(args)
     tiers = {t.name: t for t in SPEED_TIERS}
-    if args.tier is not None and args.tier not in tiers:
-        raise ConfigError(f"unknown tier {args.tier!r}; choose from {sorted(tiers)}")
 
-    def one(path_str: str) -> dict:
-        path = Path(path_str)
-        try:
-            seq = parse_midi(path.read_bytes(), source_id=path.name)
-            item_seed = derive_seed(args.seed, "augment", path.name)
-            if args.mode == "speed":
-                if args.tier is not None:
-                    tier = tiers[args.tier]
-                else:
-                    pick = np.random.default_rng(item_seed)
-                    tier = SPEED_TIERS[int(pick.integers(len(SPEED_TIERS)))]
-                augmented, ratio, keyword = sample_speed_augmentation(
-                    seq, tier, derive_seed(args.seed, "speed", path.name)
-                )
-                detail = {"tier": tier.name, "ratio": ratio, "keyword": keyword}
+    def work(path: Path) -> dict:
+        seq = parse_midi(path.read_bytes(), source_id=path.name)
+        item_seed = derive_seed(args.seed, "augment", path.name)
+        if args.mode == "speed":
+            if args.tier is not None:
+                tier = tiers[args.tier]
             else:
-                augmented, report = corrupt(seq, MistakeConfig(seed=item_seed))
-                detail = {
-                    "mistouch": report.mistouch,
-                    "asynchrony": report.asynchrony,
-                    "substitution": report.substitution,
-                    "ghost": report.ghost,
-                    "block_removed": report.block_removed,
-                    "removed_intervals": report.removed_intervals,
-                }
-            (out / f"{path.stem}_{args.mode}.mid").write_bytes(write_midi(augmented))
-            return {"file": str(path), "status": "ok", **detail}
-        except (OSError, ValueError) as exc:
-            log.error("%s: %s", path, exc)
-            return {"file": str(path), "status": "error", "error": str(exc)}
+                pick = np.random.default_rng(item_seed)
+                tier = SPEED_TIERS[int(pick.integers(len(SPEED_TIERS)))]
+            augmented, ratio, keyword = sample_speed_augmentation(
+                seq, tier, derive_seed(args.seed, "speed", path.name)
+            )
+            detail = {"tier": tier.name, "ratio": ratio, "keyword": keyword}
+        else:
+            augmented, report = corrupt(seq, MistakeConfig(seed=item_seed))
+            detail = {
+                "mistouch": report.mistouch,
+                "asynchrony": report.asynchrony,
+                "substitution": report.substitution,
+                "ghost": report.ghost,
+                "block_removed": report.block_removed,
+                "removed_intervals": report.removed_intervals,
+            }
+        (out / f"{path.stem}_{args.mode}.mid").write_bytes(write_midi(augmented))
+        return detail
 
-    rows = _map_items(one, args.inputs, workers)
-    for row in rows:
-        print(json.dumps(row))
-    _atomic_write_json(out / "report.json", rows)
-    _write_run_record(out, "augment", _config_dict(args))
-    failed = any(r["status"] == "error" for r in rows)
-    return EXIT_FAILURES if failed and args.strict else EXIT_OK
+    return _run_batch(args, _inputs(args), work, out / "report.json")
 
 
 # ---------------------------------------------------------------------------
@@ -281,33 +295,21 @@ def cmd_manifest(args) -> int:
     out = _out_dir(args)
     try:
         registry = load_registry(args.registry)
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"registry: {exc}") from exc
+    merged = args.stage == "merged"
+    stages = sorted({e.stage for e in registry}) if merged else [int(args.stage)]
     try:
-        if args.stage == "merged":
-            stages = sorted({e.stage for e in registry})
-            manifest = merge_manifests(
-                [
-                    build_manifest(registry, s, args.seed, out, dropout=args.dropout)
-                    for s in stages
-                ]
-            )
-            path = out / "merged.jsonl"
-        else:
-            try:
-                stage = int(args.stage)
-            except ValueError:
-                raise ConfigError(
-                    f"stage must be 0..4 or 'merged', got {args.stage!r}"
-                ) from None
-            manifest = build_manifest(
-                registry, stage, args.seed, out, dropout=args.dropout
-            )
-            path = out / f"stage{stage}.jsonl"
+        manifests = [
+            build_manifest(registry, s, args.seed, out, dropout=args.dropout)
+            for s in stages
+        ]
+        manifest = merge_manifests(manifests) if merged else manifests[0]
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    path = out / ("merged.jsonl" if merged else f"stage{args.stage}.jsonl")
     write_manifest(manifest, path)
-    _write_run_record(out, "manifest", _config_dict(args))
+    _write_run_record(out, args)
     print(f"{path}: {len(manifest.records)} records, budget {manifest.step_budget}")
     return EXIT_OK
 
@@ -335,27 +337,39 @@ def cmd_schedule_preview(args) -> int:
 
 def _evaluate_pair(row: dict, metrics: list[str], base: Path) -> list[dict]:
     pair_id = row["pair_id"]
+    for column in ("output", "reference"):
+        if not row[column]:
+            raise ValueError(f"no {column} path")
     ratio = float(row.get("ratio") or 1.0)
     out_path = base / row["output"]
     ref_path = base / row["reference"]
-    results = []
+    wav = functools.cache(read_wav)  # decode each WAV once, shared across metrics
+    values = {}
     if "chroma" in metrics:
-        result = chroma_similarity(read_wav(out_path), read_wav(ref_path))
-        results.append({"pair_id": pair_id, "metric": "chroma", "value": result.score})
+        values["chroma"] = chroma_similarity(wav(out_path), wav(ref_path)).score
     if "tempo" in metrics:
-        estimated = tempo_estimate(read_wav(out_path))
+        estimated = tempo_estimate(wav(out_path))
         score_bpm = row.get("score_bpm")
         if score_bpm:  # externally supplied score tempo
             score_tempo = float(score_bpm)
         else:
             # the reference audio stands in for the score
-            score_tempo = tempo_estimate(read_wav(ref_path))
-        value = deviation_from_expected(estimated, score_tempo, ratio)
-        results.append({"pair_id": pair_id, "metric": "tempo", "value": value})
+            score_tempo = tempo_estimate(wav(ref_path))
+        values["tempo"] = deviation_from_expected(estimated, score_tempo, ratio)
     if "frechet" in metrics:
-        value = frechet_distance(read_embeddings(out_path), read_embeddings(ref_path))
-        results.append({"pair_id": pair_id, "metric": "frechet", "value": value})
-    return results
+        values["frechet"] = frechet_distance(
+            read_embeddings(out_path), read_embeddings(ref_path)
+        )
+    return [{"pair_id": pair_id, "metric": m, "value": v} for m, v in values.items()]
+
+
+def _results_csv(rows: list[dict]) -> str:
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=["pair_id", "metric", "value"])
+    writer.writeheader()
+    for row in rows:
+        writer.writerows(row.get("results", ()))
+    return buf.getvalue()
 
 
 def cmd_evaluate(args) -> int:
@@ -368,38 +382,34 @@ def cmd_evaluate(args) -> int:
     pairs_path = Path(args.pairs)
     try:
         with open(pairs_path) as fh:
-            pair_rows = list(csv.DictReader(fh))
-    except OSError as exc:
-        raise ConfigError(str(exc)) from exc
+            reader = csv.DictReader(fh)
+            pair_rows = list(reader)
+    except (OSError, ValueError, csv.Error) as exc:  # ValueError: not UTF-8
+        raise ConfigError(f"{pairs_path}: {exc}") from exc
+    missing = [
+        c for c in ("pair_id", "output", "reference") if c not in (reader.fieldnames or ())
+    ]
+    if missing:
+        raise ConfigError(f"{pairs_path}: missing column {', '.join(missing)}")
     if not pair_rows:
         raise ConfigError(f"{pairs_path}: no pairs")
-    base = pairs_path.parent
-    workers = _workers(args)
-
-    def one(row: dict) -> tuple[list[dict], str | None]:
-        try:
-            return _evaluate_pair(row, metrics, base), None
-        except (OSError, ValueError, MetricError) as exc:
-            log.error("pair %s: %s", row.get("pair_id"), exc)
-            return [], f"{row.get('pair_id')}: {exc}"
-
-    outcomes = _map_items(one, pair_rows, workers)
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = out_path.with_name(out_path.name + ".tmp")
-    with open(tmp, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["pair_id", "metric", "value"])
-        writer.writeheader()
-        for results, _ in outcomes:
-            for result in results:
-                writer.writerow(result)
-    os.replace(tmp, out_path)
-    _write_run_record(out_path.parent, "evaluate", _config_dict(args))
-    failures = [err for _, err in outcomes if err]
-    for err in failures:
-        print(f"FAILED {err}")
-    print(f"{out_path}: {sum(len(r) for r, _ in outcomes)} rows")
-    return EXIT_FAILURES if failures and args.strict else EXIT_OK
+
+    def report(rows: list[dict]) -> list[str]:
+        failed = [f"FAILED {r['pair_id']}: {r['error']}" for r in rows if r["status"] != "ok"]
+        written = sum(len(r.get("results", ())) for r in rows)
+        return [*failed, f"{out_path}: {written} rows"]
+
+    return _run_batch(
+        args,
+        [(row["pair_id"], row) for row in pair_rows],
+        lambda row: {"results": _evaluate_pair(row, metrics, pairs_path.parent)},
+        out_path,
+        key="pair_id",
+        report=report,
+        index_text=_results_csv,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -418,45 +428,33 @@ def cmd_synth(args) -> int:
         path = out / f"clicks_{args.clicks:g}bpm.wav"
         write_wav(path, buf)
         print(f"{path}: {len(buf)} samples")
-        _write_run_record(out, "synth", _config_dict(args))
+        _write_run_record(out, args)
         return EXIT_OK
     if not args.inputs:
         raise ConfigError("need MIDI inputs or --clicks")
-    workers = _workers(args)
 
-    def one(path_str: str) -> dict:
-        path = Path(path_str)
-        try:
-            seq = parse_midi(path.read_bytes(), source_id=path.name)
-            buf = render(seq, cfg)
-            write_wav(out / f"{path.stem}.wav", buf)
-            return {"file": str(path), "status": "ok", "samples": len(buf)}
-        except (OSError, ValueError) as exc:
-            log.error("%s: %s", path, exc)
-            return {"file": str(path), "status": "error", "error": str(exc)}
+    def work(path: Path) -> dict:
+        buf = render(parse_midi(path.read_bytes(), source_id=path.name), cfg)
+        write_wav(out / f"{path.stem}.wav", buf)
+        return {"samples": len(buf)}
 
-    rows = _map_items(one, args.inputs, workers)
-    for row in rows:
-        print(json.dumps(row))
-    _atomic_write_json(out / "index.json", rows)
-    _write_run_record(out, "synth", _config_dict(args))
-    failed = any(r["status"] == "error" for r in rows)
-    return EXIT_FAILURES if failed and args.strict else EXIT_OK
+    return _run_batch(args, _inputs(args), work, out / "index.json")
 
 
 # ---------------------------------------------------------------------------
 # parser
 
 
-def _add_common(sub, *, seed=True, out=True, strict=False, workers=False):
+def _add_common(sub, func, *, seed=True, out=None, batch=False):
+    """The command's handler and shared options; out is the default output path."""
+    sub.set_defaults(func=func, parser=sub)
     sub.add_argument("--config", help="JSON file with option defaults")
     if seed:
-        sub.add_argument("--seed", type=int, default=None)
+        sub.add_argument("--seed", type=int, default=0)
     if out:
-        sub.add_argument("--out", default=None, help="output directory")
-    if strict:
-        sub.add_argument("--strict", action="store_true", default=None)
-    if workers:
+        sub.add_argument("--out", default=out, help="output directory")
+    if batch:
+        sub.add_argument("--strict", action="store_true")
         sub.add_argument(
             "--workers", type=int, default=None,
             help=f"parallel workers (default ${WORKERS_ENV} or 1)",
@@ -470,59 +468,51 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("tokenize", help="segment and tokenize MIDI files")
     p.add_argument("inputs", nargs="+")
-    p.add_argument("--window", type=float, default=None)
+    p.add_argument("--window", type=float, default=10.0)
     p.add_argument("--hop", type=float, default=None)
-    _add_common(p, strict=True, workers=True)
-    p.set_defaults(func=cmd_tokenize, defaults={"window": 10.0, "seed": 0, "out": "tokens", "strict": False})
+    _add_common(p, cmd_tokenize, out="tokens", batch=True)
 
     p = subs.add_parser("augment", help="speed or mistake augmentation")
     p.add_argument("inputs", nargs="+")
     p.add_argument("--mode", choices=["speed", "mistakes"], required=True)
-    p.add_argument("--tier", default=None, help="fixed speed tier name")
-    _add_common(p, strict=True, workers=True)
-    p.set_defaults(func=cmd_augment, defaults={"seed": 0, "out": "augmented", "strict": False})
+    p.add_argument("--tier", choices=[t.name for t in SPEED_TIERS], default=None,
+                   help="fixed speed tier name")
+    _add_common(p, cmd_augment, out="augmented", batch=True)
 
     p = subs.add_parser("prompt", help="render one prompt")
     p.add_argument("--stage", type=int, required=True)
     p.add_argument("--sonification", choices=["synthesis", "performance"], default="synthesis")
-    p.add_argument("--speed-keyword", default=None)
-    p.add_argument("--title", default=None)
-    p.add_argument("--composer", default=None)
-    p.add_argument("--instrumentation", default=None)
-    p.add_argument("--performer", default=None)
-    p.add_argument("--expression", default=None)
-    p.add_argument("--mistake", action="store_true", default=None)
-    p.add_argument("--dropout", type=float, default=None)
-    _add_common(p, out=False)
-    p.set_defaults(func=cmd_prompt, defaults={"seed": 0, "dropout": 0.5})
+    for text in ("speed-keyword", "title", "composer", "instrumentation", "performer",
+                 "expression"):
+        p.add_argument(f"--{text}")
+    p.add_argument("--mistake", action="store_true")
+    p.add_argument("--dropout", type=float, default=0.5)
+    _add_common(p, cmd_prompt)
 
     p = subs.add_parser("manifest", help="build a stage manifest from a registry")
     p.add_argument("--registry", required=True)
-    p.add_argument("--stage", required=True, help="0..4 or 'merged'")
-    p.add_argument("--dropout", type=float, default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_manifest, defaults={"seed": 0, "out": "manifest", "dropout": 0.5})
+    p.add_argument("--stage", choices=["0", "1", "2", "3", "4", "merged"], required=True,
+                   help="0..4 or 'merged'")
+    p.add_argument("--dropout", type=float, default=0.5)
+    _add_common(p, cmd_manifest, out="manifest")
 
     p = subs.add_parser("schedule-preview", help="show the first steps of a schedule")
     p.add_argument("manifests", nargs="+", help="manifest .jsonl files, stage order")
-    p.add_argument("--steps", type=int, default=None)
-    _add_common(p, out=False)
-    p.set_defaults(func=cmd_schedule_preview, defaults={"seed": 0, "steps": 10})
+    p.add_argument("--steps", type=int, default=10)
+    _add_common(p, cmd_schedule_preview)
 
     p = subs.add_parser("evaluate", help="batch metrics over file pairs")
     p.add_argument("--pairs", required=True, help="CSV: pair_id,output,reference[,ratio,score_bpm]")
-    p.add_argument("--metrics", default=None, help="comma list: chroma,tempo,frechet")
-    _add_common(p, seed=False, out=False, strict=True, workers=True)
-    p.add_argument("--out", default=None, help="output CSV path")
-    p.set_defaults(func=cmd_evaluate, defaults={"metrics": "chroma,tempo", "out": "results.csv", "strict": False})
+    p.add_argument("--metrics", default="chroma,tempo", help="comma list: chroma,tempo,frechet")
+    _add_common(p, cmd_evaluate, seed=False, batch=True)
+    p.add_argument("--out", default="results.csv", help="output CSV path")
 
     p = subs.add_parser("synth", help="render MIDI (or a click track) to WAV")
     p.add_argument("inputs", nargs="*")
     p.add_argument("--clicks", type=float, default=None, help="render a click track at BPM")
-    p.add_argument("--duration", type=float, default=None)
-    p.add_argument("--gain", type=float, default=None)
-    _add_common(p, seed=False, strict=True, workers=True)
-    p.set_defaults(func=cmd_synth, defaults={"out": "audio", "duration": 10.0, "gain": 0.5, "strict": False})
+    p.add_argument("--duration", type=float, default=10.0)
+    p.add_argument("--gain", type=float, default=0.5)
+    _add_common(p, cmd_synth, seed=False, out="audio", batch=True)
 
     return parser
 
@@ -535,7 +525,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse already printed the message
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
-        _apply_config_file(args, args.defaults)
+        if args.config is not None:
+            # config values become the subcommand's defaults, so flags still win
+            args.parser.set_defaults(**_read_config(args.config, args.parser))
+            args = parser.parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,7 +20,7 @@ import numpy as np
 from .notes import Window, segment
 from .prompts import PromptSpec, STAGE0_PROMPT, ratio_to_keyword, render_prompt
 from .seeds import derive_seed
-from .smf import parse_midi
+from .smf import MidiParseError, parse_midi
 from .tokenizer import encode
 
 log = logging.getLogger(__name__)
@@ -230,9 +230,12 @@ def build_manifest(
         entry_records = []
         for pair in load_pairs(entry):
             metadata = _load_metadata(entry, pair)
-            seq = parse_midi(
-                (entry.root_path / pair.midi).read_bytes(), source_id=pair.midi
-            )
+            try:
+                seq = parse_midi(
+                    (entry.root_path / pair.midi).read_bytes(), source_id=pair.midi
+                )
+            except MidiParseError as exc:
+                raise MidiParseError(f"{entry.name}/{pair.midi}: {exc}") from exc
             for k, window in enumerate(segment(seq, window_length)):
                 ref = f"{entry.name}/{pair.midi}#{k}"
                 if entry.needs_alignment:

@@ -7,6 +7,7 @@ script uses, and checks outputs on disk plus the exit code contract:
 
 import csv
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -258,6 +259,15 @@ class TestManifest:
         )
         assert code == EXIT_CONFIG
 
+    def test_bad_midi_named_in_error(self, tmp_path, capsys):
+        registry = _make_registry(tmp_path)
+        (registry.parent / "synth-a" / "p1.mid").write_bytes(b"garbage")
+        code = _run(
+            "manifest", "--registry", registry, "--stage", "0", "--out", tmp_path / "man"
+        )
+        assert code == EXIT_CONFIG
+        assert "synth-a/p1.mid: missing MThd header (byte 0)" in capsys.readouterr().err
+
     def test_schedule_preview(self, tmp_path, capsys):
         registry = _make_registry(tmp_path)
         out = tmp_path / "man"
@@ -363,6 +373,33 @@ class TestEvaluate:
         code = _run(
             "evaluate", "--pairs", eval_dir / "pairs.csv",
             "--out", tmp_path / "results.csv", "--strict",
+        )
+        assert code == EXIT_FAILURES
+
+    def test_missing_column(self, eval_dir, tmp_path, capsys):
+        pairs = eval_dir / "pairs.csv"
+        pairs.write_text("pair_id,reference\nsame,ref.wav\n")
+        code = _run("evaluate", "--pairs", pairs, "--out", tmp_path / "r.csv")
+        assert code == EXIT_CONFIG
+        assert f"{pairs}: missing column output" in capsys.readouterr().err
+
+    def test_undecodable_pairs_csv(self, tmp_path, capsys):
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_bytes(b"pair_id,output,reference\n\xff\xfe,a.wav,b.wav\n")
+        code = _run("evaluate", "--pairs", pairs, "--out", tmp_path / "r.csv")
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("row", ["p1,same.wav", "p1,,ref.wav,", "p1,same.wav,,"])
+    def test_row_without_path_is_item_failure(self, eval_dir, tmp_path, capsys, row):
+        with open(eval_dir / "pairs.csv", "a", newline="") as fh:
+            fh.write(row + "\n")
+        out = tmp_path / "results.csv"
+        assert _run("evaluate", "--pairs", eval_dir / "pairs.csv", "--out", out) == EXIT_OK
+        assert "FAILED p1: no " in capsys.readouterr().out
+        assert ("same", "chroma") in _read_results(out)
+        code = _run(
+            "evaluate", "--pairs", eval_dir / "pairs.csv", "--out", out, "--strict"
         )
         assert code == EXIT_FAILURES
 
@@ -520,6 +557,71 @@ class TestConfigAndRecords:
         code = _run("tokenize", midi_dir / "a.mid", "--out", tmp_path / "tok",
                     "--workers", "0")
         assert code == EXIT_CONFIG
+
+    def test_bad_workers_env(self, midi_dir, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("ENCORE_WORKERS", "abc")
+        assert _run("tokenize", midi_dir / "a.mid", "--out", tmp_path / "tok") == EXIT_CONFIG
+        assert "ENCORE_WORKERS" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, config",
+        [
+            ("tokenize", {"hop": "x"}),
+            ("tokenize", {"workers": "2"}),
+            ("synth", {"clicks": "x"}),
+            ("augment", {"tier": "Ludicrous"}),
+        ],
+    )
+    def test_config_checked_against_option_type(
+        self, midi_dir, tmp_path, capsys, command, config
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = [command, midi_dir / "a.mid", "--config", cfg, "--out", tmp_path / "o"]
+        if command == "augment":
+            argv += ["--mode", "speed"]
+        assert _run(*argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert repr(next(iter(config))) in captured.err
+
+    def test_config_overrides_parser_default(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sonification": "performance"}))
+        code = _run("prompt", "--stage", "2", "--dropout", "0", "--config", cfg)
+        assert code == EXIT_OK
+        assert capsys.readouterr().out.strip() == "expressive performance"
+        code = _run(
+            "prompt", "--stage", "2", "--dropout", "0", "--config", cfg,
+            "--sonification", "synthesis",
+        )
+        assert code == EXIT_OK
+        assert capsys.readouterr().out.strip() == "synthesis"
+
+    @pytest.mark.parametrize("command", ["tokenize", "synth", "evaluate"])
+    def test_outputs_independent_of_workers(
+        self, midi_dir, eval_dir, tmp_path, capsys, command
+    ):
+        out = tmp_path / "out"
+        if command == "evaluate":
+            with open(eval_dir / "pairs.csv", "a", newline="") as fh:
+                fh.write("ghost,missing.wav,ref.wav,\n")
+            argv = ["evaluate", "--pairs", eval_dir / "pairs.csv", "--out", out / "r.csv"]
+        else:
+            names = ("a.mid", "broken.mid", "b.mid")
+            argv = [command, *(midi_dir / n for n in names), "--out", out]
+        seen = []
+        for workers in ("1", "3"):
+            assert _run(*argv, "--workers", workers) == EXIT_OK
+            files = {
+                p.name: p.read_bytes() for p in out.iterdir() if p.name != "run_record.json"
+            }
+            seen.append((files, capsys.readouterr().out))
+            shutil.rmtree(out)
+        files, stdout = seen[0]  # the failing item is reported too
+        assert files and ("FAILED" in stdout or '"status": "error"' in stdout)
+        assert seen[0] == seen[1]
 
     def test_unknown_command(self):
         assert _run("renormalize") == EXIT_CONFIG
