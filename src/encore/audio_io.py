@@ -1,9 +1,10 @@
 """WAV ingestion and emission.
 
-Readers normalize everything to the analysis format used by the metrics:
-mono float64 at 44100 Hz.  Multi-channel input is averaged, integer PCM
-is scaled to [-1, 1), and other rates are resampled with a polyphase
-filter.
+ANALYSIS_RATE is the one audio rate: the synthesizer renders at it, WAV
+files are written at it, and the metrics assume it.  Readers normalize
+everything to mono float64 at that rate.  Multi-channel input is
+averaged, integer PCM is scaled to [-1, 1), and other rates are resampled
+with a polyphase filter.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ _PCM_SCALE = {
 }
 
 
-def read_wav(path: str | os.PathLike, target_rate: int = ANALYSIS_RATE) -> np.ndarray:
-    """Read a WAV file as mono float64 at ``target_rate``."""
+def read_wav(path: str | os.PathLike) -> np.ndarray:
+    """Read a WAV file as mono float64 at ANALYSIS_RATE."""
     rate, data = wavfile.read(path)
     if data.size == 0:
         raise ValueError(f"{path}: empty audio stream")
@@ -36,14 +37,12 @@ def read_wav(path: str | os.PathLike, target_rate: int = ANALYSIS_RATE) -> np.nd
         raise ValueError(f"{path}: unsupported sample format {data.dtype}")
     if samples.ndim == 2:
         samples = samples.mean(axis=1)
-    if rate != target_rate:
-        g = math.gcd(int(target_rate), int(rate))
-        samples = resample_poly(samples, target_rate // g, rate // g)
+    if rate != ANALYSIS_RATE:
+        g = math.gcd(ANALYSIS_RATE, int(rate))
+        samples = resample_poly(samples, ANALYSIS_RATE // g, rate // g)
     return samples
 
 
-def write_wav(
-    path: str | os.PathLike, samples: np.ndarray, sample_rate: int = ANALYSIS_RATE
-) -> None:
-    """Write mono samples as a 32-bit float WAV file."""
-    wavfile.write(path, sample_rate, np.asarray(samples, dtype=np.float32))
+def write_wav(path: str | os.PathLike, samples: np.ndarray) -> None:
+    """Write mono samples as a 32-bit float WAV file at ANALYSIS_RATE."""
+    wavfile.write(path, ANALYSIS_RATE, np.asarray(samples, dtype=np.float32))

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .notes import Note, NoteSequence
+from .notes import Note, NoteSequence, check_length
 
 
 @dataclass(frozen=True)
@@ -162,8 +162,10 @@ def corrupt(
     pitch by a semitone, maybe ghost it away. Inserted notes are not
     themselves corrupted. Afterwards one removal interval is sampled per
     block_period span of the original duration and every note whose current
-    start falls inside it is dropped.
+    start falls inside it is dropped. Raises SequenceTooLongError for a
+    sequence longer than MAX_SECONDS.
     """
+    check_length(seq)
     rng = np.random.default_rng(cfg.seed)
     report = MistakeReport()
     kept = []

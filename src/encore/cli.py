@@ -26,7 +26,7 @@ import scipy
 
 from . import __version__
 from .audio_io import read_wav, write_wav
-from .augment import SPEED_TIERS, MistakeConfig, corrupt, sample_speed_augmentation
+from .augment import SPEED_TIERS, TIER_BY_NAME, MistakeConfig, corrupt, sample_speed_augmentation
 from .curriculum import (
     build_manifest,
     load_registry,
@@ -233,14 +233,13 @@ def cmd_tokenize(args) -> int:
 
 def cmd_augment(args) -> int:
     out = _out_dir(args)
-    tiers = {t.name: t for t in SPEED_TIERS}
 
     def work(path: Path) -> dict:
         seq = parse_midi(path.read_bytes(), source_id=path.name)
         item_seed = derive_seed(args.seed, "augment", path.name)
         if args.mode == "speed":
             if args.tier is not None:
-                tier = tiers[args.tier]
+                tier = TIER_BY_NAME[args.tier]
             else:
                 pick = np.random.default_rng(item_seed)
                 tier = SPEED_TIERS[int(pick.integers(len(SPEED_TIERS)))]

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,56 @@ TARGET_KINDS = ("synth_audio", "perf_audio", "synth_perf_audio")
 # how close a sidecar alignment offset must sit to a window offset
 _ALIGN_EPS = 1e-6
 
+# JSON types of the fields of registry rows, pair-index lines and metadata
+_TEXT = (str, type(None))
+_NUMBER = (int, float)
+_ROW_REQUIRED = dict.fromkeys(
+    ("name", "input_kind", "target_kind", "root", "pair_index"), str
+) | {"stage": int}
+_ROW_OPTIONAL = {"instrumentation": str, "weight": _NUMBER}
+_PAIR_REQUIRED = {"midi": str, "audio": str}
+_METADATA_OPTIONAL = dict.fromkeys(
+    ("title", "composer", "performer", "expression"), _TEXT
+) | {"alignment": list}
+
+
+def _is(value, want) -> bool:
+    """isinstance for JSON values, where a bool is not a number."""
+    return isinstance(value, want) and not isinstance(value, bool)
+
+
+def _object(value, where, required: dict, optional: dict) -> dict:
+    """value, if it is a JSON object whose fields have the given types;
+    otherwise ValueError naming ``where``."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{where}: expected a JSON object, got {value!r}")
+    for key, want in (required | optional).items():
+        if key not in value:
+            if key in required:
+                raise ValueError(f"{where}: missing field {key!r}")
+        elif not _is(value[key], want):
+            raise ValueError(f"{where}: field {key!r} has the wrong type: {value[key]!r}")
+    return value
+
+
+def _read_json(path: Path):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except ValueError as exc:  # bad JSON or not UTF-8
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _json_lines(path: Path):
+    """(line number, value) for every non-blank line of a JSON-lines file."""
+    with open(path) as fh:
+        for number, line in enumerate(fh, 1):
+            if line.strip():
+                try:
+                    yield number, json.loads(line)
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{number}: {exc}") from None
+
 
 @dataclass(frozen=True)
 class DatasetEntry:
@@ -56,8 +107,8 @@ class DatasetEntry:
             raise ValueError(f"{self.name}: unknown input_kind {self.input_kind!r}")
         if self.target_kind not in TARGET_KINDS:
             raise ValueError(f"{self.name}: unknown target_kind {self.target_kind!r}")
-        if self.weight <= 0:
-            raise ValueError(f"{self.name}: weight must be positive")
+        if not 0 < self.weight < math.inf:
+            raise ValueError(f"{self.name}: weight must be positive and finite")
         object.__setattr__(self, "root_path", Path(self.root_path))
         object.__setattr__(self, "pair_index", Path(self.pair_index))
 
@@ -102,27 +153,24 @@ def load_registry(path: str | os.PathLike) -> list[DatasetEntry]:
     Relative dataset paths resolve against the registry file's directory.
     """
     path = Path(path)
-    with open(path) as fh:
-        doc = json.load(fh)
-    rows = doc.get("datasets")
+    doc = _read_json(path)
+    rows = doc.get("datasets") if isinstance(doc, dict) else None
     if not isinstance(rows, list) or not rows:
         raise ValueError(f"{path}: registry must hold a non-empty 'datasets' list")
     base = path.parent
     entries = []
     for row in rows:
-        try:
-            entry = DatasetEntry(
-                name=row["name"],
-                stage=row["stage"],
-                input_kind=row["input_kind"],
-                target_kind=row["target_kind"],
-                instrumentation=row.get("instrumentation", ""),
-                root_path=base / row["root"],
-                pair_index=base / row["pair_index"],
-                weight=row.get("weight", 1.0),
-            )
-        except KeyError as missing:
-            raise ValueError(f"{path}: registry row missing field {missing}") from None
+        _object(row, f"{path}: registry row", _ROW_REQUIRED, _ROW_OPTIONAL)
+        entry = DatasetEntry(
+            name=row["name"],
+            stage=row["stage"],
+            input_kind=row["input_kind"],
+            target_kind=row["target_kind"],
+            instrumentation=row.get("instrumentation", ""),
+            root_path=base / row["root"],
+            pair_index=base / row["pair_index"],
+            weight=row.get("weight", 1.0),
+        )
         for pair in load_pairs(entry):
             for ref in (pair.midi, pair.audio, pair.metadata):
                 if ref is not None and not (entry.root_path / ref).exists():
@@ -134,15 +182,9 @@ def load_registry(path: str | os.PathLike) -> list[DatasetEntry]:
 def load_pairs(entry: DatasetEntry) -> list[Pair]:
     """Read an entry's pair index, canonically sorted by MIDI path."""
     pairs = []
-    with open(entry.pair_index) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            row = json.loads(line)
-            pairs.append(
-                Pair(midi=row["midi"], audio=row["audio"], metadata=row.get("metadata"))
-            )
+    for number, row in _json_lines(entry.pair_index):
+        _object(row, f"{entry.pair_index}:{number}", _PAIR_REQUIRED, {"metadata": _TEXT})
+        pairs.append(Pair(midi=row["midi"], audio=row["audio"], metadata=row.get("metadata")))
     # manifest content must not depend on listing order
     pairs.sort(key=lambda p: p.midi)
     return pairs
@@ -151,8 +193,12 @@ def load_pairs(entry: DatasetEntry) -> list[Pair]:
 def _load_metadata(entry: DatasetEntry, pair: Pair) -> dict:
     if pair.metadata is None:
         return {}
-    with open(entry.root_path / pair.metadata) as fh:
-        return json.load(fh)
+    path = entry.root_path / pair.metadata
+    metadata = _object(_read_json(path), path, {}, _METADATA_OPTIONAL)
+    for row in metadata.get("alignment", ()):
+        if not (isinstance(row, list) and len(row) == 3 and all(_is(v, _NUMBER) for v in row)):
+            raise ValueError(f"{path}: alignment rows are [score_offset, perf_start, perf_end]")
+    return metadata
 
 
 def _alignment_for(metadata: dict, offset: float) -> tuple[float, float] | None:
@@ -208,7 +254,6 @@ def build_manifest(
     stage: int,
     seed: int,
     out_dir: str | os.PathLike,
-    window_length: float = 10.0,
     dropout: float = 0.5,
 ) -> StageManifest:
     """Cut, tokenize, and prompt every pair of a stage into a manifest.
@@ -236,7 +281,7 @@ def build_manifest(
                 )
             except MidiParseError as exc:
                 raise MidiParseError(f"{entry.name}/{pair.midi}: {exc}") from exc
-            for k, window in enumerate(segment(seq, window_length)):
+            for k, window in enumerate(segment(seq)):
                 ref = f"{entry.name}/{pair.midi}#{k}"
                 if entry.needs_alignment:
                     interval = _alignment_for(metadata, window.offset)
@@ -246,8 +291,8 @@ def build_manifest(
                     perf_start, perf_end = interval
                 else:
                     perf_start = window.offset
-                    perf_end = window.offset + window_length
-                ratio = (perf_end - perf_start) / window_length
+                    perf_end = window.offset + window.length
+                ratio = (perf_end - perf_start) / window.length
                 keyword = (
                     ratio_to_keyword(ratio, derive_seed(seed, ref, "keyword"))
                     if stage >= 1
@@ -293,14 +338,12 @@ def _write_tokens(
     return str(rel)
 
 
-def merge_manifests(
-    manifests: list[StageManifest], step_budget: int = MERGED_BUDGET
-) -> StageManifest:
+def merge_manifests(manifests: list[StageManifest]) -> StageManifest:
     """Pool several manifests into one stageless manifest (no-curriculum)."""
     if not manifests:
         raise ValueError("nothing to merge")
     records = tuple(r for m in manifests for r in m.records)
-    return StageManifest(stage=None, step_budget=step_budget, records=records)
+    return StageManifest(stage=None, step_budget=MERGED_BUDGET, records=records)
 
 
 def schedule(manifests: list[StageManifest], seed: int = 0):
@@ -347,14 +390,18 @@ def write_manifest(manifest: StageManifest, path: str | os.PathLike) -> None:
 
 
 def read_manifest(path: str | os.PathLike) -> StageManifest:
+    """Read what write_manifest wrote; a malformed file raises ValueError naming it."""
     path = Path(path)
-    with open(path.with_suffix(".meta.json")) as fh:
-        meta = json.load(fh)
+    meta_path = path.with_suffix(".meta.json")
+    meta = _object(
+        _read_json(meta_path), meta_path, {"stage": (int, type(None)), "step_budget": int}, {}
+    )
+    keys = {f.name for f in fields(ManifestRecord)}
     records = []
-    with open(path) as fh:
-        for line in fh:
-            if line.strip():
-                records.append(ManifestRecord(**json.loads(line)))
+    for number, row in _json_lines(path):
+        if not isinstance(row, dict) or row.keys() != keys:
+            raise ValueError(f"{path}:{number}: expected an object with keys {sorted(keys)}")
+        records.append(ManifestRecord(**row))
     return StageManifest(
         stage=meta["stage"], step_budget=meta["step_budget"], records=tuple(records)
     )

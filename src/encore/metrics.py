@@ -1,8 +1,8 @@
 """Objective metrics: chroma similarity over DTW, tempo deviation, and
 Fréchet distance between embedding sets.
 
-All functions take plain numpy buffers (mono, 44100 Hz unless stated) and
-are pure; file handling lives in audio_io and the CLI.
+All functions take plain numpy buffers (mono, at audio_io.ANALYSIS_RATE)
+and are pure; file handling lives in audio_io and the CLI.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import numpy as np
 from scipy.signal.windows import hann
 
 from ._kernels import dtw_backtrack, dtw_fill
+from .audio_io import ANALYSIS_RATE
 from .notes import NoteSequence
 
 CHROMA_WINDOW = 4096
@@ -85,7 +86,7 @@ def _frame_signal(x: np.ndarray, window: int, hop: int) -> np.ndarray:
     return frames[:n_frames]
 
 
-def chromagram(audio: np.ndarray, sample_rate: int = 44100) -> ChromaMatrix:
+def chromagram(audio: np.ndarray) -> ChromaMatrix:
     """Fold STFT bin energies into 12 pitch classes.
 
     Window 4096, hop 2048, Hann. Bins between 27.5 Hz and 8 kHz are
@@ -101,7 +102,7 @@ def chromagram(audio: np.ndarray, sample_rate: int = 44100) -> ChromaMatrix:
         raise ValueError("audio buffer is empty")
     frames = _frame_signal(x, CHROMA_WINDOW, CHROMA_HOP)
     spec = np.abs(np.fft.rfft(frames * hann(CHROMA_WINDOW, sym=False), axis=1)) ** 2
-    freqs = np.fft.rfftfreq(CHROMA_WINDOW, 1.0 / sample_rate)
+    freqs = np.fft.rfftfreq(CHROMA_WINDOW, 1.0 / ANALYSIS_RATE)
     keep = (freqs >= _FREQ_LOW) & (freqs <= _FREQ_HIGH)
     pitch = np.round(69.0 + 12.0 * np.log2(freqs[keep] / 440.0)).astype(np.int64)
     pitch_class = pitch % 12
@@ -112,7 +113,7 @@ def chromagram(audio: np.ndarray, sample_rate: int = 44100) -> ChromaMatrix:
     norms = np.linalg.norm(chroma, axis=1)
     sounding = norms > 0.0
     chroma[sounding] /= norms[sounding, None]
-    return ChromaMatrix(chroma, sample_rate / CHROMA_HOP)
+    return ChromaMatrix(chroma, ANALYSIS_RATE / CHROMA_HOP)
 
 
 def _silence_mask(frames: np.ndarray) -> np.ndarray:
@@ -192,7 +193,6 @@ def chroma_similarity(
     out_audio: np.ndarray,
     ref_audio: np.ndarray,
     penalty_weight: float = DEFAULT_PENALTY_WEIGHT,
-    sample_rate: int = 44100,
     band: int | None = None,
 ) -> ChromaSimilarityResult:
     """Mean cosine similarity along the DTW path, minus a cost penalty.
@@ -200,8 +200,8 @@ def chroma_similarity(
     score = mean_cosine - penalty_weight * dtw_cost. Raises MetricError
     when either input is entirely silent (similarity undefined).
     """
-    ca = chromagram(out_audio, sample_rate)
-    cb = chromagram(ref_audio, sample_rate)
+    ca = chromagram(out_audio)
+    cb = chromagram(ref_audio)
     if ca.is_silent or cb.is_silent:
         raise MetricError("chroma similarity undefined for all-silent audio")
     dist = _cosine_distance_matrix(ca.frames, cb.frames)
@@ -221,11 +221,11 @@ def chroma_similarity(
 # tempo
 
 
-def _onset_envelope(x: np.ndarray, sample_rate: int) -> tuple[np.ndarray, float]:
+def _onset_envelope(x: np.ndarray) -> tuple[np.ndarray, float]:
     frames = _frame_signal(x, _TEMPO_WINDOW, _TEMPO_HOP)
     spec = np.abs(np.fft.rfft(frames * hann(_TEMPO_WINDOW, sym=False), axis=1))
     flux = np.maximum(spec[1:] - spec[:-1], 0.0).sum(axis=1)
-    return flux, sample_rate / _TEMPO_HOP
+    return flux, ANALYSIS_RATE / _TEMPO_HOP
 
 
 def _autocorrelate(x: np.ndarray) -> np.ndarray:
@@ -246,7 +246,7 @@ def _parabolic_lag(acf: np.ndarray, lag: int) -> float:
     return lag + float(np.clip(delta, -0.5, 0.5))
 
 
-def tempo_estimate(audio: np.ndarray, sample_rate: int = 44100) -> float:
+def tempo_estimate(audio: np.ndarray) -> float:
     """Tempo in BPM from spectral-flux autocorrelation.
 
     The onset envelope is the half-wave-rectified frame-to-frame spectral
@@ -259,9 +259,9 @@ def tempo_estimate(audio: np.ndarray, sample_rate: int = 44100) -> float:
     x = np.asarray(audio, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError(f"audio must be mono, got shape {x.shape}")
-    if x.shape[0] < 5 * sample_rate:
+    if x.shape[0] < 5 * ANALYSIS_RATE:
         raise ValueError("tempo estimation needs at least 5 s of audio")
-    flux, fps = _onset_envelope(x, sample_rate)
+    flux, fps = _onset_envelope(x)
     flux = flux - flux.mean()
     if not np.any(flux):
         raise MetricError("no detectable periodicity: flat onset envelope")
@@ -305,16 +305,11 @@ def deviation_from_expected(
     return abs(estimated_bpm - expected) / expected
 
 
-def tempo_deviation(
-    out_audio: np.ndarray,
-    score: NoteSequence,
-    prompt_ratio: float,
-    sample_rate: int = 44100,
-) -> float:
+def tempo_deviation(out_audio: np.ndarray, score: NoteSequence, prompt_ratio: float) -> float:
     """Relative tempo error of audio against the prompt-adjusted score."""
     if score.reference_bpm is None:
         raise MetricError(f"score {score.source_id!r} carries no tempo reference")
-    estimated = tempo_estimate(out_audio, sample_rate)
+    estimated = tempo_estimate(out_audio)
     return deviation_from_expected(estimated, score.reference_bpm, prompt_ratio)
 
 

@@ -3,12 +3,20 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+
+# Longest sequence segment, corrupt and render accept: 4 h.  A crafted MIDI
+# can put a note billions of seconds out, and their costs grow with length.
+MAX_SECONDS = 4 * 3600.0
+
+
+class SequenceTooLongError(ValueError):
+    """A sequence runs longer than MAX_SECONDS."""
 
 
 @dataclass(frozen=True)
 class Note:
-    """A single timed note event, times in seconds."""
+    """A single timed note event, times in seconds (negative only window-locally)."""
 
     start: float
     pitch: int
@@ -24,8 +32,6 @@ class Note:
             raise ValueError(f"velocity {self.velocity} outside 0..127")
         if not 0 <= self.program <= 127:
             raise ValueError(f"program {self.program} outside 0..127")
-        if self.start < 0:
-            raise ValueError(f"negative start time {self.start}")
         if self.end < self.start:
             raise ValueError(f"end {self.end} before start {self.start}")
 
@@ -34,28 +40,8 @@ class Note:
         return self.end - self.start
 
 
-# Window-local notes may legitimately start before the window origin, so the
-# sustained list bypasses Note's non-negative start check via this subclass.
-@dataclass(frozen=True)
-class _RebasableNote(Note):
-    def __post_init__(self):
-        if not 0 <= self.pitch <= 127:
-            raise ValueError(f"pitch {self.pitch} outside 0..127")
-        if self.end < self.start:
-            raise ValueError(f"end {self.end} before start {self.start}")
-
-
-def _rebase(note: Note, offset: float) -> Note:
-    start = note.start - offset
-    kls = Note if start >= 0 else _RebasableNote
-    return kls(
-        start=start,
-        pitch=note.pitch,
-        end=note.end - offset,
-        velocity=note.velocity,
-        program=note.program,
-        is_drum=note.is_drum,
-    )
+def _rebase(note: Note, offset: float, end: float) -> Note:
+    return Note(note.start - offset, note.pitch, end, note.velocity, note.program, note.is_drum)
 
 
 class NoteSequence:
@@ -78,6 +64,8 @@ class NoteSequence:
         ordered = tuple(
             sorted(notes, key=lambda n: (n.start, n.pitch, n.program, n.end, n.velocity))
         )
+        if ordered and ordered[0].start < 0:
+            raise ValueError(f"negative start time {ordered[0].start}")
         max_end = max((n.end for n in ordered), default=0.0)
         if total_duration is None:
             total_duration = max_end
@@ -123,6 +111,15 @@ class NoteSequence:
         )
 
 
+def check_length(seq: NoteSequence) -> None:
+    """Raise SequenceTooLongError, naming the source, past MAX_SECONDS."""
+    if seq.total_duration > MAX_SECONDS:
+        raise SequenceTooLongError(
+            f"{seq.source_id!r}: {seq.total_duration:.6g} s exceeds"
+            f" the {MAX_SECONDS:g} s input limit"
+        )
+
+
 @dataclass(frozen=True)
 class Window:
     """A fixed-length slice of a sequence with times re-based to its start.
@@ -138,6 +135,8 @@ class Window:
     sustained: tuple[Note, ...] = ()
 
     def __post_init__(self):
+        if not self.length > 0:
+            raise ValueError(f"window length must be positive, got {self.length}")
         for n in self.notes:
             if not 0 <= n.start < self.length:
                 raise ValueError(f"window note starts outside [0, {self.length}): {n}")
@@ -151,7 +150,9 @@ def segment(seq: NoteSequence, window_length: float = 10.0, hop: float | None = 
 
     A note crossing a window's end boundary is truncated there and re-appears
     in the sustained list of every later window it still sounds through.
+    Raises SequenceTooLongError for a sequence longer than MAX_SECONDS.
     """
+    check_length(seq)
     if window_length <= 0:
         raise ValueError("window_length must be positive")
     if hop is None:
@@ -178,12 +179,9 @@ def segment(seq: NoteSequence, window_length: float = 10.0, hop: float | None = 
             if note.start >= end:
                 break
             if note.start >= off:
-                local = _rebase(note, off)
-                if local.end > window_length:
-                    local = replace(local, end=window_length)
-                inside.append(local)
+                inside.append(_rebase(note, off, min(note.end - off, window_length)))
             elif note.end > off:
-                sustained.append(_rebase(note, off))
+                sustained.append(_rebase(note, off, note.end - off))
         windows.append(
             Window(offset=off, length=window_length, notes=tuple(inside), sustained=tuple(sustained))
         )

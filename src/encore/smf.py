@@ -11,6 +11,7 @@ from bisect import bisect_right
 from .notes import Note, NoteSequence
 
 DEFAULT_TEMPO_US = 500_000  # microseconds per quarter note, per the SMF standard
+PPQ = 480  # ticks per quarter note in written files
 
 _DRUM_CHANNEL = 9
 
@@ -276,15 +277,14 @@ def _encode_varlen(value: int) -> bytes:
     return bytes(out)
 
 
-def write_midi(seq: NoteSequence, ppq: int = 480, tempo_us: int = DEFAULT_TEMPO_US) -> bytes:
+def write_midi(seq: NoteSequence, tempo_us: int = DEFAULT_TEMPO_US) -> bytes:
     """Serialize a NoteSequence as a single-track format 0 SMF.
 
-    Times quantize to the tick grid (round to nearest). Each program gets its
-    own channel, drums channel 10; more than 15 distinct melodic programs is
-    an error, as is a velocity-0 note (it would read back as a note off).
+    Times quantize to the PPQ tick grid (round to nearest). Each program
+    gets its own channel, drums channel 10; more than 15 distinct melodic
+    programs is an error, as is a velocity-0 note (it would read back as a
+    note off).
     """
-    if not 0 < ppq <= 0x7FFF:
-        raise ValueError(f"ppq {ppq} outside 1..32767")
     if not 0 < tempo_us <= 0xFF_FFFF:
         raise ValueError(f"tempo {tempo_us} outside 24-bit range")
 
@@ -295,8 +295,8 @@ def write_midi(seq: NoteSequence, ppq: int = 480, tempo_us: int = DEFAULT_TEMPO_
     for note in seq.notes:
         if note.velocity == 0:
             raise ValueError("velocity-0 note cannot be written as a note on")
-        start = round(note.start * ppq * 1_000_000 / tempo_us)
-        end = round(note.end * ppq * 1_000_000 / tempo_us)
+        start = round(note.start * PPQ * 1_000_000 / tempo_us)
+        end = round(note.end * PPQ * 1_000_000 / tempo_us)
         if note.is_drum:
             channel = _DRUM_CHANNEL
             if note.program != drum_program:
@@ -326,5 +326,5 @@ def write_midi(seq: NoteSequence, ppq: int = 480, tempo_us: int = DEFAULT_TEMPO_
     body += b"\x00\xff\x2f\x00"
 
     header = b"MThd" + (6).to_bytes(4, "big")
-    header += (0).to_bytes(2, "big") + (1).to_bytes(2, "big") + ppq.to_bytes(2, "big")
+    header += (0).to_bytes(2, "big") + (1).to_bytes(2, "big") + PPQ.to_bytes(2, "big")
     return header + b"MTrk" + len(body).to_bytes(4, "big") + bytes(body)

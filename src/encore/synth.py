@@ -14,35 +14,33 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import render_notes
-from .notes import NoteSequence
+from .audio_io import ANALYSIS_RATE
+from .notes import MAX_SECONDS, NoteSequence, SequenceTooLongError
 
 # Notes shorter than this are rendered at this length so they remain
 # audible; the envelope is shrunk proportionally to fit short notes.
 MIN_NOTE_SECONDS = 0.001
 
 # Longest buffer render() allocates: 4 h at 44.1 kHz is about 5 GB of
-# float64.  A crafted MIDI can put a note billions of seconds out.
-MAX_RENDER_SECONDS = 4 * 3600.0
+# float64.  The same limit bounds segment and corrupt.
+MAX_RENDER_SECONDS = MAX_SECONDS
 
 _CLICK_SECONDS = 0.01
 _CLICK_SEED = 0x5EED
 
 
-class RenderTooLongError(ValueError):
+class RenderTooLongError(SequenceTooLongError):
     """The sequence would render to more than MAX_RENDER_SECONDS of audio."""
 
 
 @dataclass(frozen=True)
 class SynthConfig:
-    sample_rate: int = 44100
     partials: int = 4
     attack: float = 0.01
     release: float = 0.05
     gain: float = 0.5
 
     def __post_init__(self):
-        if self.sample_rate <= 0:
-            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
         if self.partials < 1:
             raise ValueError(f"partials must be >= 1, got {self.partials}")
         if self.attack < 0 or self.release < 0:
@@ -56,7 +54,7 @@ def _pitch_hz(pitch: int) -> float:
 
 
 def render(seq: NoteSequence, cfg: SynthConfig = SynthConfig()) -> np.ndarray:
-    """Render ``seq`` to a mono float64 buffer at ``cfg.sample_rate``.
+    """Render ``seq`` to a mono float64 buffer at ANALYSIS_RATE.
 
     Each note becomes ``cfg.partials`` harmonic sines with amplitudes 1/k
     (partials at or above Nyquist are dropped), shaped by a linear
@@ -68,7 +66,7 @@ def render(seq: NoteSequence, cfg: SynthConfig = SynthConfig()) -> np.ndarray:
     Raises RenderTooLongError, before allocating, if the buffer would be
     longer than ``MAX_RENDER_SECONDS``.
     """
-    sr = float(cfg.sample_rate)
+    sr = float(ANALYSIS_RATE)
     durs = np.array(
         [max(n.end - n.start, MIN_NOTE_SECONDS) for n in seq.notes], dtype=np.float64
     )
@@ -96,15 +94,13 @@ def render(seq: NoteSequence, cfg: SynthConfig = SynthConfig()) -> np.ndarray:
     return out
 
 
-def render_clicks(
-    bpm: float, duration: float, sample_rate: int = 44100
-) -> np.ndarray:
-    """Render a click track: one short noise burst per beat at 60/bpm."""
+def render_clicks(bpm: float, duration: float) -> np.ndarray:
+    """Render a click track at ANALYSIS_RATE: one short noise burst per beat."""
     if not 30.0 <= bpm <= 300.0:
         raise ValueError(f"bpm must be in [30, 300], got {bpm}")
     if duration <= 0:
         raise ValueError(f"duration must be positive, got {duration}")
-    sr = float(sample_rate)
+    sr = float(ANALYSIS_RATE)
     out = np.zeros(int(np.ceil(duration * sr)), dtype=np.float64)
     burst_len = int(_CLICK_SECONDS * sr)
     # one fixed burst reused for every click keeps the output deterministic

@@ -14,12 +14,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .notes import Note, Window, _RebasableNote
+from .notes import Note, Window
 
-N_INSTRUMENT = 128
-N_NOTE = 128
-N_ONOFF = 2
+# Token-ID layout: 128 instrument IDs (the program numbers), 128 note IDs,
+# Off and On, 512 time steps, the end-tie marker and EOS.
 TIME_STEPS = 512
+NOTE_OFFSET = 128
+ONOFF_OFFSET = NOTE_OFFSET + 128
+OFF_ID, ON_ID = ONOFF_OFFSET, ONOFF_OFFSET + 1
+TIME_OFFSET = ONOFF_OFFSET + 2
+END_TIE_ID = TIME_OFFSET + TIME_STEPS
+EOS_ID = END_TIE_ID + 1
+VOCAB_SIZE = EOS_ID + 1  # 772
 
 _MAGIC = b"ENTK"
 _VERSION = 1
@@ -40,66 +46,21 @@ class DecodeError(TokenError):
     pass
 
 
-@dataclass(frozen=True)
-class Vocabulary:
-    """Token-ID layout. Ranges must be contiguous and disjoint."""
-
-    instrument_offset: int = 0
-    note_offset: int = N_INSTRUMENT
-    onoff_offset: int = N_INSTRUMENT + N_NOTE
-    time_offset: int = N_INSTRUMENT + N_NOTE + N_ONOFF
-    end_tie_id: int = N_INSTRUMENT + N_NOTE + N_ONOFF + TIME_STEPS
-    eos_id: int = N_INSTRUMENT + N_NOTE + N_ONOFF + TIME_STEPS + 1
-    total_size: int = N_INSTRUMENT + N_NOTE + N_ONOFF + TIME_STEPS + 2
-
-    def __post_init__(self):
-        expected = (
-            self.instrument_offset,
-            self.instrument_offset + N_INSTRUMENT,
-            self.instrument_offset + N_INSTRUMENT + N_NOTE,
-            self.instrument_offset + N_INSTRUMENT + N_NOTE + N_ONOFF,
-            self.instrument_offset + N_INSTRUMENT + N_NOTE + N_ONOFF + TIME_STEPS,
-            self.instrument_offset + N_INSTRUMENT + N_NOTE + N_ONOFF + TIME_STEPS + 1,
-        )
-        got = (
-            self.instrument_offset,
-            self.note_offset,
-            self.onoff_offset,
-            self.time_offset,
-            self.end_tie_id,
-            self.eos_id,
-        )
-        if got != expected:
-            raise ValueError(f"vocabulary ranges not contiguous: {got} != {expected}")
-        if self.total_size != self.eos_id - self.instrument_offset + 1:
-            raise ValueError(f"total_size {self.total_size} does not cover the ranges")
-
-    @property
-    def off_id(self) -> int:
-        return self.onoff_offset
-
-    @property
-    def on_id(self) -> int:
-        return self.onoff_offset + 1
-
-    def describe(self, token: int) -> tuple[str, int]:
-        """Classify a token ID as (kind, value)."""
-        if self.instrument_offset <= token < self.note_offset:
-            return "instrument", token - self.instrument_offset
-        if self.note_offset <= token < self.onoff_offset:
-            return "note", token - self.note_offset
-        if self.onoff_offset <= token < self.time_offset:
-            return "onoff", token - self.onoff_offset
-        if self.time_offset <= token < self.end_tie_id:
-            return "time", token - self.time_offset
-        if token == self.end_tie_id:
-            return "end_tie", 0
-        if token == self.eos_id:
-            return "eos", 0
-        raise DecodeError(f"token {token} outside vocabulary")
-
-
-DEFAULT_VOCABULARY = Vocabulary()
+def describe(token: int) -> tuple[str, int]:
+    """Classify a token ID as (kind, value)."""
+    if 0 <= token < NOTE_OFFSET:
+        return "instrument", token
+    if NOTE_OFFSET <= token < ONOFF_OFFSET:
+        return "note", token - NOTE_OFFSET
+    if ONOFF_OFFSET <= token < TIME_OFFSET:
+        return "onoff", token - ONOFF_OFFSET
+    if TIME_OFFSET <= token < END_TIE_ID:
+        return "time", token - TIME_OFFSET
+    if token == END_TIE_ID:
+        return "end_tie", 0
+    if token == EOS_ID:
+        return "eos", 0
+    raise DecodeError(f"token {token} outside vocabulary")
 
 
 def time_resolution(window_length: float) -> float:
@@ -120,7 +81,7 @@ class TokenStream:
     def to_bytes(self) -> bytes:
         """Header (magic, version, vocab size, window ms) + u16 LE token body."""
         window_ms = round(self.window_length * 1000)
-        header = _HEADER.pack(_MAGIC, _VERSION, DEFAULT_VOCABULARY.total_size, window_ms, 0)
+        header = _HEADER.pack(_MAGIC, _VERSION, VOCAB_SIZE, window_ms, 0)
         return header + np.asarray(self.tokens, dtype="<u2").tobytes()
 
     @classmethod
@@ -132,7 +93,9 @@ class TokenStream:
             raise DecodeError(f"bad magic {magic!r}")
         if version != _VERSION:
             raise DecodeError(f"unsupported token format version {version}")
-        if vocab_size != DEFAULT_VOCABULARY.total_size:
+        if window_ms == 0:
+            raise DecodeError("zero-length window")
+        if vocab_size != VOCAB_SIZE:
             raise DecodeError(f"vocabulary size {vocab_size} not supported")
         body = data[_HEADER.size :]
         if len(body) % 2:
@@ -142,12 +105,12 @@ class TokenStream:
             raise DecodeError("token ID outside declared vocabulary")
         return cls(tokens=tokens, window_length=window_ms / 1000)
 
-    def dump(self, vocab: Vocabulary = DEFAULT_VOCABULARY) -> str:
+    def dump(self) -> str:
         """Human-readable one-token-per-line rendering."""
         names = {"end_tie": "EndTie", "eos": "EOS"}
         lines = []
         for token in self.tokens:
-            kind, value = vocab.describe(token)
+            kind, value = describe(token)
             if kind == "onoff":
                 lines.append("On" if value else "Off")
             elif kind in names:
@@ -157,7 +120,7 @@ class TokenStream:
         return "\n".join(lines)
 
 
-def encode(window: Window, vocab: Vocabulary = DEFAULT_VOCABULARY) -> TokenStream:
+def encode(window: Window) -> TokenStream:
     """Tokenize a window.
 
     Events sharing a quantized time sort Off before On, then by program and
@@ -172,10 +135,10 @@ def encode(window: Window, vocab: Vocabulary = DEFAULT_VOCABULARY) -> TokenStrea
 
     for note in sorted(window.sustained, key=lambda n: (n.program, n.pitch)):
         if note.program != program:
-            tokens.append(vocab.instrument_offset + note.program)
+            tokens.append(note.program)
             program = note.program
-        tokens.append(vocab.note_offset + note.pitch)
-    tokens.append(vocab.end_tie_id)
+        tokens.append(NOTE_OFFSET + note.pitch)
+    tokens.append(END_TIE_ID)
 
     events = []
     for note in window.notes:
@@ -197,24 +160,21 @@ def encode(window: Window, vocab: Vocabulary = DEFAULT_VOCABULARY) -> TokenStrea
     time = None
     for q_time, is_on, note_program, pitch in events:
         if q_time != time:
-            tokens.append(vocab.time_offset + q_time)
+            tokens.append(TIME_OFFSET + q_time)
             time = q_time
         if note_program != program:
-            tokens.append(vocab.instrument_offset + note_program)
+            tokens.append(note_program)
             program = note_program
         if is_on != onoff:
-            tokens.append(vocab.onoff_offset + is_on)
+            tokens.append(ONOFF_OFFSET + is_on)
             onoff = is_on
-        tokens.append(vocab.note_offset + pitch)
-    tokens.append(vocab.eos_id)
+        tokens.append(NOTE_OFFSET + pitch)
+    tokens.append(EOS_ID)
     return TokenStream(tokens=tuple(tokens), window_length=window.length)
 
 
 def decode(
-    stream: TokenStream,
-    vocab: Vocabulary = DEFAULT_VOCABULARY,
-    strict: bool = True,
-    warnings: list | None = None,
+    stream: TokenStream, strict: bool = True, warnings: list | None = None
 ) -> Window:
     """Rebuild a window from tokens; times land on the quantization grid.
 
@@ -222,8 +182,11 @@ def decode(
     same-pitch overlaps decode with their ends exchanged (the stream cannot
     distinguish them). Tie-section notes get a start one step before zero.
     With strict=False, recoverable problems are skipped and described in the
-    `warnings` list when one is passed.
+    `warnings` list when one is passed. A window length that is not
+    positive raises DecodeError whatever `strict` says.
     """
+    if not stream.window_length > 0:
+        raise DecodeError(f"window length must be positive, got {stream.window_length}")
     res = time_resolution(stream.window_length)
 
     def problem(message: str):
@@ -252,10 +215,9 @@ def decode(
         if table is sustained_open and end <= 0:
             problem("sustained note closed at the window start")
             end = res / 2
-        note_cls = Note if start >= 0 else _RebasableNote
         notes_list = notes if table is open_notes else sustained
         notes_list.append(
-            note_cls(
+            Note(
                 start=start,
                 pitch=key[1],
                 end=max(end, start),
@@ -266,7 +228,7 @@ def decode(
         return True
 
     for position, token in enumerate(stream.tokens):
-        kind, value = vocab.describe(token)
+        kind, value = describe(token)
         if ended:
             problem(f"token {position} follows EOS")
             break

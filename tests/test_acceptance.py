@@ -37,11 +37,11 @@ from encore.metrics import (
     tempo_deviation,
     tempo_estimate,
 )
-from encore.notes import Note, NoteSequence, Window, _RebasableNote
+from encore.notes import Note, NoteSequence, Window
 from encore.prompts import PromptSpec, STAGE0_PROMPT, ratio_to_keyword, render_prompt, tier_for_ratio
 from encore.smf import write_midi
 from encore.synth import render, render_clicks
-from encore.tokenizer import DEFAULT_VOCABULARY, TIME_STEPS, decode, encode
+from encore.tokenizer import TIME_STEPS, VOCAB_SIZE, decode, encode
 
 
 def criterion(number, label):
@@ -101,8 +101,8 @@ def _random_window(rng, grid: bool, length=10.0):
         else:
             end = float(rng.uniform(res / 4, length))
         sustained.append(
-            _RebasableNote(start=-res, pitch=int(pitch), end=end, velocity=100,
-                           program=int(rng.integers(0, 128)))
+            Note(start=-res, pitch=int(pitch), end=end, velocity=100,
+                 program=int(rng.integers(0, 128)))
         )
     return Window(offset=0.0, length=length, notes=tuple(notes), sustained=tuple(sustained))
 
@@ -140,7 +140,7 @@ def test_criterion_01_tokenizer_round_trip():
 
 @criterion(2, "vocabulary is exactly 772 IDs and the encoder stays inside it")
 def test_criterion_02_vocabulary_conformance():
-    assert DEFAULT_VOCABULARY.total_size == 772 == 128 + 128 + 2 + 512 + 1 + 1
+    assert VOCAB_SIZE == 772 == 128 + 128 + 2 + 512 + 1 + 1
     rng = np.random.default_rng(0xACC2)
     for _ in range(10_000):
         length = float(rng.uniform(2.0, 20.0))
@@ -156,9 +156,9 @@ def test_criterion_02_vocabulary_conformance():
             for _ in range(int(rng.integers(1, 8)))
         )
         sustained = tuple(
-            _RebasableNote(start=-res, pitch=int(rng.integers(0, 128)),
-                           end=float(rng.uniform(res, length)), velocity=100,
-                           program=int(rng.integers(0, 128)))
+            Note(start=-res, pitch=int(rng.integers(0, 128)),
+                 end=float(rng.uniform(res, length)), velocity=100,
+                 program=int(rng.integers(0, 128)))
             for _ in range(int(rng.integers(0, 3)))
         )
         stream = encode(Window(offset=0.0, length=length, notes=notes, sustained=sustained))

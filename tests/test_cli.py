@@ -284,6 +284,70 @@ class TestManifest:
         assert _run("schedule-preview", tmp_path / "nope.jsonl") == EXIT_CONFIG
 
 
+def _write(path, text):
+    path.write_text(text)
+    return path
+
+
+def _set_row(registry, **fields):
+    doc = json.loads(registry.read_text())
+    doc["datasets"][0].update(fields)
+    return _write(registry, json.dumps(doc))
+
+
+def _pairs(registry, line):
+    return _write(registry.parent / "synth-a" / "pairs.jsonl", line + "\n")
+
+
+def _list_metadata(registry):
+    _pairs(registry, '{"midi": "p0.mid", "audio": "p0.wav", "metadata": "m.json"}')
+    return _write(registry.parent / "synth-a" / "m.json", "[]")
+
+
+def _record_line(out, **extra):
+    record = json.loads((out / "stage0.jsonl").read_text().splitlines()[0])
+    return _write(out / "stage0.jsonl", json.dumps({**record, **extra}) + "\n")
+
+
+# each edit breaks one file and returns its path; manifest cases edit the
+# registry's files, schedule-preview cases a built stage-0 manifest
+MALFORMED = {
+    "registry is a list": ("manifest", lambda reg: _write(reg, "[]")),
+    "registry row is a number": ("manifest", lambda reg: _write(reg, '{"datasets": [1]}')),
+    "weight is a string": ("manifest", lambda reg: _set_row(reg, weight="heavy")),
+    "name is a number": ("manifest", lambda reg: _set_row(reg, name=5)),
+    "pair without midi": ("manifest", lambda reg: _pairs(reg, '{"audio": "p0.wav"}')),
+    "pair line is a list": ("manifest", lambda reg: _pairs(reg, '["p0.mid", "p0.wav"]')),
+    "metadata is a list": ("manifest", _list_metadata),
+    "record with extra key": ("schedule-preview", lambda out: _record_line(out, extra=1)),
+    "record is a list": ("schedule-preview", lambda out: _write(out / "stage0.jsonl", "[1, 2]\n")),
+    "meta without budget": (
+        "schedule-preview", lambda out: _write(out / "stage0.meta.json", '{"stage": 0}')),
+    "meta is a list": ("schedule-preview", lambda out: _write(out / "stage0.meta.json", "[]")),
+    "budget not an integer": (
+        "schedule-preview",
+        lambda out: _write(out / "stage0.meta.json", '{"stage": 0, "step_budget": 2.5}')),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_curriculum_json_is_config_error(tmp_path, capsys, case):
+    command, edit = MALFORMED[case]
+    registry = _make_registry(tmp_path, n_pairs=1)
+    out = tmp_path / "man"
+    if command == "manifest":
+        bad = edit(registry)
+        argv = ["manifest", "--registry", registry, "--stage", "0", "--out", out]
+    else:
+        assert _run("manifest", "--registry", registry, "--stage", "0", "--out", out) == EXIT_OK
+        bad = edit(out)
+        argv = ["schedule-preview", out / "stage0.jsonl"]
+    capsys.readouterr()
+    assert _run(*argv) == EXIT_CONFIG
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error: ")]
+    assert len(errors) == 1 and str(bad) in errors[0]
+
+
 # ---------------------------------------------------------------------------
 # evaluate
 
@@ -458,6 +522,46 @@ class TestSynth:
 
     def test_no_inputs(self, tmp_path):
         assert _run("synth", "--out", tmp_path / "audio") == EXIT_CONFIG
+
+
+# ---------------------------------------------------------------------------
+# inputs past the 4 h limit
+
+
+def _far_midi(path):
+    """The 40-byte SMF of TestSynth.test_overlong_input_is_item_failure: its
+    one note starts at 4.5e9 s, about 450M ten-second windows."""
+    track = bytes.fromhex("00FF5103FFFFFF" "FFFFFF7F903C40" "00FF2F00")
+    path.write_bytes(
+        b"MThd" + (6).to_bytes(4, "big") + bytes.fromhex("000000010001")
+        + b"MTrk" + len(track).to_bytes(4, "big") + track
+    )
+    return path
+
+
+class TestOverlongInput:
+    @pytest.mark.parametrize(
+        "argv,index",
+        [(["tokenize"], "index.json"), (["augment", "--mode", "mistakes"], "report.json")],
+    )
+    def test_item_failure(self, midi_dir, tmp_path, argv, index):
+        far = _far_midi(midi_dir / "far.mid")
+        out = tmp_path / "out"
+        assert _run(*argv, midi_dir / "a.mid", far, "--out", out) == EXIT_OK
+        rows = json.loads((out / index).read_text())
+        assert [r["status"] for r in rows] == ["ok", "error"]
+        assert "far.mid" in rows[1]["error"] and "input limit" in rows[1]["error"]
+        assert _run(*argv, far, "--out", out, "--strict") == EXIT_FAILURES
+
+    def test_manifest_config_error(self, tmp_path, capsys):
+        registry = _make_registry(tmp_path, n_pairs=1)
+        _far_midi(registry.parent / "synth-a" / "p0.mid")
+        code = _run(
+            "manifest", "--registry", registry, "--stage", "0", "--out", tmp_path / "man"
+        )
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "p0.mid" in err and "input limit" in err
 
 
 # ---------------------------------------------------------------------------

@@ -25,13 +25,26 @@ def test_note_defaults():
         dict(start=0.0, pitch=60, end=1.0, velocity=128),
         dict(start=0.0, pitch=60, end=1.0, velocity=-1),
         dict(start=0.0, pitch=60, end=1.0, program=128),
-        dict(start=-0.5, pitch=60, end=1.0),
         dict(start=2.0, pitch=60, end=1.0),
     ],
 )
 def test_note_validation(kwargs):
     with pytest.raises(ValueError):
         Note(**kwargs)
+
+
+def test_negative_start_is_window_local_only():
+    # a sustained note keeps its true re-based start before the window
+    held = Note(start=-0.5, pitch=60, end=1.0)
+    assert Window(offset=10.0, length=10.0, sustained=(held,)).sustained == (held,)
+    with pytest.raises(ValueError, match="negative start"):
+        NoteSequence([held])
+
+
+@pytest.mark.parametrize("length", [0.0, -1.0])
+def test_window_length_must_be_positive(length):
+    with pytest.raises(ValueError):
+        Window(offset=0.0, length=length)
 
 
 def test_note_zero_duration_allowed():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from encore.audio_io import ANALYSIS_RATE
 from encore.augment import stretch
 from encore.notes import Note, NoteSequence
 from encore.synth import (
@@ -15,7 +16,6 @@ from encore.synth import (
 @pytest.mark.parametrize(
     "kwargs",
     [
-        {"sample_rate": 0},
         {"partials": 0},
         {"attack": -0.01},
         {"release": -1.0},
@@ -91,7 +91,7 @@ def test_stretch_doubles_sample_length():
     cfg = SynthConfig()
     short = render(seq, cfg)
     long = render(stretch(seq, 2.0), cfg)
-    envelope_samples = int((cfg.attack + cfg.release) * cfg.sample_rate)
+    envelope_samples = int((cfg.attack + cfg.release) * ANALYSIS_RATE)
     assert abs(long.shape[0] - 2 * short.shape[0]) <= envelope_samples
 
 

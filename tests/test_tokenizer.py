@@ -1,18 +1,28 @@
 """Tokenizer tests: hand-encoded oracles, round trips, binary format."""
 
+import struct
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from encore.notes import Note, Window, _RebasableNote
+from encore.notes import Note, Window
 from encore.tokenizer import (
     DECODE_VELOCITY,
-    DEFAULT_VOCABULARY as V,
+    END_TIE_ID,
+    EOS_ID,
+    NOTE_OFFSET,
+    OFF_ID,
+    ON_ID,
+    ONOFF_OFFSET,
+    TIME_OFFSET,
+    TIME_STEPS,
+    VOCAB_SIZE,
     DecodeError,
     EncodeError,
-    TIME_STEPS,
     TokenStream,
-    Vocabulary,
     decode,
+    describe,
     encode,
     time_resolution,
 )
@@ -21,10 +31,10 @@ RES = time_resolution(10.0)  # 10/512 s, exactly representable
 
 
 def test_vocabulary_layout():
-    assert V.total_size == 772 == 128 + 128 + 2 + 512 + 1 + 1
-    assert (V.instrument_offset, V.note_offset, V.onoff_offset) == (0, 128, 256)
-    assert (V.time_offset, V.end_tie_id, V.eos_id) == (258, 770, 771)
-    assert V.off_id == 256 and V.on_id == 257
+    assert VOCAB_SIZE == 772 == 128 + 128 + 2 + 512 + 1 + 1
+    assert (NOTE_OFFSET, ONOFF_OFFSET) == (128, 256)
+    assert (TIME_OFFSET, END_TIE_ID, EOS_ID) == (258, 770, 771)
+    assert OFF_ID == 256 and ON_ID == 257
 
 
 @pytest.mark.parametrize(
@@ -43,25 +53,18 @@ def test_vocabulary_layout():
     ],
 )
 def test_describe(token, expected):
-    assert V.describe(token) == expected
+    assert describe(token) == expected
 
 
 @pytest.mark.parametrize("token", [-1, 772, 100000])
 def test_describe_out_of_range(token):
     with pytest.raises(DecodeError):
-        V.describe(token)
-
-
-def test_bad_vocabulary_rejected():
-    with pytest.raises(ValueError):
-        Vocabulary(note_offset=129)
-    with pytest.raises(ValueError):
-        Vocabulary(total_size=771)
+        describe(token)
 
 
 def test_encode_empty_window():
     stream = encode(Window(offset=0.0, length=10.0))
-    assert stream.tokens == (V.end_tie_id, V.eos_id)
+    assert stream.tokens == (END_TIE_ID, EOS_ID)
 
 
 def test_encode_single_note_oracle():
@@ -100,7 +103,7 @@ def test_off_before_on_at_equal_time():
 
 
 def test_tie_section():
-    held = _RebasableNote(start=-0.5, pitch=60, end=2.0, program=5)
+    held = Note(start=-0.5, pitch=60, end=2.0, program=5)
     win = Window(offset=10.0, length=10.0, sustained=(held,))
     stream = encode(win)
     assert stream.tokens[:3] == (5, 188, 770)
@@ -112,7 +115,7 @@ def test_tie_section():
 
 
 def test_tie_note_held_through_window():
-    held = _RebasableNote(start=-1.0, pitch=50, end=12.5)
+    held = Note(start=-1.0, pitch=50, end=12.5)
     win = Window(offset=10.0, length=10.0, sustained=(held,))
     stream = encode(win)
     assert len(stream.tokens) == 4  # instrument, note, end tie, eos: no off event
@@ -121,7 +124,7 @@ def test_tie_note_held_through_window():
 
 
 def test_unclosed_on_ends_at_window_edge():
-    tokens = (V.end_tie_id, V.time_offset + 511, 0, V.on_id, 188, V.eos_id)
+    tokens = (END_TIE_ID, TIME_OFFSET + 511, 0, ON_ID, 188, EOS_ID)
     win = decode(TokenStream(tokens=tokens, window_length=10.0))
     (got,) = win.notes
     assert got.start == 511 * RES
@@ -129,7 +132,7 @@ def test_unclosed_on_ends_at_window_edge():
 
 
 def test_decode_empty():
-    win = decode(TokenStream(tokens=(V.end_tie_id, V.eos_id), window_length=10.0))
+    win = decode(TokenStream(tokens=(END_TIE_ID, EOS_ID), window_length=10.0))
     assert win.notes == () and win.sustained == ()
 
 
@@ -164,13 +167,13 @@ def test_encode_rejects_out_of_window_note():
 
 def test_strict_decode_errors():
     cases = [
-        (V.end_tie_id, 258, 0, V.off_id, 188, V.eos_id),  # off for silent note
-        (V.end_tie_id, V.eos_id, 258),                    # data after EOS
-        (V.end_tie_id,),                                  # missing EOS
-        (V.eos_id,),                                      # missing end tie
-        (V.end_tie_id, 0, 258 + 51, V.on_id, 188, 258, V.eos_id),  # time decreases
-        (V.end_tie_id, 258, 0, 188, V.eos_id),            # note before on/off
-        (V.end_tie_id, 0, V.on_id, 188, V.eos_id),        # note before time
+        (END_TIE_ID, 258, 0, OFF_ID, 188, EOS_ID),           # off for silent note
+        (END_TIE_ID, EOS_ID, 258),                           # data after EOS
+        (END_TIE_ID,),                                       # missing EOS
+        (EOS_ID,),                                           # missing end tie
+        (END_TIE_ID, 0, 258 + 51, ON_ID, 188, 258, EOS_ID),  # time decreases
+        (END_TIE_ID, 258, 0, 188, EOS_ID),                   # note before on/off
+        (END_TIE_ID, 0, ON_ID, 188, EOS_ID),                 # note before time
     ]
     for tokens in cases:
         with pytest.raises(DecodeError):
@@ -178,7 +181,7 @@ def test_strict_decode_errors():
 
 
 def test_lenient_decode_collects_warnings():
-    tokens = (V.end_tie_id, 258, 0, V.off_id, 188, V.eos_id)
+    tokens = (END_TIE_ID, 258, 0, OFF_ID, 188, EOS_ID)
     warnings = []
     win = decode(
         TokenStream(tokens=tokens, window_length=10.0), strict=False, warnings=warnings
@@ -213,6 +216,42 @@ def test_binary_format_errors():
     bad_token = (9999).to_bytes(2, "little")
     with pytest.raises(DecodeError):
         TokenStream.from_bytes(data + bad_token)
+
+
+def test_zero_length_window_is_decode_error():
+    data = TokenStream(tokens=(END_TIE_ID, EOS_ID), window_length=0.0).to_bytes()
+    with pytest.raises(DecodeError):
+        TokenStream.from_bytes(data)
+    with pytest.raises(DecodeError):
+        decode(TokenStream(tokens=(END_TIE_ID, EOS_ID), window_length=0.0), strict=False)
+
+
+# arbitrary bytes, or in-vocabulary tokens in arbitrary order
+_token_bodies = st.binary(max_size=80) | st.lists(
+    st.integers(0, VOCAB_SIZE - 1), max_size=40
+).map(lambda tokens: np.asarray(tokens, dtype="<u2").tobytes())
+
+
+# valid header values are drawn twice as often, so most examples reach decode
+@given(
+    magic=st.sampled_from([b"ENTK", b"ENTK", b"ENTX"]),
+    version=st.sampled_from([1, 1, 2]),
+    vocab_size=st.sampled_from([VOCAB_SIZE, VOCAB_SIZE, 771]),
+    window_ms=st.sampled_from([0, 1, 10_000, 2**32 - 1]) | st.integers(0, 2**32 - 1),
+    reserved=st.integers(0, 2**32 - 1),
+    body=_token_bodies,
+    cut=st.sampled_from([None, None, 0, 15]),  # None keeps the whole header
+)
+@settings(max_examples=300)
+def test_untrusted_bytes_raise_only_decode_error(
+    magic, version, vocab_size, window_ms, reserved, body, cut
+):
+    header = struct.pack("<4sHHII", magic, version, vocab_size, window_ms, reserved)
+    data = header + body if cut is None else header[:cut]
+    try:
+        decode(TokenStream.from_bytes(data), strict=False)
+    except DecodeError:
+        pass
 
 
 def test_dump():
@@ -267,10 +306,10 @@ def test_grid_round_trip_exact(win):
 @settings(max_examples=50)
 def test_emitted_ids_conform(win):
     stream = encode(win)
-    assert all(0 <= t < V.total_size for t in stream.tokens)
-    assert stream.tokens[-1] == V.eos_id
-    assert V.end_tie_id in stream.tokens
-    times = [t - V.time_offset for t in stream.tokens if V.describe(t)[0] == "time"]
+    assert all(0 <= t < VOCAB_SIZE for t in stream.tokens)
+    assert stream.tokens[-1] == EOS_ID
+    assert END_TIE_ID in stream.tokens
+    times = [t - TIME_OFFSET for t in stream.tokens if describe(t)[0] == "time"]
     assert times == sorted(times)
 
 
