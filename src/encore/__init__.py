@@ -37,7 +37,7 @@ from .notes import Note, NoteSequence, Window, segment
 from .prompts import PromptSpec, render_prompt
 from .seeds import derive_seed
 from .smf import MidiParseError, parse_midi, write_midi
-from .synth import RenderTooLongError, SynthConfig, render, render_clicks
+from .synth import SynthConfig, render, render_clicks
 from .tokenizer import TokenStream, decode, encode
 
 __all__ = [
@@ -51,7 +51,6 @@ __all__ = [
     "Note",
     "NoteSequence",
     "PromptSpec",
-    "RenderTooLongError",
     "SPEED_TIERS",
     "SynthConfig",
     "TokenStream",

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .notes import Note, NoteSequence, check_length
+from .notes import Note, NoteSequence
 
 
 @dataclass(frozen=True)
@@ -67,12 +67,7 @@ def stretch(seq: NoteSequence, ratio: float) -> NoteSequence:
         raise ValueError(f"ratio must be positive, got {ratio}")
     notes = [replace(n, start=n.start * ratio, end=n.end * ratio) for n in seq.notes]
     bpm = None if seq.reference_bpm is None else seq.reference_bpm / ratio
-    return NoteSequence(
-        notes,
-        total_duration=seq.total_duration * ratio,
-        source_id=seq.source_id,
-        reference_bpm=bpm,
-    )
+    return replace(seq, notes=notes, total_duration=seq.total_duration * ratio, reference_bpm=bpm)
 
 
 def sample_speed_augmentation(
@@ -130,19 +125,6 @@ class MistakeReport:
     block_removed: int = 0
     removed_intervals: list[tuple[float, float]] = field(default_factory=list)
 
-    def to_text(self) -> str:
-        lines = [
-            f"mistouch: {self.mistouch}",
-            f"asynchrony: {self.asynchrony}",
-            f"substitution: {self.substitution}",
-            f"ghost: {self.ghost}",
-            f"pitch_flips: {self.pitch_flips}",
-            f"block_removed: {self.block_removed}",
-            "intervals: "
-            + " ".join(f"{a:.6f}..{b:.6f}" for a, b in self.removed_intervals),
-        ]
-        return "\n".join(lines)
-
 
 def _neighbor_pitch(pitch: int, direction: int, report: MistakeReport) -> int:
     candidate = pitch + direction
@@ -162,10 +144,8 @@ def corrupt(
     pitch by a semitone, maybe ghost it away. Inserted notes are not
     themselves corrupted. Afterwards one removal interval is sampled per
     block_period span of the original duration and every note whose current
-    start falls inside it is dropped. Raises SequenceTooLongError for a
-    sequence longer than MAX_SECONDS.
+    start falls inside it is dropped.
     """
-    check_length(seq)
     rng = np.random.default_rng(cfg.seed)
     report = MistakeReport()
     kept = []
@@ -216,10 +196,4 @@ def corrupt(
         report.block_removed += before - len(survivors)
 
     max_end = max((n.end for n in survivors), default=0.0)
-    out = NoteSequence(
-        survivors,
-        total_duration=max(seq.total_duration, max_end),
-        source_id=seq.source_id,
-        reference_bpm=seq.reference_bpm,
-    )
-    return out, report
+    return replace(seq, notes=survivors, total_duration=max(seq.total_duration, max_end)), report

@@ -304,7 +304,7 @@ def cmd_manifest(args) -> int:
             for s in stages
         ]
         manifest = merge_manifests(manifests) if merged else manifests[0]
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     path = out / ("merged.jsonl" if merged else f"stage{args.stage}.jsonl")
     write_manifest(manifest, path)

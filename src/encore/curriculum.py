@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .notes import Window, segment
-from .prompts import PromptSpec, STAGE0_PROMPT, ratio_to_keyword, render_prompt
+from .prompts import PromptSpec, ratio_to_keyword, render_prompt
 from .seeds import derive_seed
 from .smf import MidiParseError, parse_midi
 from .tokenizer import encode

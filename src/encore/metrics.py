@@ -7,6 +7,7 @@ and are pure; file handling lives in audio_io and the CLI.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -299,8 +300,8 @@ def deviation_from_expected(
     """|estimated - expected| / expected with expected = score / ratio."""
     if not 0.4 <= prompt_ratio <= 2.2:
         raise ValueError(f"prompt_ratio {prompt_ratio} outside [0.4, 2.2]")
-    if score_bpm <= 0:
-        raise ValueError(f"score_bpm must be positive, got {score_bpm}")
+    if not 0 < score_bpm < math.inf:
+        raise ValueError(f"score_bpm must be positive and finite, got {score_bpm}")
     expected = score_bpm / prompt_ratio
     return abs(estimated_bpm - expected) / expected
 

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-# Longest sequence segment, corrupt and render accept: 4 h.  A crafted MIDI
-# can put a note billions of seconds out, and their costs grow with length.
+# Longest sequence a NoteSequence may hold: 4 h.  A crafted MIDI can put a
+# note billions of seconds out, and segment, corrupt and render cost time
+# and memory in proportion to length.
 MAX_SECONDS = 4 * 3600.0
 
 
@@ -44,42 +45,43 @@ def _rebase(note: Note, offset: float, end: float) -> Note:
     return Note(note.start - offset, note.pitch, end, note.velocity, note.program, note.is_drum)
 
 
+@dataclass(frozen=True)
 class NoteSequence:
     """An ordered set of notes with a total duration.
 
     Notes are canonicalized on construction: sorted by (start, pitch) with a
-    stable full-field tiebreak. Instances are immutable; all transforms
-    return new sequences.
+    stable full-field tiebreak. Instances are immutable; transforms build new
+    sequences with `dataclasses.replace`, so every sequence, parsed or
+    derived, passes the same checks. Equality ignores `reference_bpm`.
+    Raises SequenceTooLongError, naming the source, past MAX_SECONDS.
     """
 
-    __slots__ = ("notes", "total_duration", "source_id", "reference_bpm")
+    notes: tuple[Note, ...] = ()
+    total_duration: float | None = None
+    source_id: str = ""
+    reference_bpm: float | None = field(default=None, compare=False)
 
-    def __init__(
-        self,
-        notes=(),
-        total_duration: float | None = None,
-        source_id: str = "",
-        reference_bpm: float | None = None,
-    ):
+    def __post_init__(self):
         ordered = tuple(
-            sorted(notes, key=lambda n: (n.start, n.pitch, n.program, n.end, n.velocity))
+            sorted(self.notes, key=lambda n: (n.start, n.pitch, n.program, n.end, n.velocity))
         )
         if ordered and ordered[0].start < 0:
             raise ValueError(f"negative start time {ordered[0].start}")
         max_end = max((n.end for n in ordered), default=0.0)
+        total_duration = self.total_duration
         if total_duration is None:
             total_duration = max_end
         elif total_duration < max_end:
             raise ValueError(
                 f"total_duration {total_duration} shorter than last note end {max_end}"
             )
+        if total_duration > MAX_SECONDS:
+            raise SequenceTooLongError(
+                f"{self.source_id!r}: {total_duration:.6g} s exceeds"
+                f" the {MAX_SECONDS:g} s input limit"
+            )
         object.__setattr__(self, "notes", ordered)
         object.__setattr__(self, "total_duration", float(total_duration))
-        object.__setattr__(self, "source_id", source_id)
-        object.__setattr__(self, "reference_bpm", reference_bpm)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("NoteSequence is immutable")
 
     def __len__(self) -> int:
         return len(self.notes)
@@ -87,36 +89,10 @@ class NoteSequence:
     def __iter__(self):
         return iter(self.notes)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, NoteSequence):
-            return NotImplemented
-        return (
-            self.notes == other.notes
-            and self.total_duration == other.total_duration
-            and self.source_id == other.source_id
-        )
-
     def __repr__(self) -> str:
         return (
             f"NoteSequence({len(self.notes)} notes, {self.total_duration:.3f}s,"
             f" source={self.source_id!r})"
-        )
-
-    def with_notes(self, notes, total_duration: float | None = None) -> "NoteSequence":
-        return NoteSequence(
-            notes,
-            total_duration=total_duration,
-            source_id=self.source_id,
-            reference_bpm=self.reference_bpm,
-        )
-
-
-def check_length(seq: NoteSequence) -> None:
-    """Raise SequenceTooLongError, naming the source, past MAX_SECONDS."""
-    if seq.total_duration > MAX_SECONDS:
-        raise SequenceTooLongError(
-            f"{seq.source_id!r}: {seq.total_duration:.6g} s exceeds"
-            f" the {MAX_SECONDS:g} s input limit"
         )
 
 
@@ -150,9 +126,7 @@ def segment(seq: NoteSequence, window_length: float = 10.0, hop: float | None = 
 
     A note crossing a window's end boundary is truncated there and re-appears
     in the sustained list of every later window it still sounds through.
-    Raises SequenceTooLongError for a sequence longer than MAX_SECONDS.
     """
-    check_length(seq)
     if window_length <= 0:
         raise ValueError("window_length must be positive")
     if hop is None:

@@ -15,22 +15,14 @@ import numpy as np
 
 from ._kernels import render_notes
 from .audio_io import ANALYSIS_RATE
-from .notes import MAX_SECONDS, NoteSequence, SequenceTooLongError
+from .notes import NoteSequence
 
 # Notes shorter than this are rendered at this length so they remain
 # audible; the envelope is shrunk proportionally to fit short notes.
 MIN_NOTE_SECONDS = 0.001
 
-# Longest buffer render() allocates: 4 h at 44.1 kHz is about 5 GB of
-# float64.  The same limit bounds segment and corrupt.
-MAX_RENDER_SECONDS = MAX_SECONDS
-
 _CLICK_SECONDS = 0.01
 _CLICK_SEED = 0x5EED
-
-
-class RenderTooLongError(SequenceTooLongError):
-    """The sequence would render to more than MAX_RENDER_SECONDS of audio."""
 
 
 @dataclass(frozen=True)
@@ -61,10 +53,9 @@ def render(seq: NoteSequence, cfg: SynthConfig = SynthConfig()) -> np.ndarray:
     attack/release envelope and weighted by velocity/127 times
     ``cfg.gain``.  Notes mix additively.  If the mix would clip, the
     whole buffer is rescaled to a 0.9 peak; otherwise samples are
-    returned untouched, so rendering is linear in the notes.
-
-    Raises RenderTooLongError, before allocating, if the buffer would be
-    longer than ``MAX_RENDER_SECONDS``.
+    returned untouched, so rendering is linear in the notes.  The buffer
+    is at most ``notes.MAX_SECONDS`` (about 5 GB of float64) plus the
+    ``MIN_NOTE_SECONDS`` padding of a final short note.
     """
     sr = float(ANALYSIS_RATE)
     durs = np.array(
@@ -72,13 +63,7 @@ def render(seq: NoteSequence, cfg: SynthConfig = SynthConfig()) -> np.ndarray:
     )
     starts = np.array([n.start for n in seq.notes], dtype=np.float64)
     tail = float(np.max(starts + durs)) if len(seq.notes) else 0.0
-    seconds = max(seq.total_duration, tail)
-    if seconds > MAX_RENDER_SECONDS:
-        raise RenderTooLongError(
-            f"{seq.source_id!r}: {seconds:.6g} s of audio exceeds"
-            f" the {MAX_RENDER_SECONDS:g} s render limit"
-        )
-    total = int(np.ceil(seconds * sr))
+    total = int(np.ceil(max(seq.total_duration, tail) * sr))
     out = np.zeros(total, dtype=np.float64)
     if len(seq.notes):
         freqs = np.array([_pitch_hz(n.pitch) for n in seq.notes], dtype=np.float64)

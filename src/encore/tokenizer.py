@@ -202,21 +202,18 @@ def decode(
     saw_program = False
     saw_time = False
     ended = False
+    # one queue of open starts per (program, pitch); tie-section starts (-res)
+    # enter before any onset, so an Off closes a sustained note first
     open_notes: dict[tuple[int, int], deque] = {}
-    sustained_open: dict[tuple[int, int], deque] = {}
     notes = []
     sustained = []
 
-    def close(key, end, table):
-        queue = table.get(key)
-        if not queue:
-            return False
-        start = queue.popleft()
-        if table is sustained_open and end <= 0:
+    def close(key, end):
+        start = open_notes[key].popleft()
+        if start < 0 and end <= 0:
             problem("sustained note closed at the window start")
             end = res / 2
-        notes_list = notes if table is open_notes else sustained
-        notes_list.append(
+        (sustained if start < 0 else notes).append(
             Note(
                 start=start,
                 pitch=key[1],
@@ -225,7 +222,6 @@ def decode(
                 program=key[0],
             )
         )
-        return True
 
     for position, token in enumerate(stream.tokens):
         kind, value = describe(token)
@@ -260,7 +256,7 @@ def decode(
                 problem(f"note before any instrument token at token {position}")
             key = (program, value)
             if in_tie:
-                sustained_open.setdefault(key, deque()).append(-res)
+                open_notes.setdefault(key, deque()).append(-res)
             else:
                 if not saw_time:
                     problem(f"note before any time token at token {position}")
@@ -270,9 +266,9 @@ def decode(
                     continue
                 if onoff == 1:
                     open_notes.setdefault(key, deque()).append(time)
-                elif not close(key, time, sustained_open) and not close(
-                    key, time, open_notes
-                ):
+                elif open_notes.get(key):
+                    close(key, time)
+                else:
                     problem(f"off for a silent note at token {position}")
     if in_tie:
         problem("stream has no end-tie marker")
@@ -281,10 +277,7 @@ def decode(
 
     for key, queue in open_notes.items():
         while queue:
-            close(key, stream.window_length, open_notes)
-    for key, queue in sustained_open.items():
-        while queue:
-            close(key, stream.window_length, sustained_open)
+            close(key, stream.window_length)
 
     order = lambda n: (n.start, n.pitch, n.program, n.end)
     return Window(

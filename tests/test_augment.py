@@ -274,11 +274,3 @@ def test_program_never_changes():
     out, _ = corrupt(seq, MistakeConfig(seed=8))
     assert {n.program for n in out.notes} <= {n.program for n in seq.notes}
 
-
-def test_report_text():
-    seq = _fixture(50, duration=7.0)
-    _, report = corrupt(seq, MistakeConfig(seed=1))
-    text = report.to_text()
-    assert "mistouch:" in text
-    assert "intervals:" in text
-    assert len(text.splitlines()) == 7

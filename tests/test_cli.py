@@ -260,13 +260,27 @@ class TestManifest:
         assert code == EXIT_CONFIG
 
     def test_bad_midi_named_in_error(self, tmp_path, capsys):
-        registry = _make_registry(tmp_path)
-        (registry.parent / "synth-a" / "p1.mid").write_bytes(b"garbage")
-        code = _run(
-            "manifest", "--registry", registry, "--stage", "0", "--out", tmp_path / "man"
-        )
-        assert code == EXIT_CONFIG
-        assert "synth-a/p1.mid: missing MThd header (byte 0)" in capsys.readouterr().err
+        # garbage bytes, and a directory where the MIDI file should be
+        for case, message in [
+            ("garbage", "synth-a/p1.mid: missing MThd header (byte 0)"),
+            ("directory", "synth-a/p1.mid"),
+        ]:
+            registry = _make_registry(tmp_path / case)
+            midi = registry.parent / "synth-a" / "p1.mid"
+            if case == "directory":
+                midi.unlink()
+                midi.mkdir()
+            else:
+                midi.write_bytes(b"garbage")
+            code = _run(
+                "manifest", "--registry", registry, "--stage", "0",
+                "--out", tmp_path / case / "man",
+            )
+            assert code == EXIT_CONFIG
+            err = capsys.readouterr().err
+            errors = [line for line in err.splitlines() if line.startswith("error: ")]
+            assert len(errors) == 1 and message in errors[0]
+            assert "Traceback" not in err
 
     def test_schedule_preview(self, tmp_path, capsys):
         registry = _make_registry(tmp_path)
@@ -467,6 +481,21 @@ class TestEvaluate:
         )
         assert code == EXIT_FAILURES
 
+    def test_non_finite_score_bpm_is_item_failure(self, eval_dir, tmp_path, capsys):
+        with open(eval_dir / "pairs.csv", "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["pair_id", "output", "reference", "ratio", "score_bpm"])
+            w.writerow(["same", "same.wav", "ref.wav", "", ""])
+            w.writerow(["p1", "same.wav", "ref.wav", "", "nan"])
+        out = tmp_path / "results.csv"
+        argv = ["evaluate", "--pairs", eval_dir / "pairs.csv", "--metrics", "tempo", "--out", out]
+        assert _run(*argv) == EXIT_OK
+        assert "FAILED p1: score_bpm must be positive and finite" in capsys.readouterr().out
+        values = _read_results(out)
+        assert ("same", "tempo") in values
+        assert not any(pair_id == "p1" for pair_id, _ in values)
+        assert _run(*argv, "--strict") == EXIT_FAILURES
+
     def test_unknown_metric(self, eval_dir, tmp_path):
         code = _run(
             "evaluate", "--pairs", eval_dir / "pairs.csv",
@@ -493,23 +522,6 @@ class TestSynth:
         wav = out / "a.wav"
         assert wav.exists() and wav.stat().st_size > 1000
 
-    def test_overlong_input_is_item_failure(self, midi_dir, tmp_path, capsys):
-        # 40-byte format-0 SMF, PPQ 1, tempo 0xFFFFFF (16.8 s per tick), one
-        # note-on after a 0x0FFFFFFF-tick delta: the note starts at 4.5e9 s
-        track = bytes.fromhex("00FF5103FFFFFF" "FFFFFF7F903C40" "00FF2F00")
-        far = midi_dir / "far.mid"
-        far.write_bytes(
-            b"MThd" + (6).to_bytes(4, "big") + bytes.fromhex("000000010001")
-            + b"MTrk" + len(track).to_bytes(4, "big") + track
-        )
-        out = tmp_path / "audio"
-        assert _run("synth", midi_dir / "a.mid", far, "--out", out) == EXIT_OK
-        rows = json.loads((out / "index.json").read_text())
-        assert [r["status"] for r in rows] == ["ok", "error"]
-        assert "far.mid" in rows[1]["error"] and "render limit" in rows[1]["error"]
-        assert "Traceback" not in capsys.readouterr().err
-        assert _run("synth", far, "--out", out, "--strict") == EXIT_FAILURES
-
     def test_clicks(self, tmp_path):
         out = tmp_path / "audio"
         code = _run("synth", "--clicks", "120", "--duration", "5", "--out", out)
@@ -529,8 +541,9 @@ class TestSynth:
 
 
 def _far_midi(path):
-    """The 40-byte SMF of TestSynth.test_overlong_input_is_item_failure: its
-    one note starts at 4.5e9 s, about 450M ten-second windows."""
+    """A 40-byte format-0 SMF, PPQ 1, tempo 0xFFFFFF (16.8 s per tick), with
+    one note-on after a 0x0FFFFFFF-tick delta: the note starts at 4.5e9 s,
+    about 450M ten-second windows and a 1.6 PB render."""
     track = bytes.fromhex("00FF5103FFFFFF" "FFFFFF7F903C40" "00FF2F00")
     path.write_bytes(
         b"MThd" + (6).to_bytes(4, "big") + bytes.fromhex("000000010001")
@@ -542,15 +555,21 @@ def _far_midi(path):
 class TestOverlongInput:
     @pytest.mark.parametrize(
         "argv,index",
-        [(["tokenize"], "index.json"), (["augment", "--mode", "mistakes"], "report.json")],
+        [
+            (["tokenize"], "index.json"),
+            (["augment", "--mode", "mistakes"], "report.json"),
+            (["augment", "--mode", "speed"], "report.json"),
+            (["synth"], "index.json"),
+        ],
     )
-    def test_item_failure(self, midi_dir, tmp_path, argv, index):
+    def test_item_failure(self, midi_dir, tmp_path, capsys, argv, index):
         far = _far_midi(midi_dir / "far.mid")
         out = tmp_path / "out"
         assert _run(*argv, midi_dir / "a.mid", far, "--out", out) == EXIT_OK
         rows = json.loads((out / index).read_text())
         assert [r["status"] for r in rows] == ["ok", "error"]
         assert "far.mid" in rows[1]["error"] and "input limit" in rows[1]["error"]
+        assert "Traceback" not in capsys.readouterr().err
         assert _run(*argv, far, "--out", out, "--strict") == EXIT_FAILURES
 
     def test_manifest_config_error(self, tmp_path, capsys):

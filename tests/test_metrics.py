@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -296,8 +298,9 @@ def test_deviation_formula():
         deviation_from_expected(100.0, 120.0, 0.3)
     with pytest.raises(ValueError, match="prompt_ratio"):
         deviation_from_expected(100.0, 120.0, 2.3)
-    with pytest.raises(ValueError, match="score_bpm"):
-        deviation_from_expected(100.0, 0.0, 1.0)
+    for score_bpm in (0.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="score_bpm"):
+            deviation_from_expected(100.0, score_bpm, 1.0)
 
 
 def test_tempo_deviation_against_score():

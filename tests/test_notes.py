@@ -1,12 +1,23 @@
 """Note model and windowing tests."""
 
+import copy
+import dataclasses
 import math
+import pickle
 from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
-from encore.notes import Note, NoteSequence, Window, segment
+from encore.augment import stretch
+from encore.notes import (
+    MAX_SECONDS,
+    Note,
+    NoteSequence,
+    SequenceTooLongError,
+    Window,
+    segment,
+)
 
 
 def test_note_defaults():
@@ -82,14 +93,44 @@ def test_sequence_immutable():
         seq.total_duration = 9.0
 
 
-def test_with_notes_keeps_identity():
+def test_replace_keeps_identity():
     seq = NoteSequence(
         [Note(start=0.0, pitch=60, end=1.0)], source_id="x.mid", reference_bpm=96.0
     )
-    out = seq.with_notes([Note(start=0.0, pitch=61, end=1.0)])
+    out = dataclasses.replace(seq, notes=[Note(start=0.0, pitch=61, end=1.0)])
     assert out.source_id == "x.mid"
     assert out.reference_bpm == 96.0
     assert out.notes[0].pitch == 61
+    assert out.total_duration == 1.0
+
+
+def test_equality_ignores_reference_bpm():
+    notes = [Note(start=0.0, pitch=60, end=1.0)]
+    assert NoteSequence(notes, reference_bpm=96.0) == NoteSequence(notes)
+    assert NoteSequence(notes, source_id="a") != NoteSequence(notes, source_id="b")
+
+
+def test_pickle_and_deepcopy_round_trip():
+    seq = NoteSequence(
+        [Note(start=0.5, pitch=60, end=1.0), Note(start=0.0, pitch=64, end=2.0, program=33)],
+        total_duration=3.0,
+        source_id="x.mid",
+        reference_bpm=96.0,
+    )
+    for out in (pickle.loads(pickle.dumps(seq)), copy.deepcopy(seq)):
+        assert out == seq
+        assert out.reference_bpm == 96.0
+
+
+def test_overlong_sequence_rejected():
+    # 4.5e9 s, the crafted MIDI's note: segment would need 450M windows
+    with pytest.raises(SequenceTooLongError, match="far.mid.*input limit"):
+        NoteSequence([Note(4.5e9, 60, 4.5e9)], source_id="far.mid")
+    with pytest.raises(SequenceTooLongError, match="empty.mid"):
+        NoteSequence([], total_duration=MAX_SECONDS + 1.0, source_id="empty.mid")
+    two_hours = NoteSequence([Note(0.0, 60, 1.0)], total_duration=7200.0, source_id="long.mid")
+    with pytest.raises(SequenceTooLongError, match="long.mid"):
+        stretch(two_hours, 2.2)
 
 
 def test_window_validates_note_bounds():
