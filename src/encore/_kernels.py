@@ -1,12 +1,13 @@
 """Numerical kernels: DTW fill and backtrack, additive note rendering.
 
 Each kernel has exactly one implementation, in numpy.  ``dtw_fill`` does
-the same adds and mins as the textbook scalar recurrence, so its result is
-bit-identical to it.  ``render_notes`` evaluates a note's phase with
-angle-addition tables instead of a ``sin`` call per sample and partial;
-it agrees with per-sample ``np.sin`` evaluation to within 1e-9 for notes in
-the first minutes of a piece.  The tests keep the scalar DTW loop and the
-per-sample render loop as the oracles.
+the same adds and mins as the textbook scalar recurrence, so its total is
+bit-identical to it; beyond the cost it needs one byte per cell.
+``render_notes`` evaluates a note's phase with angle-addition tables
+instead of a ``sin`` call per sample and partial; it agrees with
+per-sample ``np.sin`` evaluation to within 1e-9 for notes in the first
+minutes of a piece.  The tests keep the scalar DTW loop, the comparing
+backtrack and the per-sample render loop as the oracles.
 """
 
 from __future__ import annotations
@@ -19,64 +20,61 @@ _TWO_PI = 2.0 * math.pi
 
 
 # ---------------------------------------------------------------------------
-# DTW: accumulated-cost fill and path backtrack.
+# DTW with step set {(1,0), (0,1), (1,1)}.
 #
-# Step set {(1,0), (0,1), (1,1)}; ties during backtracking prefer the
-# diagonal, then (1,0), then (0,1).  Cells may hold +inf (band masking);
-# min() propagates them correctly.
+# Every cell on anti-diagonal d = i + j depends only on diagonals d-1 and
+# d-2, so a diagonal is filled in one shot and only those two are kept, each
+# as an (n+2)-long buffer with cell (i, d-i) at index i+1.  Entries off the
+# matrix stay +inf, so the first row and column need no case of their own.
+# A diagonal's cells are a stride-(m-1) slice of the flattened cost.  Cells
+# farther than `band` from the stretched diagonal count as +inf.  The fill
+# returns the total and one step per cell, chosen with the tie order: 0 for
+# the diagonal, else 1 from (i-1, j), else 2 from (i, j-1).  The backtrack
+# only follows the steps.
 
 
-def dtw_fill(cost):
-    # Vectorized along anti-diagonals: every cell on diagonal d = i + j
-    # depends only on diagonals d-1 and d-2, so each can be filled in one
-    # shot.  Same adds and mins as the scalar recurrence, hence bit-identical.
+def dtw_fill(cost, band=None):
     n, m = cost.shape
-    acc = np.full((n, m), np.inf, dtype=np.float64)
-    # cumsum accumulates left to right, matching the scalar recurrence's adds
-    acc[0, :] = np.cumsum(cost[0, :], dtype=np.float64)
-    acc[:, 0] = np.cumsum(cost[:, 0], dtype=np.float64)
-    for d in range(2, n + m - 1):
-        lo = max(1, d - m + 1)
-        hi = min(n - 1, d - 1)
-        if lo > hi:
-            continue
-        i = np.arange(lo, hi + 1)
-        j = d - i
-        best = np.minimum(acc[i - 1, j - 1], acc[i - 1, j])
-        np.minimum(best, acc[i, j - 1], out=best)
-        acc[i, j] = cost[i, j] + best
-    return acc
+    flat = cost.ravel()
+    steps = np.zeros((n, m), dtype=np.uint8)
+    older, old = np.full((2, n + 2), np.inf)  # diagonals d-2 and d-1
+    old[1] = flat[0]
+    best, offset = np.empty((2, min(n, m)))
+    pick = np.empty(min(n, m), dtype=bool)
+    step = np.empty(min(n, m), dtype=np.uint8)
+    rows = np.arange(n, dtype=np.float64)
+    center = rows * (m - 1) / (n - 1) if n > 1 else np.zeros(n)
+    for d in range(1, n + m - 1):
+        lo, hi = max(0, d - m + 1), min(n - 1, d)
+        k = hi - lo + 1
+        cells = slice(lo * (m - 1) + d, hi * (m - 1) + d + 1, max(m - 1, 1))
+        b, p, s = best[:k], pick[:k], step[:k]
+        up, left = old[lo : hi + 1], old[lo + 1 : hi + 2]
+        np.less_equal(up, left, out=p)
+        np.subtract(2, p, out=s, casting="unsafe")  # 1 on a tie with left
+        np.minimum(up, left, out=b)
+        np.less_equal(older[lo : hi + 1], b, out=p)
+        np.copyto(s, 0, where=p)  # the diagonal wins every tie
+        np.minimum(older[lo : hi + 1], b, out=b)
+        np.add(flat[cells], b, out=b)
+        if band is not None:
+            o = np.subtract(d, rows[lo : hi + 1], out=offset[:k])  # the columns
+            np.abs(np.subtract(o, center[lo : hi + 1], out=o), out=o)
+            np.copyto(b, np.inf, where=np.greater(o, band, out=p))
+        steps.ravel()[cells] = s
+        older[lo + 1 : hi + 2] = b  # diagonal d-2's buffer takes diagonal d
+        older, old = old, older
+    return float(old[n]), steps
 
 
-def dtw_backtrack(acc):
-    n, m = acc.shape
-    path = np.empty((n + m - 1, 2), dtype=np.int64)
-    k = path.shape[0]
-    i = n - 1
-    j = m - 1
-    k -= 1
-    path[k, 0] = i
-    path[k, 1] = j
+def dtw_backtrack(steps):
+    i, j = steps.shape[0] - 1, steps.shape[1] - 1
+    path = [(i, j)]
     while i > 0 or j > 0:
-        if i == 0:
-            j -= 1
-        elif j == 0:
-            i -= 1
-        else:
-            diag = acc[i - 1, j - 1]
-            up = acc[i - 1, j]
-            left = acc[i, j - 1]
-            if diag <= up and diag <= left:
-                i -= 1
-                j -= 1
-            elif up <= left:
-                i -= 1
-            else:
-                j -= 1
-        k -= 1
-        path[k, 0] = i
-        path[k, 1] = j
-    return path[k:]
+        step = int(steps[i, j])
+        i, j = i - (step != 2), j - (step != 1)
+        path.append((i, j))
+    return path[::-1]
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,9 @@ SPEED_TIERS = (
 )
 
 TIER_BY_NAME = {tier.name: tier for tier in SPEED_TIERS}
+# the envelope the tiers span, 0.4..2.2
+RATIO_FLOOR = min(tier.ratio_range[0] for tier in SPEED_TIERS)
+RATIO_CEILING = max(tier.ratio_range[1] for tier in SPEED_TIERS)
 
 
 def stretch(seq: NoteSequence, ratio: float) -> NoteSequence:

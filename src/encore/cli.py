@@ -43,7 +43,7 @@ from .metrics import (
     read_embeddings,
     tempo_estimate,
 )
-from .notes import segment
+from .notes import check_window, segment
 from .prompts import PromptSpec, render_prompt
 from .seeds import derive_seed
 from .smf import parse_midi, write_midi
@@ -204,6 +204,10 @@ def _tokenize_line(row: dict) -> str:
 
 
 def cmd_tokenize(args) -> int:
+    try:
+        check_window(args.window, args.hop)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     out = _out_dir(args)
 
     def work(path: Path) -> dict:
@@ -280,9 +284,10 @@ def cmd_prompt(args) -> int:
             performer=args.performer,
             expression_label=args.expression,
         )
+        text = render_prompt(spec, dropout=args.dropout, rng_seed=args.seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    print(render_prompt(spec, dropout=args.dropout, rng_seed=args.seed))
+    print(text)
     return EXIT_OK
 
 
@@ -416,13 +421,13 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    out = _out_dir(args)
     try:
         cfg = SynthConfig(gain=args.gain)
         if args.clicks is not None:
             buf = render_clicks(args.clicks, args.duration)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    out = _out_dir(args)
     if args.clicks is not None:
         path = out / f"clicks_{args.clicks:g}bpm.wav"
         write_wav(path, buf)

@@ -1,8 +1,6 @@
 """Reference math for the trainer: VP schedule, v-objective, guidance.
 
-Pure functions only; no sampler or network lives here. The latent-geometry
-constants exist so manifests can be validated against the expected audio
-codec shape.
+Pure functions only; no sampler or network lives here.
 """
 
 from __future__ import annotations
@@ -12,8 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-LATENT_RATE_HZ = 21.5
-LATENT_SEQUENCE_LENGTH = 1024  # about 47 seconds at the latent rate
 DEFAULT_CFG_SCALE = 7.0
 
 

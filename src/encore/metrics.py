@@ -16,6 +16,7 @@ from scipy.signal.windows import hann
 
 from ._kernels import dtw_backtrack, dtw_fill
 from .audio_io import ANALYSIS_RATE
+from .augment import RATIO_CEILING, RATIO_FLOOR
 from .notes import NoteSequence
 
 CHROMA_WINDOW = 4096
@@ -125,7 +126,8 @@ def _cosine_distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # frames are unit-norm or zero, so the dot product is the cosine;
     # convention: silence matches silence (distance 0) and maximally
     # mismatches sound (distance 1)
-    dist = 1.0 - a @ b.T
+    dist = a @ b.T
+    np.subtract(1.0, dist, out=dist)
     # rounded dot products of unit vectors can stray past 1, and the
     # accumulated cost must stay non-negative
     np.clip(dist, 0.0, 2.0, out=dist)
@@ -137,41 +139,24 @@ def _cosine_distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return dist
 
 
-def _banded(cost: np.ndarray, band: int) -> np.ndarray:
-    if band < 0:
-        raise ValueError(f"band must be non-negative, got {band}")
-    n, m = cost.shape
-    rows = np.arange(n, dtype=np.float64)
-    center = rows * (m - 1) / (n - 1) if n > 1 else np.zeros(n)
-    cols = np.arange(m, dtype=np.float64)
-    outside = np.abs(cols[None, :] - center[:, None]) > band
-    cost = cost.copy()
-    cost[outside] = np.inf
-    return cost
-
-
 def dtw_from_costs(
     cost: np.ndarray, band: int | None = None
 ) -> tuple[float, list[tuple[int, int]]]:
     """Minimal accumulated cost and path over a pairwise cost matrix.
 
-    Classic DTW with step set {(1,0), (0,1), (1,1)}; backtracking breaks
-    ties toward the diagonal, then (1,0), then (0,1). ``band`` is an
-    optional Sakoe-Chiba radius in frames around the stretched diagonal.
+    Classic DTW with step set {(1,0), (0,1), (1,1)}; ties break toward the
+    diagonal, then (1,0), then (0,1). ``band`` is an optional Sakoe-Chiba
+    radius in frames around the stretched diagonal.
     """
     cost = np.ascontiguousarray(cost, dtype=np.float64)
     if cost.ndim != 2 or cost.shape[0] == 0 or cost.shape[1] == 0:
         raise ValueError(f"cost must be a non-empty 2-D matrix, got {cost.shape}")
-    if band is not None:
-        cost = _banded(cost, band)
-    acc = dtw_fill(cost)
-    total = float(acc[-1, -1])
+    if band is not None and band < 0:
+        raise ValueError(f"band must be non-negative, got {band}")
+    total, steps = dtw_fill(cost, band)
     if not np.isfinite(total):
-        raise MetricError(
-            f"no monotone path through the cost matrix (band {band} too narrow?)"
-        )
-    path = dtw_backtrack(acc)
-    return total, [(int(i), int(j)) for i, j in path]
+        raise MetricError(f"no monotone path through the cost matrix (band {band} too narrow?)")
+    return total, dtw_backtrack(steps)
 
 
 def dtw_align(
@@ -298,8 +283,8 @@ def deviation_from_expected(
     estimated_bpm: float, score_bpm: float, prompt_ratio: float
 ) -> float:
     """|estimated - expected| / expected with expected = score / ratio."""
-    if not 0.4 <= prompt_ratio <= 2.2:
-        raise ValueError(f"prompt_ratio {prompt_ratio} outside [0.4, 2.2]")
+    if not RATIO_FLOOR <= prompt_ratio <= RATIO_CEILING:
+        raise ValueError(f"prompt_ratio {prompt_ratio} outside [{RATIO_FLOOR}, {RATIO_CEILING}]")
     if not 0 < score_bpm < math.inf:
         raise ValueError(f"score_bpm must be positive and finite, got {score_bpm}")
     expected = score_bpm / prompt_ratio

@@ -121,18 +121,25 @@ class Window:
                 raise ValueError(f"sustained note does not cross window start: {n}")
 
 
+def check_window(window_length: float, hop: float | None = None) -> float:
+    """The hop `segment` uses: `hop`, or the window length when it is None.
+
+    Raises ValueError unless both are finite and positive.
+    """
+    hop = window_length if hop is None else hop
+    for name, value in (("window_length", window_length), ("hop", hop)):
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and positive, got {value}")
+    return hop
+
+
 def segment(seq: NoteSequence, window_length: float = 10.0, hop: float | None = None) -> list[Window]:
     """Cut a sequence into windows covering [0, total_duration).
 
     A note crossing a window's end boundary is truncated there and re-appears
     in the sustained list of every later window it still sounds through.
     """
-    if window_length <= 0:
-        raise ValueError("window_length must be positive")
-    if hop is None:
-        hop = window_length
-    if hop <= 0:
-        raise ValueError("hop must be positive")
+    hop = check_window(window_length, hop)
     if seq.total_duration <= 0 and not seq.notes:
         return []
 

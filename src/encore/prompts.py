@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .augment import SPEED_TIERS, SpeedTier
+from .augment import RATIO_CEILING, RATIO_FLOOR, SPEED_TIERS, SpeedTier
 
 STAGE0_PROMPT = "Synthesis"
 SYNTHESIS_DESCRIPTOR = "synthesis"
@@ -15,9 +15,6 @@ PERFORMANCE_DESCRIPTOR = "expressive performance"
 # the mistake stage has no literal prompt string on record; this template
 # replaces the plain performance descriptor when spec.mistake is set
 MISTAKE_DESCRIPTOR = "performance with mistakes"
-
-RATIO_FLOOR = 0.4
-RATIO_CEILING = 2.2
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import numpy as np
 
 from ._kernels import render_notes
 from .audio_io import ANALYSIS_RATE
-from .notes import NoteSequence
+from .notes import MAX_SECONDS, NoteSequence
 
 # Notes shorter than this are rendered at this length so they remain
 # audible; the envelope is shrunk proportionally to fit short notes.
@@ -80,11 +80,14 @@ def render(seq: NoteSequence, cfg: SynthConfig = SynthConfig()) -> np.ndarray:
 
 
 def render_clicks(bpm: float, duration: float) -> np.ndarray:
-    """Render a click track at ANALYSIS_RATE: one short noise burst per beat."""
+    """Render a click track at ANALYSIS_RATE: one short noise burst per beat.
+
+    ``duration`` is in seconds, at most ``notes.MAX_SECONDS``.
+    """
     if not 30.0 <= bpm <= 300.0:
         raise ValueError(f"bpm must be in [30, 300], got {bpm}")
-    if duration <= 0:
-        raise ValueError(f"duration must be positive, got {duration}")
+    if not 0 < duration <= MAX_SECONDS:
+        raise ValueError(f"duration must be in (0, {MAX_SECONDS:g}] s, got {duration}")
     sr = float(ANALYSIS_RATE)
     out = np.zeros(int(np.ceil(duration * sr)), dtype=np.float64)
     burst_len = int(_CLICK_SECONDS * sr)

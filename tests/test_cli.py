@@ -537,6 +537,31 @@ class TestSynth:
 
 
 # ---------------------------------------------------------------------------
+# option values that cannot work
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *(["prompt", "--stage", "2", "--dropout", v] for v in ("2", "nan", "-0.5")),
+        *(["tokenize", "--window", v] for v in ("inf", "nan", "-1")),
+        *(["tokenize", "--hop", v] for v in ("nan", "0", "inf")),
+        *(["synth", "--clicks", "120", "--duration", v] for v in ("1e12", "inf", "nan")),
+    ],
+)
+def test_unworkable_option_is_config_error(midi_dir, tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    inputs = [midi_dir / "a.mid"] if argv[0] == "tokenize" else []
+    out_flag = [] if argv[0] == "prompt" else ["--out", out]
+    assert _run(*argv, *inputs, *out_flag) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert sum(line.startswith("error:") for line in err.splitlines()) == 1
+    # checked before any item runs or any output is written
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
 # inputs past the 4 h limit
 
 

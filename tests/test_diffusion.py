@@ -8,8 +8,6 @@ from hypothesis import given, strategies as st
 
 from encore.diffusion import (
     DEFAULT_CFG_SCALE,
-    LATENT_RATE_HZ,
-    LATENT_SEQUENCE_LENGTH,
     cfg_combine,
     latent_from_v,
     noise_from_v,
@@ -105,9 +103,3 @@ def test_cfg_formula():
     cond = np.array([2.0, 4.0])
     uncond = np.array([1.0, 1.0])
     np.testing.assert_allclose(cfg_combine(cond, uncond, 7.0), [8.0, 22.0])
-
-
-def test_latent_constants():
-    assert LATENT_RATE_HZ == 21.5
-    assert LATENT_SEQUENCE_LENGTH == 1024
-    assert LATENT_SEQUENCE_LENGTH / LATENT_RATE_HZ == pytest.approx(47.6, abs=0.1)

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from encore import _kernels as kernels
+from encore.metrics import MetricError, dtw_from_costs
 from encore.synth import MIN_NOTE_SECONDS
 
 _TWO_PI = 2.0 * math.pi
@@ -28,6 +30,55 @@ def _dtw_fill_scalar(cost):
                 best = acc[i, j - 1]
             acc[i, j] = cost[i, j] + best
     return acc
+
+
+def _dtw_backtrack_comparing(acc):
+    # walks back over the accumulated cost, comparing the three
+    # predecessors in the tie order diagonal, (i-1, j), (i, j-1)
+    i, j = acc.shape[0] - 1, acc.shape[1] - 1
+    path = [(i, j)]
+    while i > 0 or j > 0:
+        if i == 0:
+            j -= 1
+        elif j == 0:
+            i -= 1
+        else:
+            diag = acc[i - 1, j - 1]
+            up = acc[i - 1, j]
+            left = acc[i, j - 1]
+            if diag <= up and diag <= left:
+                i -= 1
+                j -= 1
+            elif up <= left:
+                i -= 1
+            else:
+                j -= 1
+        path.append((i, j))
+    return path[::-1]
+
+
+def _banded_copy(cost, band):
+    # a copy of the cost with cells outside the Sakoe-Chiba band set to +inf
+    if band < 0:
+        raise ValueError(f"band must be non-negative, got {band}")
+    n, m = cost.shape
+    rows = np.arange(n, dtype=np.float64)
+    center = rows * (m - 1) / (n - 1) if n > 1 else np.zeros(n)
+    cols = np.arange(m, dtype=np.float64)
+    outside = np.abs(cols[None, :] - center[:, None]) > band
+    cost = cost.copy()
+    cost[outside] = np.inf
+    return cost
+
+
+def _dtw_oracle(cost, band=None):
+    if band is not None:
+        cost = _banded_copy(cost, band)
+    acc = _dtw_fill_scalar(cost)
+    total = float(acc[-1, -1])
+    if not np.isfinite(total):
+        raise MetricError(f"no monotone path (band {band})")
+    return total, _dtw_backtrack_comparing(acc)
 
 
 def _render_notes_per_sample(starts, durs, freqs, amps, n_partials, attack, release, sr, out):
@@ -66,33 +117,41 @@ def _render_notes_per_sample(starts, durs, freqs, amps, n_partials, attack, rele
 def test_dtw_fill_paths_bit_identical(shape):
     rng = np.random.default_rng(hash(shape) % 2**32)
     cost = rng.random(shape)
-    assert np.array_equal(kernels.dtw_fill(cost), _dtw_fill_scalar(cost))
+    total, steps = kernels.dtw_fill(cost)
+    acc = _dtw_fill_scalar(cost)
+    assert total == acc[-1, -1]
+    assert steps.shape == shape and steps.dtype == np.uint8
+    assert kernels.dtw_backtrack(steps) == _dtw_backtrack_comparing(acc)
 
 
 def test_dtw_fill_propagates_inf():
     cost = np.array([[0.0, np.inf, 1.0], [1.0, 2.0, np.inf], [np.inf, 1.0, 0.5]])
-    acc = kernels.dtw_fill(cost)
-    assert np.isinf(acc[0, 1]) and np.isinf(acc[0, 2])
-    assert np.isfinite(acc[2, 2])
-    assert np.array_equal(acc, _dtw_fill_scalar(cost))
+    total, steps = kernels.dtw_fill(cost)
+    assert total == _dtw_fill_scalar(cost)[-1, -1] == 2.5
+    assert kernels.dtw_backtrack(steps) == [(0, 0), (1, 1), (2, 2)]
+    total, _ = kernels.dtw_fill(np.array([[0.0, np.inf], [np.inf, np.inf]]))
+    assert total == np.inf
 
 
 def test_backtrack_prefers_diagonal_on_ties():
-    acc = np.zeros((3, 3))
-    path = np.asarray(kernels.dtw_backtrack(acc))
-    assert path.tolist() == [[0, 0], [1, 1], [2, 2]]
+    total, steps = kernels.dtw_fill(np.zeros((3, 3)))
+    assert total == 0.0
+    assert kernels.dtw_backtrack(steps) == [(0, 0), (1, 1), (2, 2)]
 
 
 def test_backtrack_prefers_vertical_over_horizontal():
-    # at (1,1): diagonal 3, up 2, left 2 -> the (1,0) step wins the tie
-    acc = np.array([[3.0, 2.0], [2.0, 5.0]])
-    path = np.asarray(kernels.dtw_backtrack(acc))
-    assert path.tolist() == [[0, 0], [0, 1], [1, 1]]
+    # the accumulated cost is [[3, 2], [2, 2]]: at (1,1) the diagonal
+    # predecessor holds 3 and both others 2, so the (1,0) step wins the tie
+    cost = np.array([[3.0, -1.0], [-1.0, 0.0]])
+    total, steps = kernels.dtw_fill(cost)
+    assert total == 2.0
+    assert kernels.dtw_backtrack(steps) == [(0, 0), (0, 1), (1, 1)]
 
 
 def test_backtrack_single_cell():
-    path = np.asarray(kernels.dtw_backtrack(np.zeros((1, 1))))
-    assert path.tolist() == [[0, 0]]
+    total, steps = kernels.dtw_fill(np.full((1, 1), 0.25))
+    assert total == 0.25
+    assert kernels.dtw_backtrack(steps) == [(0, 0)]
 
 
 def test_backtrack_path_cost_matches_fill():
@@ -100,17 +159,41 @@ def test_backtrack_path_cost_matches_fill():
     for _ in range(50):
         n, m = rng.integers(1, 12, size=2)
         cost = rng.random((n, m))
-        acc = kernels.dtw_fill(cost)
-        path = np.asarray(kernels.dtw_backtrack(acc))
+        total, steps = kernels.dtw_fill(cost)
+        path = np.asarray(kernels.dtw_backtrack(steps))
         assert path[0].tolist() == [0, 0] and path[-1].tolist() == [n - 1, m - 1]
-        steps = {tuple(step) for step in np.diff(path, axis=0)}
-        assert steps <= {(1, 0), (0, 1), (1, 1)}
+        moves = {tuple(move) for move in np.diff(path, axis=0)}
+        assert moves <= {(1, 0), (0, 1), (1, 1)}
         # the fill adds each cell's cost to the best predecessor, so summing
         # along the path in the same order reproduces the total exactly
-        total = 0.0
+        along = 0.0
         for i, j in path:
-            total = cost[i, j] + total
-        assert total == acc[-1, -1]
+            along = cost[i, j] + along
+        assert along == total
+
+
+_costs = arrays(
+    np.float64,
+    array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=24),
+    elements=st.one_of(
+        st.sampled_from([0.0, 0.5, 1.0, np.inf]),  # ties and masked cells
+        st.floats(0.0, 2.0),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cost=_costs, band=st.integers(-1, 15).map(lambda b: None if b == 15 else b))
+def test_dtw_from_costs_matches_oracles(cost, band):
+    try:
+        expected = _dtw_oracle(cost, band)
+    except (MetricError, ValueError) as exc:
+        with pytest.raises(type(exc)):
+            dtw_from_costs(cost, band)
+        return
+    total, path = dtw_from_costs(cost, band)
+    assert np.float64(total).tobytes() == np.float64(expected[0]).tobytes()
+    assert path == expected[1]
 
 
 def _random_note_arrays(rng, n):

@@ -170,6 +170,9 @@ def test_segment_validation():
         segment(seq, window_length=0.0)
     with pytest.raises(ValueError):
         segment(seq, window_length=10.0, hop=-1.0)
+    for window_length, hop in ((math.inf, None), (math.nan, None), (10.0, math.inf)):
+        with pytest.raises(ValueError, match="finite and positive"):
+            segment(seq, window_length=window_length, hop=hop)
 
 
 def test_segment_overlapping_hop():

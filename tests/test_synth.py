@@ -3,7 +3,7 @@ import pytest
 
 from encore.audio_io import ANALYSIS_RATE
 from encore.augment import stretch
-from encore.notes import Note, NoteSequence
+from encore.notes import MAX_SECONDS, Note, NoteSequence
 from encore.synth import SynthConfig, render, render_clicks
 
 
@@ -125,8 +125,9 @@ def test_click_bpm_range(bpm):
 
 
 def test_click_duration_validation():
-    with pytest.raises(ValueError):
-        render_clicks(120.0, 0.0)
+    for duration in (0.0, np.nan, np.inf, MAX_SECONDS + 1.0):
+        with pytest.raises(ValueError, match="duration"):
+            render_clicks(120.0, duration)
 
 
 def test_clicks_deterministic():
