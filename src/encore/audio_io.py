@@ -4,45 +4,147 @@ ANALYSIS_RATE is the one audio rate: the synthesizer renders at it, WAV
 files are written at it, and the metrics assume it.  Readers normalize
 everything to mono float64 at that rate.  Multi-channel input is
 averaged, integer PCM is scaled to [-1, 1), and other rates are resampled
-with a polyphase filter.
+with a polyphase filter (scipy, imported only when a file needs it).
+
+The codec is a small RIFF/WAVE parser over numpy.  It reads little-endian
+RIFF files holding 16-, 24- or 32-bit integer PCM or 32- or 64-bit IEEE
+float, with any channel count, in a plain or WAVE_FORMAT_EXTENSIBLE fmt
+chunk.  Other chunks are skipped.  RIFX (big-endian), RF64, 8-bit and
+64-bit integer files, and rates above 384 kHz, are refused as
+unsupported.  A truncated data chunk yields the whole frames present.
+Every file read is untrusted: a malformed header, a non-finite sample or
+more than notes.MAX_SECONDS of audio raises a ValueError naming the file.
+Buffers are sized from the bytes the file holds, never from a header's
+length fields, and resampled output stays within the 4 h limit.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import struct
 
 import numpy as np
-from scipy.io import wavfile
-from scipy.signal import resample_poly
+
+from .notes import MAX_SECONDS
 
 ANALYSIS_RATE = 44100
+# Highest input rate read; the resampling filter grows with the rate.
+_MAX_RATE = 384_000
 
-_PCM_SCALE = {
-    np.dtype(np.int16): 2.0**15,
-    np.dtype(np.int32): 2.0**31,  # scipy widens 24-bit PCM to int32
+_CHUNK = struct.Struct("<4sI")
+_FMT = struct.Struct("<HHIIHH")  # tag, channels, rate, byte rate, block align, bits
+# RIFF header, 18-byte fmt chunk with cbSize, fact chunk, data chunk header
+_HEADER = struct.Struct("<4sI4s" "4sIHHIIHHH" "4sII" "4sI")
+_PCM, _FLOAT, _EXTENSIBLE = 1, 3, 0xFFFE
+_GUID_TAIL = b"\x00\x00\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+_DTYPES = {
+    (_PCM, 16): "<i2",
+    (_PCM, 24): "<i4",  # 3 bytes per sample, placed in the top of an int32
+    (_PCM, 32): "<i4",
+    (_FLOAT, 32): "<f4",
+    (_FLOAT, 64): "<f8",
 }
+_PCM_SCALE = {16: 2.0**15, 24: 2.0**31, 32: 2.0**31}
+
+
+def _read_fmt(body: bytes, path) -> tuple[int, int, int, int]:
+    """(format tag, channels, rate, bits) from a fmt chunk body."""
+    if len(body) < _FMT.size:
+        raise ValueError(f"{path}: fmt chunk too short ({len(body)} bytes)")
+    tag, channels, rate, _, block_align, bits = _FMT.unpack_from(body)
+    if tag == _EXTENSIBLE:
+        # cbSize, valid bits, channel mask, then the subformat GUID
+        if len(body) < 40 or struct.unpack_from("<H", body, 16)[0] < 22:
+            raise ValueError(f"{path}: WAVE_FORMAT_EXTENSIBLE fmt chunk too short")
+        if body[26:40] == _GUID_TAIL:
+            tag = struct.unpack_from("<H", body, 24)[0]
+    if channels == 0:
+        raise ValueError(f"{path}: zero channels")
+    if rate == 0:
+        raise ValueError(f"{path}: zero sample rate")
+    if (tag, bits) not in _DTYPES or rate > _MAX_RATE:
+        raise ValueError(
+            f"{path}: unsupported sample format (tag {tag:#06x}, {bits} bits, {rate} Hz)"
+        )
+    if block_align != channels * bits // 8:
+        raise ValueError(
+            f"{path}: block align {block_align} does not match {channels} x {bits} bits"
+        )
+    return tag, channels, rate, bits
+
+
+def _find_chunks(buf: bytes, path) -> tuple[tuple[int, int, int, int], memoryview]:
+    """The parsed fmt chunk and the data chunk's bytes, cut to what the file holds."""
+    if len(buf) < 12 or buf[8:12] != b"WAVE" or buf[:4] not in (b"RIFF", b"RIFX", b"RF64"):
+        raise ValueError(f"{path}: not a RIFF/WAVE file")
+    if buf[:4] != b"RIFF":
+        raise ValueError(f"{path}: unsupported container {buf[:4].decode()}")
+    fmt = None
+    pos = 12
+    while pos + _CHUNK.size <= len(buf):
+        chunk_id, size = _CHUNK.unpack_from(buf, pos)
+        pos += _CHUNK.size
+        if chunk_id == b"data":
+            if fmt is None:
+                raise ValueError(f"{path}: no fmt chunk before data")
+            return fmt, memoryview(buf)[pos:pos + size]
+        if chunk_id == b"fmt ":
+            fmt = _read_fmt(buf[pos:pos + size], path)
+        pos += size + (size & 1)  # odd-sized chunks carry a pad byte
+    raise ValueError(f"{path}: no data chunk")
 
 
 def read_wav(path: str | os.PathLike) -> np.ndarray:
     """Read a WAV file as mono float64 at ANALYSIS_RATE."""
-    rate, data = wavfile.read(path)
-    if data.size == 0:
+    with open(path, "rb") as fh:
+        buf = fh.read()
+    (tag, channels, rate, bits), data = _find_chunks(buf, path)
+    width = bits // 8
+    frames = len(data) // (channels * width)
+    if frames == 0:
         raise ValueError(f"{path}: empty audio stream")
-    if data.dtype in _PCM_SCALE:
-        samples = data.astype(np.float64) / _PCM_SCALE[data.dtype]
-    elif data.dtype in (np.float32, np.float64):
-        samples = data.astype(np.float64)
-    else:
-        raise ValueError(f"{path}: unsupported sample format {data.dtype}")
-    if samples.ndim == 2:
-        samples = samples.mean(axis=1)
+    if frames > MAX_SECONDS * rate:
+        raise ValueError(
+            f"{path}: {frames / rate:.6g} s exceeds the {MAX_SECONDS:g} s input limit"
+        )
+    raw = np.frombuffer(data, np.uint8, frames * channels * width)
+    if bits == 24:
+        wide = np.zeros((frames * channels, 4), np.uint8)
+        wide[:, 1:] = raw.reshape(-1, 3)
+        raw = wide.ravel()
+    samples = raw.view(_DTYPES[tag, bits]).astype(np.float64)
+    if tag == _PCM:
+        samples /= _PCM_SCALE[bits]
+    if channels > 1:
+        samples = samples.reshape(-1, channels).mean(axis=1)
     if rate != ANALYSIS_RATE:
-        g = math.gcd(ANALYSIS_RATE, int(rate))
+        from scipy.signal import resample_poly
+
+        g = math.gcd(ANALYSIS_RATE, rate)
         samples = resample_poly(samples, ANALYSIS_RATE // g, rate // g)
+    if not np.isfinite(samples).all():
+        raise ValueError(f"{path}: non-finite samples")
     return samples
 
 
 def write_wav(path: str | os.PathLike, samples: np.ndarray) -> None:
-    """Write mono samples as a 32-bit float WAV file at ANALYSIS_RATE."""
-    wavfile.write(path, ANALYSIS_RATE, np.asarray(samples, dtype=np.float32))
+    """Write mono samples as a 32-bit float WAV file at ANALYSIS_RATE.
+
+    The layout is RIFF, an 18-byte fmt chunk (IEEE float, cbSize 0), a
+    fact chunk holding the frame count, then data.
+    """
+    data = np.ascontiguousarray(samples, dtype="<f4")
+    if data.ndim != 1:
+        raise ValueError(f"{path}: expected mono samples, got shape {data.shape}")
+    if _HEADER.size - 8 + data.nbytes > 0xFFFFFFFF:
+        raise ValueError(f"{path}: {len(data)} samples do not fit a RIFF file")
+    header = _HEADER.pack(
+        b"RIFF", _HEADER.size - 8 + data.nbytes, b"WAVE",
+        b"fmt ", 18, _FLOAT, 1, ANALYSIS_RATE, 4 * ANALYSIS_RATE, 4, 32, 0,
+        b"fact", 4, len(data),
+        b"data", data.nbytes,
+    )
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(data.data)

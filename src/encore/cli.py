@@ -533,6 +533,8 @@ def main(argv=None) -> int:
             # config values become the subcommand's defaults, so flags still win
             args.parser.set_defaults(**_read_config(args.config, args.parser))
             args = parser.parse_args(argv)
+        if getattr(args, "seed", 0) < 0:
+            raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

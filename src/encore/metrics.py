@@ -12,7 +12,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal.windows import hann
 
 from ._kernels import dtw_backtrack, dtw_fill
 from .audio_io import ANALYSIS_RATE
@@ -33,6 +32,17 @@ _TEMPO_HOP = 512
 
 _FREQ_LOW = 27.5
 _FREQ_HIGH = 8000.0
+
+
+def _periodic_hann(n: int) -> np.ndarray:
+    """scipy.signal.windows.hann(n, sym=False), bit for bit: the same
+    operations as scipy's general_cosine, 0.5 + 0.5 cos over n points of
+    [-pi, pi)."""
+    return 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n + 1)[:-1])
+
+
+_CHROMA_HANN = _periodic_hann(CHROMA_WINDOW)
+_TEMPO_HANN = _periodic_hann(_TEMPO_WINDOW)
 
 EMBEDDING_MAGIC = b"ENEB"
 _EMBEDDING_HEADER = struct.Struct("<4sII")  # magic, D, N
@@ -103,7 +113,7 @@ def chromagram(audio: np.ndarray) -> ChromaMatrix:
     if x.size == 0:
         raise ValueError("audio buffer is empty")
     frames = _frame_signal(x, CHROMA_WINDOW, CHROMA_HOP)
-    spec = np.abs(np.fft.rfft(frames * hann(CHROMA_WINDOW, sym=False), axis=1)) ** 2
+    spec = np.abs(np.fft.rfft(frames * _CHROMA_HANN, axis=1)) ** 2
     freqs = np.fft.rfftfreq(CHROMA_WINDOW, 1.0 / ANALYSIS_RATE)
     keep = (freqs >= _FREQ_LOW) & (freqs <= _FREQ_HIGH)
     pitch = np.round(69.0 + 12.0 * np.log2(freqs[keep] / 440.0)).astype(np.int64)
@@ -209,7 +219,7 @@ def chroma_similarity(
 
 def _onset_envelope(x: np.ndarray) -> tuple[np.ndarray, float]:
     frames = _frame_signal(x, _TEMPO_WINDOW, _TEMPO_HOP)
-    spec = np.abs(np.fft.rfft(frames * hann(_TEMPO_WINDOW, sym=False), axis=1))
+    spec = np.abs(np.fft.rfft(frames * _TEMPO_HANN, axis=1))
     flux = np.maximum(spec[1:] - spec[:-1], 0.0).sum(axis=1)
     return flux, ANALYSIS_RATE / _TEMPO_HOP
 

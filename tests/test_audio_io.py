@@ -1,7 +1,17 @@
+import math
+import os
+import struct
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.io import wavfile
 
+import encore
 from encore.audio_io import read_wav, write_wav
 
 
@@ -55,3 +65,221 @@ def test_unsupported_format_rejected(tmp_path):
     wavfile.write(path, 44100, np.full(100, 128, dtype=np.uint8))
     with pytest.raises(ValueError, match="unsupported"):
         read_wav(path)
+
+
+# ---------------------------------------------------------------------------
+# the RIFF codec against scipy's wavfile, the oracle it replaces
+
+
+def _scipy_read(path):
+    """read_wav as it was on scipy: wavfile.read, PCM scaling, channel
+    mean, polyphase resampling."""
+    from scipy.signal import resample_poly
+
+    rate, data = wavfile.read(path)
+    scale = {np.dtype(np.int16): 2.0**15, np.dtype(np.int32): 2.0**31}.get(data.dtype)
+    samples = data.astype(np.float64) / scale if scale else data.astype(np.float64)
+    if samples.ndim == 2:
+        samples = samples.mean(axis=1)
+    if rate != 44100:
+        g = math.gcd(44100, rate)
+        samples = resample_poly(samples, 44100 // g, rate // g)
+    return samples
+
+
+def _riff(fmt_body: bytes, data: bytes, before_data: bytes = b"") -> bytes:
+    """A RIFF/WAVE file: fmt chunk, optional extra chunks, data chunk."""
+    pad = b"\x00" * (len(fmt_body) % 2)
+    body = (
+        b"WAVE" + b"fmt " + struct.pack("<I", len(fmt_body)) + fmt_body + pad
+        + before_data + b"data" + struct.pack("<I", len(data)) + data
+    )
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+def _fmt(tag, channels, rate, bits):
+    block = channels * bits // 8
+    return struct.pack("<HHIIHH", tag, channels, rate, rate * block, block, bits)
+
+
+def _extensible(subformat, channels, rate, bits):
+    """A WAVE_FORMAT_EXTENSIBLE fmt body: cbSize 22, valid bits, channel
+    mask, and the subformat's KSDATAFORMAT GUID."""
+    guid = struct.pack("<I", subformat) + bytes.fromhex("00001000800000aa00389b71")
+    return _fmt(0xFFFE, channels, rate, bits) + struct.pack("<HHI", 22, bits, 0) + guid
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 1000, 44101])
+def test_write_bytes_match_scipy(tmp_path, n):
+    samples = np.random.default_rng(n).uniform(-1.0, 1.0, n)
+    ours, theirs = tmp_path / "ours.wav", tmp_path / "scipy.wav"
+    write_wav(ours, samples)
+    wavfile.write(theirs, 44100, samples.astype(np.float32))
+    assert ours.read_bytes() == theirs.read_bytes()
+
+
+@pytest.mark.parametrize("rate", [22050, 44100, 48000])
+@pytest.mark.parametrize("channels", [1, 2, 3])
+@pytest.mark.parametrize("dtype", [np.int16, np.int32, np.float32, np.float64])
+def test_read_matches_scipy(tmp_path, dtype, channels, rate):
+    rng = np.random.default_rng(channels * rate)
+    if np.dtype(dtype).kind == "f":
+        data = rng.uniform(-1.0, 1.0, (999, channels)).astype(dtype)
+    else:
+        info = np.iinfo(dtype)
+        data = rng.integers(info.min, info.max, (999, channels), endpoint=True, dtype=dtype)
+    path = tmp_path / "x.wav"
+    wavfile.write(path, rate, data[:, 0] if channels == 1 else data)
+    assert np.array_equal(read_wav(path), _scipy_read(path))
+
+
+@pytest.mark.parametrize("channels", [1, 2])
+@pytest.mark.parametrize(
+    "subformat, bits",
+    [(None, 24), (1, 24), (1, 16), (3, 32)],
+    ids=["pcm24", "extensible-pcm24", "extensible-pcm16", "extensible-float32"],
+)
+def test_read_matches_scipy_handmade(tmp_path, channels, subformat, bits):
+    rng = np.random.default_rng(7)
+    if subformat is None:
+        fmt_body = _fmt(1, channels, 48000, bits)
+    else:
+        fmt_body = _extensible(subformat, channels, 48000, bits)
+    if subformat == 3:
+        data = rng.uniform(-1.0, 1.0, 150 * channels).astype("<f4").tobytes()
+    else:
+        data = rng.integers(0, 256, 600 * channels, dtype=np.uint8).tobytes()
+    path = tmp_path / "x.wav"
+    path.write_bytes(_riff(fmt_body, data))
+    assert np.array_equal(read_wav(path), _scipy_read(path))
+
+
+def test_odd_chunk_before_data_is_skipped(tmp_path):
+    data = np.arange(-50, 50, dtype="<i2").tobytes()
+    listing = b"LIST" + struct.pack("<I", 5) + b"INFOx" + b"\x00"  # odd size, pad byte
+    path = tmp_path / "list.wav"
+    path.write_bytes(_riff(_fmt(1, 1, 44100, 16), data, listing))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # scipy warns about the LIST chunk
+        expected = _scipy_read(path)
+    assert np.array_equal(read_wav(path), expected)
+    assert np.array_equal(expected, np.arange(-50, 50) / 2.0**15)
+
+
+# ---------------------------------------------------------------------------
+# hostile headers
+
+
+def _int16_stereo(path):
+    """100 frames of 16-bit stereo, 44-byte header."""
+    frames = np.random.default_rng(2).integers(-30000, 30000, (100, 2), dtype=np.int16)
+    wavfile.write(path, 44100, frames)
+    return path
+
+
+def _patched(path, offset, fmt, value):
+    buf = bytearray(path.read_bytes())
+    struct.pack_into(fmt, buf, offset, value)
+    path.write_bytes(bytes(buf))
+    return path
+
+
+@pytest.mark.parametrize(
+    "offset, fmt, value, message",
+    [
+        (22, "<H", 0, "zero channels"),
+        (24, "<I", 0, "zero sample rate"),
+        (32, "<H", 3, "block align"),
+        (34, "<H", 8, "unsupported"),
+        (24, "<I", 10**6, "unsupported"),
+        (0, "4s", b"RIFX", "unsupported"),
+        (0, "4s", b"RF64", "unsupported"),
+        (8, "4s", b"AVI ", "RIFF/WAVE"),
+        (12, "4s", b"junk", "no fmt chunk"),
+        (16, "<I", 12, "fmt chunk too short"),
+        (36, "4s", b"junk", "no data chunk"),
+    ],
+)
+def test_malformed_header_rejected(tmp_path, offset, fmt, value, message):
+    path = _patched(_int16_stereo(tmp_path / "x.wav"), offset, fmt, value)
+    with pytest.raises(ValueError, match=message) as info:
+        read_wav(path)
+    assert str(path) in str(info.value)
+
+
+def test_truncated_data_reads_whole_frames(tmp_path):
+    path = _int16_stereo(tmp_path / "x.wav")
+    full = read_wav(path)
+    path.write_bytes(path.read_bytes()[: 44 + 4 * 37 + 3])  # 37 frames and a partial one
+    assert np.array_equal(read_wav(path), full[:37])
+
+
+def test_data_size_past_end_of_file(tmp_path):
+    path = _patched(_int16_stereo(tmp_path / "x.wav"), 40, "<I", 0xFFFFFFFF)
+    assert read_wav(path).shape == (100,)
+
+
+def test_non_finite_samples_rejected(tmp_path):
+    path = tmp_path / "nan.wav"
+    write_wav(path, np.array([0.0, np.nan, 0.5]))
+    with pytest.raises(ValueError, match="non-finite"):
+        read_wav(path)
+
+
+def test_over_four_hours_refused_in_bounded_memory(tmp_path):
+    """14401 frames at 1 Hz is past the 4 h limit; resampled, it would be
+    635M samples (5 GB).  Read in a child capped at 2 GB of address space."""
+    path = tmp_path / "long.wav"
+    path.write_bytes(_riff(_fmt(3, 1, 1, 32), bytes(4 * 14401)))
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+        "from encore.audio_io import read_wav\n"
+        "try:\n"
+        "    read_wav(sys.argv[1])\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = str(Path(encore.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(path)], capture_output=True, text=True, env=env,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "input limit" in done.stdout and str(path) in done.stdout
+
+
+@pytest.fixture(scope="module")
+def seed_wavs(tmp_path_factory):
+    """Two small WAVs whose 400 data bytes stay under about 200 s of audio
+    at any rate a mutation can produce, down to 1 Hz."""
+    tmp = tmp_path_factory.mktemp("seeds")
+    write_wav(tmp / "f.wav", np.linspace(-0.9, 0.9, 100))
+    stereo = np.random.default_rng(4).integers(-30000, 30000, (100, 2), dtype=np.int16)
+    wavfile.write(tmp / "i.wav", 44100, stereo)
+    return tmp, [(tmp / "f.wav").read_bytes(), (tmp / "i.wav").read_bytes()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    which=st.integers(0, 1),
+    cut=st.none() | st.integers(0, 500),
+    edits=st.lists(st.tuples(st.integers(0, 63), st.integers(0, 255)), max_size=4),
+)
+def test_hostile_bytes_read_or_value_error(seed_wavs, which, cut, edits):
+    tmp, seeds = seed_wavs
+    buf = bytearray(seeds[which][:cut])
+    for offset, value in edits:
+        if offset < len(buf):
+            buf[offset] = value
+    path = tmp / "mutated.wav"
+    path.write_bytes(bytes(buf))
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # overflow in a channel mean
+            samples = read_wav(path)
+    except ValueError:
+        return
+    assert samples.ndim == 1 and samples.dtype == np.float64
+    assert np.isfinite(samples).all()

@@ -7,11 +7,16 @@ script uses, and checks outputs on disk plus the exit code contract:
 
 import csv
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import encore
 from encore.audio_io import write_wav
 from encore.cli import EXIT_CONFIG, EXIT_FAILURES, EXIT_OK, main
 from encore.metrics import EmbeddingSet, write_embeddings
@@ -509,6 +514,25 @@ class TestEvaluate:
         code = _run("evaluate", "--pairs", pairs, "--out", tmp_path / "r.csv")
         assert code == EXIT_CONFIG
 
+    def test_hostile_wav_header_is_item_failure(self, eval_dir, tmp_path, capsys):
+        zero = bytearray((eval_dir / "same.wav").read_bytes())
+        zero[22:24] = b"\x00\x00"  # fmt channels
+        (eval_dir / "zero.wav").write_bytes(bytes(zero))
+        with open(eval_dir / "pairs.csv", "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["pair_id", "output", "reference"])
+            w.writerow(["p1", "same.wav", "ref.wav"])
+            w.writerow(["p2", "zero.wav", "ref.wav"])
+            w.writerow(["p3", "ref.wav", "ref.wav"])
+        out = tmp_path / "results.csv"
+        argv = ["evaluate", "--pairs", eval_dir / "pairs.csv", "--out", out]
+        assert _run(*argv) == EXIT_OK
+        captured = capsys.readouterr()
+        assert "FAILED p2: " in captured.out and "zero channels" in captured.out
+        assert "Traceback" not in captured.err
+        assert {pair_id for pair_id, _ in _read_results(out)} == {"p1", "p3"}
+        assert _run(*argv, "--strict") == EXIT_FAILURES
+
 
 # ---------------------------------------------------------------------------
 # synth
@@ -558,6 +582,37 @@ def test_unworkable_option_is_config_error(midi_dir, tmp_path, capsys, argv):
     assert "Traceback" not in err
     assert sum(line.startswith("error:") for line in err.splitlines()) == 1
     # checked before any item runs or any output is written
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tokenize", "a.mid"],
+        ["augment", "a.mid", "--mode", "mistakes"],
+        ["prompt", "--stage", "1"],
+        ["manifest", "--registry", "registry.json", "--stage", "0"],
+        ["schedule-preview", "stage0.jsonl"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_negative_seed_is_config_error(midi_dir, tmp_path, capsys, argv, via):
+    out = tmp_path / "out"
+    argv = [midi_dir / a if a.endswith(".mid") else a for a in argv]
+    if via == "flag":
+        argv += ["--seed", "-1"]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": -1}))
+        argv += ["--config", cfg]
+    if argv[0] in ("tokenize", "augment", "manifest"):
+        argv += ["--out", out]
+    assert _run(*argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = captured.err.splitlines()
+    assert len(errors) == 1 and errors[0].startswith("error: ") and "--seed" in errors[0]
     assert not out.exists()
 
 
@@ -777,3 +832,47 @@ class TestConfigAndRecords:
     def test_version_flag(self, capsys):
         assert _run("--version") == EXIT_OK
         assert capsys.readouterr().out.strip()
+
+
+# ---------------------------------------------------------------------------
+# start-up imports: scipy.signal is loaded only to resample, scipy.io never
+
+_IMPORT_PROBE = """
+import json, sys
+if sys.argv[2] == "blocked":
+    sys.modules["scipy.signal"] = None  # any import of them now fails
+    sys.modules["scipy.io"] = None
+from encore.cli import main
+from pathlib import Path
+
+def heavy():
+    return sorted(m for m in ("scipy.signal", "scipy.io") if sys.modules.get(m))
+
+out = Path(sys.argv[1])
+seen = {"import": heavy()}
+codes = [main(["synth", "--clicks", "120", "--duration", "10", "--out", str(out)])]
+seen["synth"] = heavy()
+(out / "pairs.csv").write_text(
+    "pair_id,output,reference\\nc,clicks_120bpm.wav,clicks_120bpm.wav\\n")
+codes.append(main(["evaluate", "--pairs", str(out / "pairs.csv"), "--metrics",
+                   "chroma,tempo", "--strict", "--out", str(out / "results.csv")]))
+seen["evaluate"] = heavy()
+print(json.dumps({"codes": codes, "seen": seen}))
+"""
+
+
+@pytest.mark.parametrize("mode", ["watched", "blocked"])
+def test_commands_run_without_scipy_signal_or_io(tmp_path, mode):
+    src = str(Path(encore.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, str(tmp_path), mode],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout.splitlines()[-1])
+    assert report["codes"] == [EXIT_OK, EXIT_OK]
+    assert report["seen"] == {"import": [], "synth": [], "evaluate": []}
+    results = _read_results(tmp_path / "results.csv")
+    assert results[("c", "chroma")] == pytest.approx(1.0)
+    assert results[("c", "tempo")] == pytest.approx(0.0)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from encore import metrics
 from encore.augment import stretch
 from encore.metrics import (
     ChromaMatrix,
@@ -394,3 +395,11 @@ def test_embedding_file_errors(tmp_path):
     path.write_bytes(struct.pack("<4sII", b"ENEB", 4, 3) + b"\x00" * 10)
     with pytest.raises(ValueError, match="body bytes"):
         read_embeddings(path)
+
+
+@pytest.mark.parametrize("window", ["_CHROMA_HANN", "_TEMPO_HANN"])
+def test_hann_windows_match_scipy(window):
+    from scipy.signal.windows import hann
+
+    w = getattr(metrics, window)
+    assert np.array_equal(w, hann(len(w), sym=False))
