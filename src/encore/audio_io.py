@@ -11,7 +11,9 @@ RIFF files holding 16-, 24- or 32-bit integer PCM or 32- or 64-bit IEEE
 float, with any channel count, in a plain or WAVE_FORMAT_EXTENSIBLE fmt
 chunk.  Other chunks are skipped.  RIFX (big-endian), RF64, 8-bit and
 64-bit integer files, and rates above 384 kHz, are refused as
-unsupported.  A truncated data chunk yields the whole frames present.
+unsupported, as are rates below 8 kHz and rates whose reduced ratio to
+44.1 kHz has a term above 1280; every standard rate passes.  A truncated
+data chunk yields the whole frames present.
 Every file read is untrusted: a malformed header, a non-finite sample or
 more than notes.MAX_SECONDS of audio raises a ValueError naming the file.
 Buffers are sized from the bytes the file holds, never from a header's
@@ -31,6 +33,9 @@ from .notes import MAX_SECONDS
 ANALYSIS_RATE = 44100
 # Highest input rate read; the resampling filter grows with the rate.
 _MAX_RATE = 384_000
+# Resampling bounds: below 8 kHz a tiny file grows toward the 4 h limit, and
+# the filter has about 20 x max(up, down) taps (384 kHz is 147/1280).
+_MIN_RATE, _MAX_RATIO_TERM = 8_000, 1280
 
 _CHUNK = struct.Struct("<4sI")
 _FMT = struct.Struct("<HHIIHH")  # tag, channels, rate, byte rate, block align, bits
@@ -119,10 +124,13 @@ def read_wav(path: str | os.PathLike) -> np.ndarray:
     if channels > 1:
         samples = samples.reshape(-1, channels).mean(axis=1)
     if rate != ANALYSIS_RATE:
+        g = math.gcd(ANALYSIS_RATE, rate)
+        up, down = ANALYSIS_RATE // g, rate // g
+        if rate < _MIN_RATE or max(up, down) > _MAX_RATIO_TERM:
+            raise ValueError(f"{path}: unsupported sample rate {rate} Hz (ratio {up}/{down})")
         from scipy.signal import resample_poly
 
-        g = math.gcd(ANALYSIS_RATE, rate)
-        samples = resample_poly(samples, ANALYSIS_RATE // g, rate // g)
+        samples = resample_poly(samples, up, down)
     if not np.isfinite(samples).all():
         raise ValueError(f"{path}: non-finite samples")
     return samples

@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Every command takes one --seed; items derive their own streams from it
-plus their identity, so adding files to a run never changes what an
-existing file gets. Each run writes a run_record.json next to its
+Commands that draw random numbers take one --seed; items derive their
+own streams from it plus their identity, so adding files to a run never
+changes what an existing file gets. Inputs whose outputs would share a
+name are refused. Each run writes a run_record.json next to its
 outputs. Exit codes: 0 success, 1 any per-item failure under --strict,
 2 configuration error.
 """
@@ -43,7 +44,7 @@ from .metrics import (
     read_embeddings,
     tempo_estimate,
 )
-from .notes import check_window, segment
+from .notes import segment
 from .prompts import PromptSpec, render_prompt
 from .seeds import derive_seed
 from .smf import parse_midi, write_midi
@@ -142,7 +143,13 @@ def _run_batch(
 
 
 def _inputs(args) -> list[tuple[str, Path]]:
-    return [(str(path), path) for path in map(Path, args.inputs)]
+    """(name, path) per input; outputs are named by stem, so stems must differ."""
+    by_stem: dict[str, Path] = {}
+    for path in map(Path, args.inputs):
+        if by_stem.setdefault(path.stem, path) is not path:
+            raise ConfigError(f"inputs {by_stem[path.stem]} and {path} would write the"
+                              f" same outputs (stem {path.stem!r})")
+    return [(str(path), path) for path in by_stem.values()]
 
 
 def _out_dir(args) -> Path:
@@ -204,15 +211,12 @@ def _tokenize_line(row: dict) -> str:
 
 
 def cmd_tokenize(args) -> int:
-    try:
-        check_window(args.window, args.hop)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    items = _inputs(args)
     out = _out_dir(args)
 
     def work(path: Path) -> dict:
         seq = parse_midi(path.read_bytes(), source_id=path.name)
-        windows = segment(seq, args.window, args.hop)
+        windows = segment(seq)
         counts = []
         for k, window in enumerate(windows):
             stream = encode(window)
@@ -226,8 +230,7 @@ def cmd_tokenize(args) -> int:
         }
 
     return _run_batch(
-        args, _inputs(args), work, out / "index.json",
-        report=lambda rows: map(_tokenize_line, rows),
+        args, items, work, out / "index.json", report=lambda rows: map(_tokenize_line, rows)
     )
 
 
@@ -236,6 +239,7 @@ def cmd_tokenize(args) -> int:
 
 
 def cmd_augment(args) -> int:
+    items = _inputs(args)
     out = _out_dir(args)
 
     def work(path: Path) -> dict:
@@ -264,7 +268,7 @@ def cmd_augment(args) -> int:
         (out / f"{path.stem}_{args.mode}.mid").write_bytes(write_midi(augmented))
         return detail
 
-    return _run_batch(args, _inputs(args), work, out / "report.json")
+    return _run_batch(args, items, work, out / "report.json")
 
 
 # ---------------------------------------------------------------------------
@@ -427,6 +431,9 @@ def cmd_synth(args) -> int:
             buf = render_clicks(args.clicks, args.duration)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if args.clicks is None and not args.inputs:
+        raise ConfigError("need MIDI inputs or --clicks")
+    items = _inputs(args)
     out = _out_dir(args)
     if args.clicks is not None:
         path = out / f"clicks_{args.clicks:g}bpm.wav"
@@ -434,15 +441,13 @@ def cmd_synth(args) -> int:
         print(f"{path}: {len(buf)} samples")
         _write_run_record(out, args)
         return EXIT_OK
-    if not args.inputs:
-        raise ConfigError("need MIDI inputs or --clicks")
 
     def work(path: Path) -> dict:
         buf = render(parse_midi(path.read_bytes(), source_id=path.name), cfg)
         write_wav(out / f"{path.stem}.wav", buf)
         return {"samples": len(buf)}
 
-    return _run_batch(args, _inputs(args), work, out / "index.json")
+    return _run_batch(args, items, work, out / "index.json")
 
 
 # ---------------------------------------------------------------------------
@@ -470,11 +475,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("tokenize", help="segment and tokenize MIDI files")
+    p = subs.add_parser("tokenize", help="cut MIDI files into 10 s windows and tokenize them")
     p.add_argument("inputs", nargs="+")
-    p.add_argument("--window", type=float, default=10.0)
-    p.add_argument("--hop", type=float, default=None)
-    _add_common(p, cmd_tokenize, out="tokens", batch=True)
+    _add_common(p, cmd_tokenize, seed=False, out="tokens", batch=True)
 
     p = subs.add_parser("augment", help="speed or mistake augmentation")
     p.add_argument("inputs", nargs="+")

@@ -9,6 +9,8 @@ from dataclasses import dataclass, field
 # note billions of seconds out, and segment, corrupt and render cost time
 # and memory in proportion to length.
 MAX_SECONDS = 4 * 3600.0
+# Length of every window `segment` cuts, the span one token stream covers.
+WINDOW_SECONDS = 10.0
 
 
 class SequenceTooLongError(ValueError):
@@ -121,49 +123,34 @@ class Window:
                 raise ValueError(f"sustained note does not cross window start: {n}")
 
 
-def check_window(window_length: float, hop: float | None = None) -> float:
-    """The hop `segment` uses: `hop`, or the window length when it is None.
-
-    Raises ValueError unless both are finite and positive.
-    """
-    hop = window_length if hop is None else hop
-    for name, value in (("window_length", window_length), ("hop", hop)):
-        if not 0 < value < math.inf:
-            raise ValueError(f"{name} must be finite and positive, got {value}")
-    return hop
-
-
-def segment(seq: NoteSequence, window_length: float = 10.0, hop: float | None = None) -> list[Window]:
-    """Cut a sequence into windows covering [0, total_duration).
+def segment(seq: NoteSequence) -> list[Window]:
+    """Cut a sequence into WINDOW_SECONDS windows covering [0, total_duration).
 
     A note crossing a window's end boundary is truncated there and re-appears
     in the sustained list of every later window it still sounds through.
+    One pass over the sorted notes: k * WINDOW_SECONDS is exact for every
+    window index up to MAX_SECONDS, so each note's window is its start
+    floor-divided by the window length and the windows tile with no gaps.
     """
-    hop = check_window(window_length, hop)
     if seq.total_duration <= 0 and not seq.notes:
         return []
-
-    # a zero-duration sequence of zero-length notes still gets one window
-    count = max(1, math.ceil(seq.total_duration / hop))
-    # a zero-length note exactly at total_duration falls outside the half-open
-    # span when the duration tiles the hop; it gets the window starting there
-    last_start = seq.notes[-1].start if seq.notes else -1.0
-    if last_start >= (count - 1) * hop + window_length and last_start >= count * hop:
-        count += 1
-    windows = []
-    for k in range(count):
-        off = k * hop
-        end = off + window_length
-        inside = []
-        sustained = []
-        for note in seq.notes:
-            if note.start >= end:
-                break
-            if note.start >= off:
-                inside.append(_rebase(note, off, min(note.end - off, window_length)))
-            elif note.end > off:
-                sustained.append(_rebase(note, off, note.end - off))
-        windows.append(
-            Window(offset=off, length=window_length, notes=tuple(inside), sustained=tuple(sustained))
-        )
-    return windows
+    # a zero-duration sequence of zero-length notes still gets one window,
+    # and a zero-length note at a tiled total_duration gets the window there
+    last_start = seq.notes[-1].start if seq.notes else 0.0
+    count = max(1, math.ceil(seq.total_duration / WINDOW_SECONDS),
+                int(last_start // WINDOW_SECONDS) + 1)
+    inside: list[list[Note]] = [[] for _ in range(count)]
+    sustained: list[list[Note]] = [[] for _ in range(count)]
+    for note in seq.notes:
+        k = int(note.start // WINDOW_SECONDS)
+        off = k * WINDOW_SECONDS
+        inside[k].append(_rebase(note, off, min(note.end - off, WINDOW_SECONDS)))
+        k += 1
+        while k < count and note.end > k * WINDOW_SECONDS:
+            off = k * WINDOW_SECONDS
+            sustained[k].append(_rebase(note, off, note.end - off))
+            k += 1
+    return [
+        Window(k * WINDOW_SECONDS, WINDOW_SECONDS, tuple(inside[k]), tuple(sustained[k]))
+        for k in range(count)
+    ]

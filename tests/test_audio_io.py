@@ -250,6 +250,28 @@ def test_over_four_hours_refused_in_bounded_memory(tmp_path):
     assert "input limit" in done.stdout and str(path) in done.stdout
 
 
+@pytest.mark.parametrize("rate, frames", [(1, 14400), (383_993, 200)])
+def test_unbounded_resampling_refused(tmp_path, monkeypatch, rate, frames):
+    """Exactly 4 h at 1 Hz passes the input limit but would resample to
+    635M samples; 383993 Hz shares no factor with 44100, so its filter
+    would have about 10^7 taps.  Both are refused before scipy is reached."""
+    path = tmp_path / f"r{rate}.wav"
+    path.write_bytes(_riff(_fmt(3, 1, rate, 32), bytes(4 * frames)))
+    monkeypatch.setitem(sys.modules, "scipy.signal", None)  # importing it fails
+    with pytest.raises(ValueError, match="unsupported sample rate") as info:
+        read_wav(path)
+    assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "rate", [8000, 11025, 16000, 22050, 32000, 48000, 96000, 176400, 192000, 384000]
+)
+def test_standard_rates_resampled(tmp_path, rate):
+    path = tmp_path / "x.wav"
+    path.write_bytes(_riff(_fmt(3, 1, rate, 32), bytes(4 * rate // 100)))
+    assert abs(read_wav(path).shape[0] - 441) <= 1  # 10 ms at 44.1 kHz
+
+
 @pytest.fixture(scope="module")
 def seed_wavs(tmp_path_factory):
     """Two small WAVs whose 400 data bytes stay under about 200 s of audio

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import encore
-from encore.audio_io import write_wav
+from encore.audio_io import read_wav, write_wav
 from encore.cli import EXIT_CONFIG, EXIT_FAILURES, EXIT_OK, main
 from encore.metrics import EmbeddingSet, write_embeddings
 from encore.notes import Note, NoteSequence
@@ -94,14 +94,18 @@ class TestTokenize:
         _run("tokenize", midi_dir / "a.mid", "--out", out)
         assert not list(out.glob("*.tmp"))
 
-    def test_window_flag_changes_segmentation(self, midi_dir, tmp_path):
-        out10 = tmp_path / "w10"
-        out5 = tmp_path / "w5"
-        _run("tokenize", midi_dir / "a.mid", "--out", out10)
-        _run("tokenize", midi_dir / "a.mid", "--out", out5, "--window", "5")
-        n10 = json.loads((out10 / "index.json").read_text())[0]["windows"]
-        n5 = json.loads((out5 / "index.json").read_text())[0]["windows"]
-        assert n5 > n10
+    def test_fixed_ten_second_windows(self, midi_dir, tmp_path):
+        out = tmp_path / "tok"
+        assert _run("tokenize", midi_dir / "a.mid", "--out", out) == EXIT_OK
+        assert json.loads((out / "index.json").read_text())[0]["windows"] == 3  # 25 s
+        assert TokenStream.from_bytes((out / "a_w0002.tok").read_bytes()).window_length == 10.0
+
+    @pytest.mark.parametrize("option", ["--window", "--hop", "--seed"])
+    def test_removed_options_refused(self, midi_dir, tmp_path, capsys, option):
+        out = tmp_path / "tok"
+        assert _run("tokenize", midi_dir / "a.mid", option, "5", "--out", out) == EXIT_CONFIG
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -568,14 +572,14 @@ class TestSynth:
     "argv",
     [
         *(["prompt", "--stage", "2", "--dropout", v] for v in ("2", "nan", "-0.5")),
-        *(["tokenize", "--window", v] for v in ("inf", "nan", "-1")),
-        *(["tokenize", "--hop", v] for v in ("nan", "0", "inf")),
+        *(["synth", "--gain", v] for v in ("2", "nan", "-1")),
+        *(["synth", "--clicks", v] for v in ("500", "nan", "0")),
         *(["synth", "--clicks", "120", "--duration", v] for v in ("1e12", "inf", "nan")),
     ],
 )
 def test_unworkable_option_is_config_error(midi_dir, tmp_path, capsys, argv):
     out = tmp_path / "out"
-    inputs = [midi_dir / "a.mid"] if argv[0] == "tokenize" else []
+    inputs = [midi_dir / "a.mid"] if argv[0] == "synth" else []
     out_flag = [] if argv[0] == "prompt" else ["--out", out]
     assert _run(*argv, *inputs, *out_flag) == EXIT_CONFIG
     err = capsys.readouterr().err
@@ -585,11 +589,30 @@ def test_unworkable_option_is_config_error(midi_dir, tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv", [["tokenize"], ["augment", "--mode", "mistakes"], ["synth"]], ids=lambda a: a[0]
+)
+def test_same_stem_inputs_are_config_error(midi_dir, tmp_path, capsys, argv):
+    """Outputs are named by input stem, so x/a.mid and y/a.mid would
+    overwrite each other's files."""
+    other = tmp_path / "other"
+    other.mkdir()
+    shutil.copyfile(midi_dir / "b.mid", other / "a.mid")
+    out = tmp_path / "out"
+    code = _run(*argv, midi_dir / "a.mid", other / "a.mid", "--strict", "--out", out)
+    assert code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (error,) = captured.err.splitlines()
+    assert error.startswith("error: ")
+    assert str(midi_dir / "a.mid") in error and str(other / "a.mid") in error
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("via", ["flag", "config"])
 @pytest.mark.parametrize(
     "argv",
     [
-        ["tokenize", "a.mid"],
         ["augment", "a.mid", "--mode", "mistakes"],
         ["prompt", "--stage", "1"],
         ["manifest", "--registry", "registry.json", "--stage", "0"],
@@ -606,7 +629,7 @@ def test_negative_seed_is_config_error(midi_dir, tmp_path, capsys, argv, via):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"seed": -1}))
         argv += ["--config", cfg]
-    if argv[0] in ("tokenize", "augment", "manifest"):
+    if argv[0] in ("augment", "manifest"):
         argv += ["--out", out]
     assert _run(*argv) == EXIT_CONFIG
     captured = capsys.readouterr()
@@ -668,26 +691,23 @@ class TestOverlongInput:
 
 
 class TestConfigAndRecords:
-    def test_config_file_fills_unset(self, midi_dir, tmp_path):
+    def test_config_file_fills_unset(self, tmp_path):
         cfg = tmp_path / "cfg.json"
-        out = tmp_path / "tok"
-        cfg.write_text(json.dumps({"window": 5.0, "out": str(out)}))
-        code = _run("tokenize", midi_dir / "a.mid", "--config", cfg)
+        out = tmp_path / "audio"
+        cfg.write_text(json.dumps({"duration": 2.0, "out": str(out)}))
+        code = _run("synth", "--clicks", "120", "--config", cfg)
         assert code == EXIT_OK
-        index = json.loads((out / "index.json").read_text())
-        assert index[0]["windows"] == 5  # 25 s at window 5
+        assert read_wav(out / "clicks_120bpm.wav").shape == (2 * 44100,)
 
-    def test_flag_beats_config(self, midi_dir, tmp_path):
+    def test_flag_beats_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"window": 5.0}))
-        out = tmp_path / "tok"
+        cfg.write_text(json.dumps({"duration": 2.0}))
+        out = tmp_path / "audio"
         code = _run(
-            "tokenize", midi_dir / "a.mid", "--config", cfg,
-            "--window", "25", "--out", out,
+            "synth", "--clicks", "120", "--config", cfg, "--duration", "3", "--out", out,
         )
         assert code == EXIT_OK
-        index = json.loads((out / "index.json").read_text())
-        assert index[0]["windows"] == 1
+        assert read_wav(out / "clicks_120bpm.wav").shape == (3 * 44100,)
 
     def test_unknown_config_key(self, midi_dir, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -703,23 +723,21 @@ class TestConfigAndRecords:
                     "--out", tmp_path / "tok")
         assert code == EXIT_CONFIG
 
-    def test_wrong_typed_config_value(self, midi_dir, tmp_path, capsys):
+    def test_wrong_typed_config_value(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"window": "wide"}))
-        code = _run("tokenize", midi_dir / "a.mid", "--config", cfg,
-                    "--out", tmp_path / "tok")
+        cfg.write_text(json.dumps({"duration": "long"}))
+        code = _run("synth", "--clicks", "120", "--config", cfg, "--out", tmp_path / "audio")
         assert code == EXIT_CONFIG
         assert "expects float" in capsys.readouterr().err
 
-    def test_config_int_accepted_for_float(self, midi_dir, tmp_path):
-        # JSON has a single number type; 5 must work where 5.0 does
+    def test_config_int_accepted_for_float(self, tmp_path):
+        # JSON has a single number type; 2 must work where 2.0 does
         cfg = tmp_path / "cfg.json"
-        out = tmp_path / "tok"
-        cfg.write_text(json.dumps({"window": 5}))
-        code = _run("tokenize", midi_dir / "a.mid", "--config", cfg, "--out", out)
+        out = tmp_path / "audio"
+        cfg.write_text(json.dumps({"duration": 2}))
+        code = _run("synth", "--clicks", "120", "--config", cfg, "--out", out)
         assert code == EXIT_OK
-        index = json.loads((out / "index.json").read_text())
-        assert index[0]["windows"] == 5
+        assert read_wav(out / "clicks_120bpm.wav").shape == (2 * 44100,)
 
     def test_config_bool_rejects_int(self, midi_dir, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -733,7 +751,8 @@ class TestConfigAndRecords:
         _run("tokenize", midi_dir / "a.mid", "--out", out)
         record = json.loads((out / "run_record.json").read_text())
         assert record["command"] == "tokenize"
-        assert record["config"]["seed"] == 0
+        assert record["config"]["strict"] is False
+        assert "seed" not in record["config"]
         for key in ("encore", "numpy", "scipy", "python"):
             assert key in record["versions"]
 
@@ -769,7 +788,7 @@ class TestConfigAndRecords:
     @pytest.mark.parametrize(
         "command, config",
         [
-            ("tokenize", {"hop": "x"}),
+            ("tokenize", {"out": 3}),
             ("tokenize", {"workers": "2"}),
             ("synth", {"clicks": "x"}),
             ("augment", {"tier": "Ludicrous"}),

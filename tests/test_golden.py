@@ -34,7 +34,7 @@ def test_token_bytes():
         ],
         total_duration=30.0,
     )
-    window = segment(seq, 10.0)[1]
+    window = segment(seq)[1]
     assert len(window.sustained) == 2 and window.notes[0].end == 10.0
     assert encode(window).to_bytes().hex() == TOKENS_HEX
 

@@ -12,10 +12,12 @@ from hypothesis import given, strategies as st
 from encore.augment import stretch
 from encore.notes import (
     MAX_SECONDS,
+    WINDOW_SECONDS,
     Note,
     NoteSequence,
     SequenceTooLongError,
     Window,
+    _rebase,
     segment,
 )
 
@@ -144,7 +146,7 @@ def test_segment_boundary_note():
     seq = NoteSequence(
         [Note(start=9.5, pitch=60, end=10.5)], total_duration=10.5
     )
-    windows = segment(seq, window_length=10.0, hop=10.0)
+    windows = segment(seq)
     assert len(windows) == 2
     (first,) = windows[0].notes
     assert (first.start, first.end) == (9.5, 10.0)
@@ -156,31 +158,12 @@ def test_segment_boundary_note():
 
 def test_segment_count():
     seq = NoteSequence([Note(start=0.0, pitch=60, end=1.0)], total_duration=25.0)
-    windows = segment(seq, window_length=10.0, hop=10.0)
+    windows = segment(seq)
     assert [w.offset for w in windows] == [0.0, 10.0, 20.0]
 
 
 def test_segment_empty_sequence():
-    assert segment(NoteSequence(), window_length=10.0) == []
-
-
-def test_segment_validation():
-    seq = NoteSequence([Note(start=0.0, pitch=60, end=1.0)])
-    with pytest.raises(ValueError):
-        segment(seq, window_length=0.0)
-    with pytest.raises(ValueError):
-        segment(seq, window_length=10.0, hop=-1.0)
-    for window_length, hop in ((math.inf, None), (math.nan, None), (10.0, math.inf)):
-        with pytest.raises(ValueError, match="finite and positive"):
-            segment(seq, window_length=window_length, hop=hop)
-
-
-def test_segment_overlapping_hop():
-    seq = NoteSequence([Note(start=12.0, pitch=60, end=13.0)], total_duration=20.0)
-    windows = segment(seq, window_length=10.0, hop=5.0)
-    assert len(windows) == 4
-    hits = [w.offset for w in windows if w.notes]
-    assert hits == [5.0, 10.0]
+    assert segment(NoteSequence()) == []
 
 
 def _note_key(note):
@@ -188,7 +171,7 @@ def _note_key(note):
 
 
 def _reconstruct(windows):
-    """Invert segment() for hop == length using the sustained continuations.
+    """Invert segment() using the sustained continuations.
 
     Each continuation entry extends at most one truncated note, so two equal
     notes where only one crosses the boundary resolve correctly.
@@ -242,7 +225,7 @@ def _dyadic_fixture():
 
 def test_segment_reconstruction_fixture():
     seq = _dyadic_fixture()
-    windows = segment(seq, window_length=10.0, hop=10.0)
+    windows = segment(seq)
     rebuilt = _reconstruct(windows)
     assert Counter(map(_note_key, rebuilt)) == Counter(map(_note_key, seq.notes))
 
@@ -264,7 +247,7 @@ def test_segment_reconstruction_property(items):
         for s, d, p, v in items
     ]
     seq = NoteSequence(notes)
-    windows = segment(seq, window_length=10.0, hop=10.0)
+    windows = segment(seq)
     rebuilt = _reconstruct(windows)
     assert Counter(map(_note_key, rebuilt)) == Counter(map(_note_key, seq.notes))
     if seq.total_duration > 0:
@@ -277,9 +260,60 @@ def test_segment_reconstruction_property(items):
 def test_segment_keeps_zero_length_note_at_exact_end():
     # the shape a terminal note-on/note-off pair on the last tick produces
     seq = NoteSequence([Note(start=30.0, pitch=64, end=30.0)])
-    windows = segment(seq, window_length=10.0, hop=10.0)
+    windows = segment(seq)
     assert len(windows) == 4
     assert windows[-1].offset == 30.0
     assert windows[-1].notes == (Note(start=0.0, pitch=64, end=0.0),)
     rebuilt = _reconstruct(windows)
     assert Counter(map(_note_key, rebuilt)) == Counter(map(_note_key, seq.notes))
+
+
+def _segment_nested(seq):
+    """The nested loop segment() replaced, kept as its oracle: each window
+    rescans every earlier note."""
+    window_length = WINDOW_SECONDS
+    if seq.total_duration <= 0 and not seq.notes:
+        return []
+    count = max(1, math.ceil(seq.total_duration / window_length))
+    # a zero-length note exactly at a tiled total_duration gets one more window
+    last_start = seq.notes[-1].start if seq.notes else -1.0
+    if last_start >= count * window_length:
+        count += 1
+    windows = []
+    for k in range(count):
+        off = k * window_length
+        end = off + window_length
+        inside = []
+        sustained = []
+        for note in seq.notes:
+            if note.start >= end:
+                break
+            if note.start >= off:
+                inside.append(_rebase(note, off, min(note.end - off, window_length)))
+            elif note.end > off:
+                sustained.append(_rebase(note, off, note.end - off))
+        windows.append(Window(off, window_length, tuple(inside), tuple(sustained)))
+    return windows
+
+
+# times on, one ulp either side of, and between window boundaries
+_boundary_times = st.builds(
+    lambda k, step: max(0.0, math.nextafter(10.0 * k, step * math.inf) if step else 10.0 * k),
+    st.integers(0, 8),
+    st.sampled_from([-1, 0, 1]),
+)
+_times = _boundary_times | st.floats(0.0, 80.0)
+
+
+@given(
+    st.lists(
+        st.tuples(_times, _times | st.just(0.0), st.integers(0, 127)), max_size=30
+    ),
+    st.none() | st.floats(0.0, 20.0) | st.sampled_from([10.0, 20.0]),
+)
+def test_segment_matches_nested_loop(items, pad):
+    notes = [Note(start=s, pitch=p, end=s + d) for s, d, p in items]
+    seq = NoteSequence(notes)
+    if pad is not None:
+        seq = NoteSequence(notes, total_duration=seq.total_duration + pad)
+    assert segment(seq) == _segment_nested(seq)

@@ -5,9 +5,9 @@ writer under test, so parse expectations are hand-computed oracles.
 """
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from encore.notes import Note, NoteSequence
+from encore.notes import Note, NoteSequence, SequenceTooLongError
 from encore.smf import (
     MidiParseError,
     UnsupportedFormatError,
@@ -342,3 +342,52 @@ def grid_sequences(draw):
 @given(grid_sequences())
 def test_round_trip_property(seq):
     assert parse_midi(write_midi(seq)).notes == seq.notes
+
+
+# a writer output with tempo, program changes, a drum channel, chords and
+# overlapping notes: the bytes the mutations below start from
+_FUZZ_SEED = write_midi(
+    NoteSequence(
+        [
+            Note(
+                start=0.25 * k,
+                pitch=36 + (7 * k) % 60,
+                end=0.25 * k + 0.1 + 0.05 * (k % 7),
+                velocity=1 + (11 * k) % 127,
+                program=(0, 33, 0)[k % 3],
+                is_drum=k % 5 == 0,
+            )
+            for k in range(40)
+        ]
+    ),
+    tempo_us=400_000,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["set", "insert", "delete"]),
+            st.integers(0, len(_FUZZ_SEED)),
+            st.integers(0, 255),
+        ),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_mutated_bytes_parse_or_raise_typed_error(edits):
+    buf = bytearray(_FUZZ_SEED)
+    for kind, pos, value in edits:
+        if kind == "insert":
+            buf.insert(pos, value)
+        elif pos < len(buf):
+            if kind == "set":
+                buf[pos] = value
+            else:
+                del buf[pos]
+    try:
+        seq = parse_midi(bytes(buf), source_id="fuzz.mid")
+    except (MidiParseError, SequenceTooLongError):
+        return
+    assert isinstance(seq, NoteSequence)
