@@ -3,9 +3,11 @@
 Commands that draw random numbers take one --seed; items derive their
 own streams from it plus their identity, so adding files to a run never
 changes what an existing file gets. Inputs whose outputs would share a
-name are refused. Each run writes a run_record.json next to its
-outputs. Exit codes: 0 success, 1 any per-item failure under --strict,
-2 configuration error.
+name are refused. The batch commands (tokenize, augment, manifest,
+evaluate, synth) run on one runner: a bad item becomes a failed row, not
+an aborted run, and --workers never changes the outputs. Each run writes
+a run_record.json next to its outputs. Exit codes: 0 success, 1 any
+per-item failure under --strict, 2 configuration error.
 """
 
 from __future__ import annotations
@@ -29,11 +31,13 @@ from . import __version__
 from .audio_io import read_wav, write_wav
 from .augment import SPEED_TIERS, TIER_BY_NAME, MistakeConfig, corrupt, sample_speed_augmentation
 from .curriculum import (
+    atomic_write,
     build_manifest,
+    load_pairs,
     load_registry,
-    merge_manifests,
     read_manifest,
     schedule,
+    window_records,
     write_manifest,
 )
 from .metrics import (
@@ -84,12 +88,6 @@ def _map_items(fn, items, workers: int):
         return list(pool.map(fn, items))
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, newline="")
-    os.replace(tmp, path)
-
-
 def _json_text(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -107,22 +105,29 @@ def _write_run_record(out_dir: Path, args) -> None:
         },
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
-    _atomic_write(out_dir / "run_record.json", _json_text(record))
+    atomic_write(out_dir / "run_record.json", _json_text(record))
 
 
 def _json_lines(rows):
     return map(json.dumps, rows)
 
 
-def _run_batch(
-    args, items, work, index: Path, *, key="file", report=_json_lines, index_text=_json_text
-) -> int:
+def _failed_lines(rows, key="file") -> list[str]:
+    return [f"FAILED {row[key]}: {row['error']}" for row in rows if row["status"] != "ok"]
+
+
+def _index(path: Path, text=_json_text):
+    """The write hook of a batch command whose output is one index file."""
+    return lambda rows: atomic_write(path, text(rows))
+
+
+def _run_batch(args, items, work, out: Path, write, *, key="file", report=_json_lines) -> int:
     """Run work over (name, item) pairs, in input order, into one row each.
 
     A row is {key: name, "status": "ok", **work(item)}, or an error row if
     work raises OSError, ValueError or MetricError. Prints report(rows),
-    writes index_text(rows) atomically to index and the run record next to
-    it, and returns the --strict exit code.
+    passes the rows to write, which stores the command's outputs, writes
+    the run record into out, and returns the --strict exit code.
     """
 
     def one(named) -> dict:
@@ -136,8 +141,8 @@ def _run_batch(
     rows = _map_items(one, items, _workers(args))
     for line in report(rows):
         print(line)
-    _atomic_write(index, index_text(rows))
-    _write_run_record(index.parent, args)
+    write(rows)
+    _write_run_record(out, args)
     failed = any(row["status"] == "error" for row in rows)
     return EXIT_FAILURES if failed and args.strict else EXIT_OK
 
@@ -230,7 +235,8 @@ def cmd_tokenize(args) -> int:
         }
 
     return _run_batch(
-        args, items, work, out / "index.json", report=lambda rows: map(_tokenize_line, rows)
+        args, items, work, out, _index(out / "index.json"),
+        report=lambda rows: map(_tokenize_line, rows),
     )
 
 
@@ -268,7 +274,7 @@ def cmd_augment(args) -> int:
         (out / f"{path.stem}_{args.mode}.mid").write_bytes(write_midi(augmented))
         return detail
 
-    return _run_batch(args, items, work, out / "report.json")
+    return _run_batch(args, items, work, out, _index(out / "report.json"))
 
 
 # ---------------------------------------------------------------------------
@@ -300,26 +306,35 @@ def cmd_prompt(args) -> int:
 
 
 def cmd_manifest(args) -> int:
-    out = _out_dir(args)
+    stage = None if args.stage == "merged" else int(args.stage)
     try:
-        registry = load_registry(args.registry)
+        entries = [e for e in load_registry(args.registry) if stage in (None, e.stage)]
+        items = [(f"{e.name}/{p.midi}", (e, p)) for e in entries for p in load_pairs(e)]
     except (OSError, ValueError) as exc:
         raise ConfigError(f"registry: {exc}") from exc
-    merged = args.stage == "merged"
-    stages = sorted({e.stage for e in registry}) if merged else [int(args.stage)]
-    try:
-        manifests = [
-            build_manifest(registry, s, args.seed, out, dropout=args.dropout)
-            for s in stages
-        ]
-        manifest = merge_manifests(manifests) if merged else manifests[0]
-    except (OSError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
-    path = out / ("merged.jsonl" if merged else f"stage{args.stage}.jsonl")
-    write_manifest(manifest, path)
-    _write_run_record(out, args)
-    print(f"{path}: {len(manifest.records)} records, budget {manifest.step_budget}")
-    return EXIT_OK
+    if not entries:
+        raise ConfigError(f"registry has no datasets for stage {stage}")
+    if not 0.0 <= args.dropout <= 1.0:
+        raise ConfigError(f"dropout must be a probability, got {args.dropout}")
+    out = _out_dir(args)
+    path = out / ("merged.jsonl" if stage is None else f"stage{stage}.jsonl")
+
+    def work(item) -> dict:
+        return {"records": window_records(*item, args.seed, out, args.dropout)}
+
+    def write(rows: list[dict]) -> None:
+        pools = {entry: [] for entry in entries}
+        for (_, (entry, _)), row in zip(items, rows):
+            pools[entry] += row.get("records", ())
+        try:
+            manifest = build_manifest(stage, args.seed, pools)
+        except ValueError as exc:  # no usable windows
+            raise ConfigError(str(exc)) from exc
+        failed = {row["file"]: row["error"] for row in rows if row["status"] != "ok"}
+        write_manifest(manifest, path, failed)
+        print(f"{path}: {len(manifest.records)} records, budget {manifest.step_budget}")
+
+    return _run_batch(args, items, work, out, write, report=_failed_lines)
 
 
 def cmd_schedule_preview(args) -> int:
@@ -401,22 +416,25 @@ def cmd_evaluate(args) -> int:
         raise ConfigError(f"{pairs_path}: missing column {', '.join(missing)}")
     if not pair_rows:
         raise ConfigError(f"{pairs_path}: no pairs")
+    by_id: dict[str, dict] = {}
+    for row in pair_rows:  # results rows are told apart by pair_id alone
+        if by_id.setdefault(row["pair_id"], row) is not row:
+            raise ConfigError(f"{pairs_path}: pair_id {row['pair_id']!r} appears twice")
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
 
     def report(rows: list[dict]) -> list[str]:
-        failed = [f"FAILED {r['pair_id']}: {r['error']}" for r in rows if r["status"] != "ok"]
         written = sum(len(r.get("results", ())) for r in rows)
-        return [*failed, f"{out_path}: {written} rows"]
+        return [*_failed_lines(rows, "pair_id"), f"{out_path}: {written} rows"]
 
     return _run_batch(
         args,
-        [(row["pair_id"], row) for row in pair_rows],
+        list(by_id.items()),
         lambda row: {"results": _evaluate_pair(row, metrics, pairs_path.parent)},
-        out_path,
+        out_path.parent,
+        _index(out_path, _results_csv),
         key="pair_id",
         report=report,
-        index_text=_results_csv,
     )
 
 
@@ -447,7 +465,7 @@ def cmd_synth(args) -> int:
         write_wav(out / f"{path.stem}.wav", buf)
         return {"samples": len(buf)}
 
-    return _run_batch(args, items, work, out / "index.json")
+    return _run_batch(args, items, work, out, _index(out / "index.json"))
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stage", choices=["0", "1", "2", "3", "4", "merged"], required=True,
                    help="0..4 or 'merged'")
     p.add_argument("--dropout", type=float, default=0.5)
-    _add_common(p, cmd_manifest, out="manifest")
+    _add_common(p, cmd_manifest, out="manifest", batch=True)
 
     p = subs.add_parser("schedule-preview", help="show the first steps of a schedule")
     p.add_argument("manifests", nargs="+", help="manifest .jsonl files, stage order")

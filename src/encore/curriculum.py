@@ -1,10 +1,14 @@
 """Dataset registry, stage manifests, and the staged training schedule.
 
-A registry file lists datasets with their curriculum stage; building a
-stage manifest cuts each score into 10 s windows, tokenizes them, renders
-the stage's prompt per window, and pairs every record with its target
-audio interval. The schedule then walks manifests stage by stage, cycling
-within a stage (reshuffling every epoch) until its step budget runs out.
+A registry file lists datasets with their curriculum stage. For one pair,
+``window_records`` cuts the score into 10 s windows, writes each window's
+tokens to ``tokens/<dataset>/<midi path>_wNNNN.tok``, renders the stage's
+prompt per window, and pairs every record with its target audio interval.
+``build_manifest`` pools the datasets' records, scaled by weight, into a
+stage manifest or the merged no-curriculum pool, in canonical order:
+stage, dataset, MIDI path, window. The schedule then walks manifests stage
+by stage, cycling within a stage in a fresh seeded permutation every
+epoch, the first included, until its step budget runs out.
 """
 
 from __future__ import annotations
@@ -18,10 +22,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .notes import Window, segment
+from .notes import segment
 from .prompts import PromptSpec, ratio_to_keyword, render_prompt
 from .seeds import derive_seed
-from .smf import MidiParseError, parse_midi
+from .smf import parse_midi
 from .tokenizer import encode
 
 log = logging.getLogger(__name__)
@@ -66,6 +70,14 @@ def _object(value, where, required: dict, optional: dict) -> dict:
         elif not _is(value[key], want):
             raise ValueError(f"{where}: field {key!r} has the wrong type: {value[key]!r}")
     return value
+
+
+def atomic_write(path: Path, text: str) -> None:
+    """Write text through a temporary file and a rename, so a reader sees
+    the old file or the new one, never part of one."""
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text, newline="")
+    os.replace(tmp, path)
 
 
 def _read_json(path: Path):
@@ -151,6 +163,8 @@ def load_registry(path: str | os.PathLike) -> list[DatasetEntry]:
     """Read a registry JSON file and validate every pair index it names.
 
     Relative dataset paths resolve against the registry file's directory.
+    Dataset names become token directories, so each must be one plain path
+    component and name one dataset only.
     """
     path = Path(path)
     doc = _read_json(path)
@@ -161,8 +175,13 @@ def load_registry(path: str | os.PathLike) -> list[DatasetEntry]:
     entries = []
     for row in rows:
         _object(row, f"{path}: registry row", _ROW_REQUIRED, _ROW_OPTIONAL)
+        name = row["name"]
+        if name in ("", ".", "..") or "/" in name or "\\" in name:
+            raise ValueError(f"{path}: dataset name {name!r} is not one plain path component")
+        if any(e.name == name for e in entries):
+            raise ValueError(f"{path}: dataset name {name!r} appears twice")
         entry = DatasetEntry(
-            name=row["name"],
+            name=name,
             stage=row["stage"],
             input_kind=row["input_kind"],
             target_kind=row["target_kind"],
@@ -180,10 +199,22 @@ def load_registry(path: str | os.PathLike) -> list[DatasetEntry]:
 
 
 def load_pairs(entry: DatasetEntry) -> list[Pair]:
-    """Read an entry's pair index, canonically sorted by MIDI path."""
+    """Read an entry's pair index, canonically sorted by MIDI path.
+
+    MIDI paths name token files, so each must stay under the dataset root
+    (relative, no ``..``) and appear once.
+    """
     pairs = []
+    seen = set()
     for number, row in _json_lines(entry.pair_index):
-        _object(row, f"{entry.pair_index}:{number}", _PAIR_REQUIRED, {"metadata": _TEXT})
+        where = f"{entry.pair_index}:{number}"
+        _object(row, where, _PAIR_REQUIRED, {"metadata": _TEXT})
+        midi = Path(row["midi"])
+        if midi.is_absolute() or ".." in midi.parts:
+            raise ValueError(f"{where}: midi path {row['midi']!r} is absolute or has '..'")
+        if midi in seen:
+            raise ValueError(f"{where}: midi {row['midi']!r} is listed twice")
+        seen.add(midi)
         pairs.append(Pair(midi=row["midi"], audio=row["audio"], metadata=row.get("metadata")))
     # manifest content must not depend on listing order
     pairs.sort(key=lambda p: p.midi)
@@ -237,113 +268,85 @@ def _prompt_spec(
     )
 
 
-def _apply_weight(records: list, weight: float, rng) -> list:
+def _apply_weight(records: list, weight: float, seed: int) -> list:
+    """The max(1, round(weight * n)) records a dataset of n records gives,
+    in their order. With q, r = divmod(that, n), every record appears q
+    times, and the r records that rank first by a seed derived from their
+    window reference once more."""
     if weight == 1.0 or not records:
         return records
-    target = max(1, int(round(weight * len(records))))
-    if target <= len(records):
-        picked = rng.choice(len(records), size=target, replace=False)
-        return [records[i] for i in sorted(picked)]
-    whole, extra = divmod(target, len(records))
-    picked = rng.choice(len(records), size=extra, replace=False)
-    return records * whole + [records[i] for i in sorted(picked)]
+    whole, extra = divmod(max(1, round(weight * len(records))), len(records))
+    ranked = sorted(records, key=lambda r: derive_seed(seed, r.window_ref, "weight"))
+    picked = {r.window_ref for r in ranked[:extra]}
+    return [r for r in records for _ in range(whole + (r.window_ref in picked))]
+
+
+def window_records(
+    entry: DatasetEntry, pair: Pair, seed: int, out_dir: str | os.PathLike, dropout: float = 0.5
+) -> list[ManifestRecord]:
+    """Cut, tokenize, and prompt one pair into its records, in window order.
+
+    Each window's tokens are written to
+    ``out_dir/tokens/<dataset>/<midi path>_wNNNN.tok``. Performance-target
+    pairs need a sidecar alignment per window (score offset mapped to an
+    audio interval); windows without one are skipped with a warning. The
+    performance/score duration ratio picks the speed keyword.
+    """
+    stage = entry.stage
+    metadata = _load_metadata(entry, pair)
+    seq = parse_midi((entry.root_path / pair.midi).read_bytes(), source_id=pair.midi)
+    records = []
+    for k, window in enumerate(segment(seq)):
+        ref = f"{entry.name}/{pair.midi}#{k}"
+        if entry.needs_alignment:
+            interval = _alignment_for(metadata, window.offset)
+            if interval is None:
+                log.warning("%s: no alignment for window %d, skipped", ref, k)
+                continue
+            perf_start, perf_end = interval
+        else:
+            perf_start = window.offset
+            perf_end = window.offset + window.length
+        ratio = (perf_end - perf_start) / window.length
+        keyword = None
+        if stage >= 1:
+            keyword = ratio_to_keyword(ratio, derive_seed(seed, ref, "keyword"))
+        spec = _prompt_spec(entry, metadata, stage, keyword)
+        prompt = render_prompt(spec, dropout=dropout, rng_seed=derive_seed(seed, ref, "prompt"))
+        token_file = Path("tokens", entry.name, f"{pair.midi}_w{k:04d}.tok")
+        target = Path(out_dir) / token_file
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_bytes(encode(window).to_bytes())
+        records.append(ManifestRecord(
+            window_ref=ref, token_file=str(token_file), prompt=prompt,
+            target_audio_ref=f"{entry.name}/{pair.audio}",
+            perf_start=perf_start, perf_end=perf_end, stage=stage,
+        ))
+    return records
 
 
 def build_manifest(
-    registry: list[DatasetEntry],
-    stage: int,
-    seed: int,
-    out_dir: str | os.PathLike,
-    dropout: float = 0.5,
+    stage: int | None, seed: int, pools: dict[DatasetEntry, list[ManifestRecord]]
 ) -> StageManifest:
-    """Cut, tokenize, and prompt every pair of a stage into a manifest.
+    """Pool each dataset's records, scaled by its weight, into one manifest.
 
-    Token streams are written under ``out_dir``. Performance-target pairs
-    need a sidecar alignment per window (score offset mapped to an audio
-    interval); windows without one are skipped with a warning. The
-    performance/score duration ratio picks the speed keyword. Records are
-    shuffled by ``seed``.
+    ``pools`` maps a dataset to its records in MIDI path, then window
+    order, as ``window_records`` returns them pair by pair. Datasets are
+    taken by stage, then name. ``stage`` None builds the merged
+    no-curriculum pool.
     """
-    if stage not in STAGE_BUDGETS:
+    if stage is not None and stage not in STAGE_BUDGETS:
         raise ValueError(f"stage {stage} outside 0..4")
-    entries = [e for e in registry if e.stage == stage]
-    if not entries:
-        raise ValueError(f"registry has no datasets for stage {stage}")
-    out_dir = Path(out_dir)
-    records: list[ManifestRecord] = []
-    for entry in sorted(entries, key=lambda e: e.name):
-        entry_records = []
-        for pair in load_pairs(entry):
-            metadata = _load_metadata(entry, pair)
-            try:
-                seq = parse_midi(
-                    (entry.root_path / pair.midi).read_bytes(), source_id=pair.midi
-                )
-            except MidiParseError as exc:
-                raise MidiParseError(f"{entry.name}/{pair.midi}: {exc}") from exc
-            for k, window in enumerate(segment(seq)):
-                ref = f"{entry.name}/{pair.midi}#{k}"
-                if entry.needs_alignment:
-                    interval = _alignment_for(metadata, window.offset)
-                    if interval is None:
-                        log.warning("%s: no alignment for window %d, skipped", ref, k)
-                        continue
-                    perf_start, perf_end = interval
-                else:
-                    perf_start = window.offset
-                    perf_end = window.offset + window.length
-                ratio = (perf_end - perf_start) / window.length
-                keyword = (
-                    ratio_to_keyword(ratio, derive_seed(seed, ref, "keyword"))
-                    if stage >= 1
-                    else None
-                )
-                prompt = render_prompt(
-                    _prompt_spec(entry, metadata, stage, keyword),
-                    dropout=dropout,
-                    rng_seed=derive_seed(seed, ref, "prompt"),
-                )
-                token_file = _write_tokens(out_dir, entry, pair, k, window)
-                entry_records.append(
-                    ManifestRecord(
-                        window_ref=ref,
-                        token_file=token_file,
-                        prompt=prompt,
-                        target_audio_ref=f"{entry.name}/{pair.audio}",
-                        perf_start=perf_start,
-                        perf_end=perf_end,
-                        stage=stage,
-                    )
-                )
-        rng = np.random.default_rng(derive_seed(seed, entry.name, "weight"))
-        records.extend(_apply_weight(entry_records, entry.weight, rng))
+    records = [
+        record
+        for entry in sorted(pools, key=lambda e: (e.stage, e.name))
+        for record in _apply_weight(pools[entry], entry.weight, seed)
+    ]
     if not records:
-        raise ValueError(f"stage {stage}: no usable windows in any dataset")
-    order = np.random.default_rng(seed).permutation(len(records))
-    return StageManifest(
-        stage=stage,
-        step_budget=STAGE_BUDGETS[stage],
-        records=tuple(records[i] for i in order),
-    )
-
-
-def _write_tokens(
-    out_dir: Path, entry: DatasetEntry, pair: Pair, k: int, window: Window
-) -> str:
-    stem = Path(pair.midi).stem
-    rel = Path("tokens") / entry.name / f"{stem}_w{k:04d}.tok"
-    target = out_dir / rel
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_bytes(encode(window).to_bytes())
-    return str(rel)
-
-
-def merge_manifests(manifests: list[StageManifest]) -> StageManifest:
-    """Pool several manifests into one stageless manifest (no-curriculum)."""
-    if not manifests:
-        raise ValueError("nothing to merge")
-    records = tuple(r for m in manifests for r in m.records)
-    return StageManifest(stage=None, step_budget=MERGED_BUDGET, records=records)
+        where = "merged pool" if stage is None else f"stage {stage}"
+        raise ValueError(f"{where}: no usable windows in any dataset")
+    budget = MERGED_BUDGET if stage is None else STAGE_BUDGETS[stage]
+    return StageManifest(stage=stage, step_budget=budget, records=records)
 
 
 def schedule(manifests: list[StageManifest], seed: int = 0):
@@ -373,20 +376,21 @@ def schedule(manifests: list[StageManifest], seed: int = 0):
                 emitted += 1
 
 
-def write_manifest(manifest: StageManifest, path: str | os.PathLike) -> None:
-    """Write records as JSON lines plus a small .meta.json sidecar."""
+def write_manifest(
+    manifest: StageManifest, path: str | os.PathLike, failed: dict[str, str] | None = None
+) -> None:
+    """Write records as JSON lines plus a small .meta.json sidecar, each
+    atomically. The sidecar's ``failed`` maps each pair that gave no
+    records because of an error to that error."""
     path = Path(path)
-    with open(path, "w") as fh:
-        for record in manifest.records:
-            fh.write(json.dumps(asdict(record)) + "\n")
+    atomic_write(path, "".join(json.dumps(asdict(r)) + "\n" for r in manifest.records))
     meta = {
         "stage": manifest.stage,
         "step_budget": manifest.step_budget,
         "record_count": len(manifest.records),
+        "failed": failed or {},
     }
-    with open(path.with_suffix(".meta.json"), "w") as fh:
-        json.dump(meta, fh, indent=2)
-        fh.write("\n")
+    atomic_write(path.with_suffix(".meta.json"), json.dumps(meta, indent=2) + "\n")
 
 
 def read_manifest(path: str | os.PathLike) -> StageManifest:

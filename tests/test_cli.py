@@ -20,10 +20,10 @@ import encore
 from encore.audio_io import read_wav, write_wav
 from encore.cli import EXIT_CONFIG, EXIT_FAILURES, EXIT_OK, main
 from encore.metrics import EmbeddingSet, write_embeddings
-from encore.notes import Note, NoteSequence
+from encore.notes import Note, NoteSequence, segment
 from encore.smf import parse_midi, write_midi
 from encore.synth import render
-from encore.tokenizer import TokenStream
+from encore.tokenizer import TokenStream, encode
 
 
 def _sequence(n_notes=50, step=0.5, stretch=1.0):
@@ -203,14 +203,22 @@ class TestPrompt:
 # manifest / schedule-preview
 
 
-def _make_registry(tmp_path, n_pairs=2):
+def _make_registry(tmp_path, n_pairs=2, midis=None):
+    """A one-dataset stage-0 registry of 25 s scores; ``midis`` overrides
+    the MIDI paths p0.mid, p1.mid, ... Each score's lowest pitch comes from
+    its path, so pairs with different paths have different tokens."""
     root = tmp_path / "reg"
     ds = root / "synth-a"
     ds.mkdir(parents=True)
-    for k in range(n_pairs):
-        (ds / f"p{k}.mid").write_bytes(write_midi(_sequence()))
-        (ds / f"p{k}.wav").touch()
-    rows = [json.dumps({"midi": f"p{k}.mid", "audio": f"p{k}.wav"}) for k in range(n_pairs)]
+    rows = []
+    for midi in midis or [f"p{k}.mid" for k in range(n_pairs)]:
+        low = 60 + sum(map(ord, midi)) % 12
+        notes = [Note(0.5 * i, low + i % 12, 0.5 * i + 0.45, 90) for i in range(50)]
+        audio = str(Path(midi).with_suffix(".wav"))
+        (ds / midi).parent.mkdir(parents=True, exist_ok=True)
+        (ds / midi).write_bytes(write_midi(NoteSequence(notes, total_duration=25.0)))
+        (ds / audio).touch()
+        rows.append(json.dumps({"midi": midi, "audio": audio}))
     (ds / "pairs.jsonl").write_text("\n".join(rows) + "\n")
     registry = {
         "datasets": [
@@ -228,6 +236,10 @@ def _make_registry(tmp_path, n_pairs=2):
     path = root / "registry.json"
     path.write_text(json.dumps(registry))
     return path
+
+
+def _records(path):
+    return [json.loads(line) for line in path.read_text().splitlines()]
 
 
 class TestManifest:
@@ -269,10 +281,12 @@ class TestManifest:
         assert code == EXIT_CONFIG
 
     def test_bad_midi_named_in_error(self, tmp_path, capsys):
+        """A MIDI that cannot be read fails as an item: the other pairs
+        still make the manifest, and the sidecar names the failed pair."""
         # garbage bytes, and a directory where the MIDI file should be
         for case, message in [
-            ("garbage", "synth-a/p1.mid: missing MThd header (byte 0)"),
-            ("directory", "synth-a/p1.mid"),
+            ("garbage", "missing MThd header (byte 0)"),
+            ("directory", "p1.mid"),
         ]:
             registry = _make_registry(tmp_path / case)
             midi = registry.parent / "synth-a" / "p1.mid"
@@ -281,15 +295,72 @@ class TestManifest:
                 midi.mkdir()
             else:
                 midi.write_bytes(b"garbage")
-            code = _run(
-                "manifest", "--registry", registry, "--stage", "0",
-                "--out", tmp_path / case / "man",
-            )
-            assert code == EXIT_CONFIG
-            err = capsys.readouterr().err
-            errors = [line for line in err.splitlines() if line.startswith("error: ")]
-            assert len(errors) == 1 and message in errors[0]
-            assert "Traceback" not in err
+            out = tmp_path / case / "man"
+            argv = ["manifest", "--registry", registry, "--stage", "0", "--out", out]
+            assert _run(*argv) == EXIT_OK
+            captured = capsys.readouterr()
+            failed = [line for line in captured.out.splitlines() if line.startswith("FAILED")]
+            assert len(failed) == 1 and failed[0].startswith("FAILED synth-a/p1.mid: ")
+            assert message in failed[0]
+            assert "Traceback" not in captured.err
+            meta = json.loads((out / "stage0.meta.json").read_text())
+            assert list(meta["failed"]) == ["synth-a/p1.mid"]
+            assert message in meta["failed"]["synth-a/p1.mid"]
+            records = _records(out / "stage0.jsonl")
+            assert [r["window_ref"] for r in records] == [f"synth-a/p0.mid#{k}" for k in range(3)]
+            assert _run(*argv, "--strict") == EXIT_FAILURES
+            capsys.readouterr()
+
+    def test_no_usable_windows_is_config_error(self, tmp_path, capsys):
+        registry = _make_registry(tmp_path, n_pairs=1)
+        (registry.parent / "synth-a" / "p0.mid").write_bytes(b"garbage")
+        out = tmp_path / "man"
+        code = _run("manifest", "--registry", registry, "--stage", "0", "--out", out)
+        assert code == EXIT_CONFIG
+        assert "stage 0: no usable windows" in capsys.readouterr().err
+        assert not (out / "stage0.jsonl").exists()
+        code = _run("manifest", "--registry", registry, "--stage", "3", "--out", out)
+        assert code == EXIT_CONFIG
+        assert "no datasets for stage 3" in capsys.readouterr().err
+
+    def test_same_stem_midis_get_own_tokens(self, tmp_path):
+        """Token files are named by the whole MIDI path, so a/x.mid and
+        b/x.mid in one dataset keep their own windows."""
+        registry = _make_registry(tmp_path, midis=["a/x.mid", "b/x.mid"])
+        out = tmp_path / "man"
+        assert _run("manifest", "--registry", registry, "--stage", "0", "--out", out) == EXIT_OK
+        records = _records(out / "stage0.jsonl")
+        assert [r["token_file"] for r in records] == [
+            f"tokens/synth-a/{d}/x.mid_w{k:04d}.tok" for d in "ab" for k in range(3)
+        ]
+        for record in records:
+            midi, k = record["window_ref"].removeprefix("synth-a/").split("#")
+            seq = parse_midi((registry.parent / "synth-a" / midi).read_bytes())
+            want = encode(segment(seq)[int(k)]).to_bytes()
+            assert (out / record["token_file"]).read_bytes() == want
+
+    def test_failed_pair_leaves_other_records(self, tmp_path, capsys):
+        """A pair that fails changes nothing else: records, their order and
+        the weighted picks are those of a build without that pair."""
+        outs = {}
+        for case, midis in [
+            ("without", ["p0.mid", "p2.mid"]),
+            ("with", ["p0.mid", "p1.mid", "p2.mid"]),
+        ]:
+            registry = _make_registry(tmp_path / case, midis=midis)
+            doc = json.loads(registry.read_text())
+            doc["datasets"][0]["weight"] = 0.5
+            registry.write_text(json.dumps(doc))
+            if case == "with":
+                (registry.parent / "synth-a" / "p1.mid").write_bytes(b"garbage")
+            outs[case] = tmp_path / case / "man"
+            argv = ["manifest", "--registry", registry, "--stage", "0", "--seed", "5"]
+            assert _run(*argv, "--out", outs[case]) == EXIT_OK
+        without, with_bad = ((outs[c] / "stage0.jsonl").read_text() for c in ("without", "with"))
+        assert with_bad == without and len(without.splitlines()) == 3
+        meta = json.loads((outs["with"] / "stage0.meta.json").read_text())
+        assert list(meta["failed"]) == ["synth-a/p1.mid"]
+        assert json.loads((outs["without"] / "stage0.meta.json").read_text())["failed"] == {}
 
     def test_schedule_preview(self, tmp_path, capsys):
         registry = _make_registry(tmp_path)
@@ -305,6 +376,44 @@ class TestManifest:
 
     def test_schedule_preview_missing_file(self, tmp_path):
         assert _run("schedule-preview", tmp_path / "nope.jsonl") == EXIT_CONFIG
+
+
+def _add_dataset(registry, **fields):
+    """Append a copy of the first dataset's registry row, with fields changed."""
+    doc = json.loads(registry.read_text())
+    doc["datasets"].append({**doc["datasets"][0], **fields})
+    return _write(registry, json.dumps(doc))
+
+
+# each edit makes a registry whose token paths would leave --out or collide;
+# it returns the file the error must name
+UNSAFE = {
+    "name climbs out": lambda reg: _set_row(reg, name="../../escaped"),
+    "name has a separator": lambda reg: _set_row(reg, name="a/b"),
+    "name is dot": lambda reg: _set_row(reg, name="."),
+    "name repeated": lambda reg: _add_dataset(reg, stage=1),
+    "midi climbs out": lambda reg: _pairs(reg, '{"midi": "../synth-a/p0.mid", "audio": "p0.wav"}'),
+    "midi absolute": lambda reg: _pairs(
+        reg, json.dumps({"midi": str(reg.parent / "synth-a" / "p0.mid"), "audio": "p0.wav"})),
+    "midi listed twice": lambda reg: _pairs(
+        reg, '{"midi": "p0.mid", "audio": "p0.wav"}\n{"midi": "./p0.mid", "audio": "p1.wav"}'),
+}
+
+
+@pytest.mark.parametrize("case", UNSAFE)
+def test_unsafe_registry_is_config_error(tmp_path, capsys, case):
+    registry = _make_registry(tmp_path)
+    bad = UNSAFE[case](registry)
+    out = tmp_path / "out" / "man"
+    code = _run("manifest", "--registry", registry, "--stage", "merged", "--out", out)
+    assert code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (error,) = captured.err.splitlines()
+    assert error.startswith("error: ") and str(bad) in error
+    assert not (tmp_path / "out").exists()
+    if case == "name repeated":
+        assert "'synth-a'" in error
 
 
 def _write(path, text):
@@ -341,7 +450,6 @@ MALFORMED = {
     "name is a number": ("manifest", lambda reg: _set_row(reg, name=5)),
     "pair without midi": ("manifest", lambda reg: _pairs(reg, '{"audio": "p0.wav"}')),
     "pair line is a list": ("manifest", lambda reg: _pairs(reg, '["p0.mid", "p0.wav"]')),
-    "metadata is a list": ("manifest", _list_metadata),
     "record with extra key": ("schedule-preview", lambda out: _record_line(out, extra=1)),
     "record is a list": ("schedule-preview", lambda out: _write(out / "stage0.jsonl", "[1, 2]\n")),
     "meta without budget": (
@@ -371,6 +479,15 @@ def test_malformed_curriculum_json_is_config_error(tmp_path, capsys, case):
     assert len(errors) == 1 and str(bad) in errors[0]
 
 
+def test_malformed_metadata_is_item_failure(tmp_path, capsys):
+    registry = _make_registry(tmp_path, n_pairs=1)
+    bad = _list_metadata(registry)
+    out = tmp_path / "man"
+    argv = ["manifest", "--registry", registry, "--stage", "merged", "--out", out]
+    assert _run(*argv) == EXIT_CONFIG  # the only pair failed: no usable windows
+    captured = capsys.readouterr()
+    assert captured.out.startswith(f"FAILED synth-a/p0.mid: {bad}: ")
+    assert "Traceback" not in captured.err
 # ---------------------------------------------------------------------------
 # evaluate
 
@@ -512,6 +629,16 @@ class TestEvaluate:
         )
         assert code == EXIT_CONFIG
 
+    def test_repeated_pair_id(self, eval_dir, tmp_path, capsys):
+        pairs = eval_dir / "pairs.csv"
+        with open(pairs, "a", newline="") as fh:
+            fh.write("same,slow.wav,ref.wav,1.5\n")
+        out = tmp_path / "r.csv"
+        assert _run("evaluate", "--pairs", pairs, "--out", out) == EXIT_CONFIG
+        (error,) = capsys.readouterr().err.splitlines()
+        assert error == f"error: {pairs}: pair_id 'same' appears twice"
+        assert not out.exists()
+
     def test_empty_pairs(self, tmp_path):
         pairs = tmp_path / "pairs.csv"
         pairs.write_text("pair_id,output,reference\n")
@@ -575,11 +702,14 @@ class TestSynth:
         *(["synth", "--gain", v] for v in ("2", "nan", "-1")),
         *(["synth", "--clicks", v] for v in ("500", "nan", "0")),
         *(["synth", "--clicks", "120", "--duration", v] for v in ("1e12", "inf", "nan")),
+        *(["manifest", "--stage", "0", "--dropout", v] for v in ("2", "nan", "-0.5")),
     ],
 )
 def test_unworkable_option_is_config_error(midi_dir, tmp_path, capsys, argv):
     out = tmp_path / "out"
-    inputs = [midi_dir / "a.mid"] if argv[0] == "synth" else []
+    inputs = {
+        "synth": [midi_dir / "a.mid"], "manifest": ["--registry", _make_registry(tmp_path)]
+    }.get(argv[0], [])
     out_flag = [] if argv[0] == "prompt" else ["--out", out]
     assert _run(*argv, *inputs, *out_flag) == EXIT_CONFIG
     err = capsys.readouterr().err
@@ -675,15 +805,16 @@ class TestOverlongInput:
         assert "Traceback" not in capsys.readouterr().err
         assert _run(*argv, far, "--out", out, "--strict") == EXIT_FAILURES
 
-    def test_manifest_config_error(self, tmp_path, capsys):
-        registry = _make_registry(tmp_path, n_pairs=1)
+    def test_manifest_item_failure(self, tmp_path, capsys):
+        registry = _make_registry(tmp_path)
         _far_midi(registry.parent / "synth-a" / "p0.mid")
-        code = _run(
-            "manifest", "--registry", registry, "--stage", "0", "--out", tmp_path / "man"
-        )
-        assert code == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert "p0.mid" in err and "input limit" in err
+        out = tmp_path / "man"
+        argv = ["manifest", "--registry", registry, "--stage", "0", "--out", out]
+        assert _run(*argv) == EXIT_OK
+        error = json.loads((out / "stage0.meta.json").read_text())["failed"]["synth-a/p0.mid"]
+        assert "p0.mid" in error and "input limit" in error
+        assert "Traceback" not in capsys.readouterr().err
+        assert _run(*argv, "--strict") == EXIT_FAILURES
 
 
 # ---------------------------------------------------------------------------
@@ -821,7 +952,7 @@ class TestConfigAndRecords:
         assert code == EXIT_OK
         assert capsys.readouterr().out.strip() == "synthesis"
 
-    @pytest.mark.parametrize("command", ["tokenize", "synth", "evaluate"])
+    @pytest.mark.parametrize("command", ["tokenize", "synth", "evaluate", "manifest"])
     def test_outputs_independent_of_workers(
         self, midi_dir, eval_dir, tmp_path, capsys, command
     ):
@@ -830,6 +961,10 @@ class TestConfigAndRecords:
             with open(eval_dir / "pairs.csv", "a", newline="") as fh:
                 fh.write("ghost,missing.wav,ref.wav,\n")
             argv = ["evaluate", "--pairs", eval_dir / "pairs.csv", "--out", out / "r.csv"]
+        elif command == "manifest":
+            registry = _make_registry(tmp_path, n_pairs=3)
+            (registry.parent / "synth-a" / "p1.mid").write_bytes(b"MThd garbage")
+            argv = ["manifest", "--registry", registry, "--stage", "0", "--out", out]
         else:
             names = ("a.mid", "broken.mid", "b.mid")
             argv = [command, *(midi_dir / n for n in names), "--out", out]
@@ -837,7 +972,9 @@ class TestConfigAndRecords:
         for workers in ("1", "3"):
             assert _run(*argv, "--workers", workers) == EXIT_OK
             files = {
-                p.name: p.read_bytes() for p in out.iterdir() if p.name != "run_record.json"
+                str(p.relative_to(out)): p.read_bytes()
+                for p in sorted(out.rglob("*"))
+                if p.is_file() and p.name != "run_record.json"
             }
             seen.append((files, capsys.readouterr().out))
             shutil.rmtree(out)

@@ -12,10 +12,11 @@ from encore.curriculum import (
     ManifestRecord,
     StageManifest,
     build_manifest,
+    load_pairs,
     load_registry,
-    merge_manifests,
     read_manifest,
     schedule,
+    window_records,
     write_manifest,
 )
 from encore.notes import Note, NoteSequence
@@ -60,6 +61,21 @@ FULL_ALIGNMENT = {
     "title": "Etude Op.10 No.3",
     "composer": "Chopin",
 }
+
+
+def _build(registry, stage, seed, out_dir, dropout=0.5):
+    """What ``encore manifest`` builds when every pair succeeds: the records
+    of every pair of the stage's datasets (all datasets for stage None)."""
+    pools = {
+        entry: [
+            record
+            for pair in load_pairs(entry)
+            for record in window_records(entry, pair, seed, out_dir, dropout)
+        ]
+        for entry in registry
+        if stage in (None, entry.stage)
+    }
+    return build_manifest(stage, seed, pools)
 
 
 @pytest.fixture
@@ -143,7 +159,7 @@ def test_registry_validation_errors(tmp_path):
 
 def test_stage0_manifest_constant_prompt(corpus, tmp_path):
     out = tmp_path / "out"
-    manifest = build_manifest(load_registry(corpus), 0, seed=7, out_dir=out)
+    manifest = _build(load_registry(corpus), 0, seed=7, out_dir=out)
     assert manifest.step_budget == 20_000
     # two 25 s files cut into ceil(25/10) windows each
     assert len(manifest.records) == 6
@@ -157,7 +173,7 @@ def test_stage0_manifest_constant_prompt(corpus, tmp_path):
 
 
 def test_seventeen_second_window_prompts_slow(corpus, tmp_path):
-    manifest = build_manifest(load_registry(corpus), 1, seed=7, out_dir=tmp_path / "o")
+    manifest = _build(load_registry(corpus), 1, seed=7, out_dir=tmp_path / "o")
     first = next(r for r in manifest.records if r.window_ref.endswith("#0"))
     assert (first.perf_start, first.perf_end) == (0.0, 17.0)
     assert any(kw in first.prompt for kw in SLOW_KEYWORDS)
@@ -166,9 +182,7 @@ def test_seventeen_second_window_prompts_slow(corpus, tmp_path):
 
 def test_unaligned_windows_skipped_with_warning(corpus, tmp_path, caplog):
     with caplog.at_level(logging.WARNING, logger="encore.curriculum"):
-        manifest = build_manifest(
-            load_registry(corpus), 2, seed=7, out_dir=tmp_path / "o"
-        )
+        manifest = _build(load_registry(corpus), 2, seed=7, out_dir=tmp_path / "o")
     # delta contributes 3 aligned windows, epsilon only its first
     assert len(manifest.records) == 4
     skipped = [r for r in caplog.records if "no alignment" in r.message]
@@ -176,13 +190,13 @@ def test_unaligned_windows_skipped_with_warning(corpus, tmp_path, caplog):
 
 
 def test_mistake_stage_prompt(corpus, tmp_path):
-    manifest = build_manifest(load_registry(corpus), 3, seed=7, out_dir=tmp_path / "o")
+    manifest = _build(load_registry(corpus), 3, seed=7, out_dir=tmp_path / "o")
     for rec in manifest.records:
         assert "performance with mistakes" in rec.prompt
 
 
 def test_style_stage_prompt(corpus, tmp_path):
-    manifest = build_manifest(load_registry(corpus), 4, seed=7, out_dir=tmp_path / "o")
+    manifest = _build(load_registry(corpus), 4, seed=7, out_dir=tmp_path / "o")
     for rec in manifest.records:
         assert "style of Maria Stader" in rec.prompt
         assert "virtuosic" in rec.prompt
@@ -190,9 +204,9 @@ def test_style_stage_prompt(corpus, tmp_path):
 
 def test_manifest_deterministic_and_seed_sensitive(corpus, tmp_path):
     registry = load_registry(corpus)
-    a = build_manifest(registry, 0, seed=7, out_dir=tmp_path / "a")
-    b = build_manifest(registry, 0, seed=7, out_dir=tmp_path / "b")
-    c = build_manifest(registry, 0, seed=8, out_dir=tmp_path / "c")
+    a = _build(registry, 0, seed=7, out_dir=tmp_path / "a")
+    b = _build(registry, 0, seed=7, out_dir=tmp_path / "b")
+    c = _build(registry, 0, seed=8, out_dir=tmp_path / "c")
     assert a.records == b.records
     assert sorted(r.window_ref for r in a.records) == sorted(
         r.window_ref for r in c.records
@@ -201,20 +215,20 @@ def test_manifest_deterministic_and_seed_sensitive(corpus, tmp_path):
 
 def test_manifest_ignores_pair_listing_order(corpus, tmp_path):
     registry = load_registry(corpus)
-    a = build_manifest(registry, 0, seed=7, out_dir=tmp_path / "a")
+    a = _build(registry, 0, seed=7, out_dir=tmp_path / "a")
     index = corpus.parent / "synth-a" / "pairs.jsonl"
     rows = index.read_text().strip().splitlines()
     index.write_text("\n".join(reversed(rows)) + "\n")
-    b = build_manifest(load_registry(corpus), 0, seed=7, out_dir=tmp_path / "b")
+    b = _build(load_registry(corpus), 0, seed=7, out_dir=tmp_path / "b")
     assert a.records == b.records
 
 
 def test_manifest_without_datasets_rejected(corpus, tmp_path):
     registry = [e for e in load_registry(corpus) if e.stage == 0]
-    with pytest.raises(ValueError, match="no datasets"):
-        build_manifest(registry, 3, seed=7, out_dir=tmp_path / "o")
+    with pytest.raises(ValueError, match="stage 3: no usable windows"):
+        _build(registry, 3, seed=7, out_dir=tmp_path / "o")
     with pytest.raises(ValueError, match="stage 9"):
-        build_manifest(registry, 9, seed=7, out_dir=tmp_path / "o")
+        _build(registry, 9, seed=7, out_dir=tmp_path / "o")
 
 
 def test_all_windows_skipped_rejected(tmp_path):
@@ -227,7 +241,18 @@ def test_all_windows_skipped_rejected(tmp_path):
     (tmp_path / "registry.json").write_text(json.dumps({"datasets": [row]}))
     registry = load_registry(tmp_path / "registry.json")
     with pytest.raises(ValueError, match="no usable windows"):
-        build_manifest(registry, 2, seed=7, out_dir=tmp_path / "o")
+        _build(registry, 2, seed=7, out_dir=tmp_path / "o")
+
+
+def test_records_in_canonical_order(corpus, tmp_path):
+    doc = json.loads(corpus.read_text())
+    doc["datasets"].reverse()  # registry order does not matter either
+    corpus.write_text(json.dumps(doc))
+    manifest = _build(load_registry(corpus), 0, seed=7, out_dir=tmp_path / "o")
+    assert [r.window_ref for r in manifest.records] == [
+        f"synth-a/{stem}.mid#{k}" for stem in ("alpha", "beta") for k in range(3)
+    ]
+    assert manifest.records[3].token_file == "tokens/synth-a/beta.mid_w0000.tok"
 
 
 @pytest.mark.parametrize("weight,expected", [(0.5, 3), (2.0, 12)])
@@ -235,10 +260,13 @@ def test_dataset_weight_scales_contribution(corpus, tmp_path, weight, expected):
     doc = json.loads(corpus.read_text())
     doc["datasets"][0]["weight"] = weight
     corpus.write_text(json.dumps(doc))
-    manifest = build_manifest(
-        load_registry(corpus), 0, seed=7, out_dir=tmp_path / "o"
-    )
+    manifest = _build(load_registry(corpus), 0, seed=7, out_dir=tmp_path / "o")
     assert len(manifest.records) == expected
+    # picks keep canonical order and each window is used whole times over
+    refs = [r.window_ref for r in manifest.records]
+    assert refs == sorted(refs, key=lambda ref: (ref.split("#")[0], int(ref.split("#")[1])))
+    if weight == 2.0:
+        assert all(refs.count(ref) == 2 for ref in refs)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +305,7 @@ def test_paper_budgets_sum_and_order(corpus, tmp_path):
     assert STAGE_BUDGETS == {0: 20_000, 1: 10_000, 2: 15_000, 3: 4_000, 4: 10_000}
     registry = load_registry(corpus)
     manifests = [
-        build_manifest(registry, s, seed=7, out_dir=tmp_path / "o") for s in range(5)
+        _build(registry, s, seed=7, out_dir=tmp_path / "o") for s in range(5)
     ]
     boundaries = {}
     step = -1
@@ -305,27 +333,31 @@ def test_schedule_rejects_empty_manifest():
 def test_merged_pool_for_no_curriculum(corpus, tmp_path):
     registry = load_registry(corpus)
     manifests = [
-        build_manifest(registry, s, seed=7, out_dir=tmp_path / "o") for s in range(5)
+        _build(registry, s, seed=7, out_dir=tmp_path / "o") for s in range(5)
     ]
-    merged = merge_manifests(manifests)
+    merged = _build(registry, None, seed=7, out_dir=tmp_path / "o")
     assert merged.stage is None
     assert merged.step_budget == MERGED_BUDGET == 60_000
-    assert len(merged.records) == sum(len(m.records) for m in manifests)
+    # canonical order: stage, then dataset, MIDI path and window
+    assert merged.records == tuple(r for m in manifests for r in m.records)
     steps = list(schedule([merged]))
     assert len(steps) == 60_000
-    with pytest.raises(ValueError, match="merge"):
-        merge_manifests([])
+    with pytest.raises(ValueError, match="merged pool: no usable windows"):
+        build_manifest(None, 7, {})
 
 
 def test_manifest_file_round_trip(corpus, tmp_path):
-    manifest = build_manifest(
-        load_registry(corpus), 4, seed=7, out_dir=tmp_path / "o"
-    )
+    manifest = _build(load_registry(corpus), 4, seed=7, out_dir=tmp_path / "o")
     path = tmp_path / "stage4.jsonl"
     write_manifest(manifest, path)
     meta = json.loads((tmp_path / "stage4.meta.json").read_text())
-    assert meta == {"stage": 4, "step_budget": 10_000, "record_count": 3}
+    assert meta == {"stage": 4, "step_budget": 10_000, "record_count": 3, "failed": {}}
     assert read_manifest(path) == manifest
+    write_manifest(manifest, path, {"style-e/x.mid": "missing MThd header (byte 0)"})
+    meta = json.loads((tmp_path / "stage4.meta.json").read_text())
+    assert meta["failed"] == {"style-e/x.mid": "missing MThd header (byte 0)"}
+    assert read_manifest(path) == manifest
+    assert sorted(p.name for p in tmp_path.glob("stage4*")) == ["stage4.jsonl", "stage4.meta.json"]
 
 
 def test_derive_seed_stability():
