@@ -367,17 +367,18 @@ def _evaluate_pair(row: dict, metrics: list[str], base: Path) -> list[dict]:
     out_path = base / row["output"]
     ref_path = base / row["reference"]
     wav = functools.cache(read_wav)  # decode each WAV once, shared across metrics
+    tempo = functools.cache(lambda path: tempo_estimate(wav(path)))
     values = {}
     if "chroma" in metrics:
         values["chroma"] = chroma_similarity(wav(out_path), wav(ref_path)).score
     if "tempo" in metrics:
-        estimated = tempo_estimate(wav(out_path))
+        estimated = tempo(out_path)
         score_bpm = row.get("score_bpm")
         if score_bpm:  # externally supplied score tempo
             score_tempo = float(score_bpm)
         else:
             # the reference audio stands in for the score
-            score_tempo = tempo_estimate(wav(ref_path))
+            score_tempo = tempo(ref_path)
         values["tempo"] = deviation_from_expected(estimated, score_tempo, ratio)
     if "frechet" in metrics:
         values["frechet"] = frechet_distance(

@@ -180,20 +180,23 @@ def load_registry(path: str | os.PathLike) -> list[DatasetEntry]:
             raise ValueError(f"{path}: dataset name {name!r} is not one plain path component")
         if any(e.name == name for e in entries):
             raise ValueError(f"{path}: dataset name {name!r} appears twice")
-        entry = DatasetEntry(
-            name=name,
-            stage=row["stage"],
-            input_kind=row["input_kind"],
-            target_kind=row["target_kind"],
-            instrumentation=row.get("instrumentation", ""),
-            root_path=base / row["root"],
-            pair_index=base / row["pair_index"],
-            weight=row.get("weight", 1.0),
-        )
+        try:
+            entry = DatasetEntry(
+                name=name,
+                stage=row["stage"],
+                input_kind=row["input_kind"],
+                target_kind=row["target_kind"],
+                instrumentation=row.get("instrumentation", ""),
+                root_path=base / row["root"],
+                pair_index=base / row["pair_index"],
+                weight=row.get("weight", 1.0),
+            )
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         for pair in load_pairs(entry):
             for ref in (pair.midi, pair.audio, pair.metadata):
                 if ref is not None and not (entry.root_path / ref).exists():
-                    raise ValueError(f"{entry.name}: missing file {ref}")
+                    raise ValueError(f"{path}: {entry.name}: missing file {ref}")
         entries.append(entry)
     return entries
 
@@ -201,17 +204,19 @@ def load_registry(path: str | os.PathLike) -> list[DatasetEntry]:
 def load_pairs(entry: DatasetEntry) -> list[Pair]:
     """Read an entry's pair index, canonically sorted by MIDI path.
 
-    MIDI paths name token files, so each must stay under the dataset root
-    (relative, no ``..``) and appear once.
+    Every path must stay under the dataset root (relative, no ``..``).
+    MIDI paths name token files, so each must also appear once.
     """
     pairs = []
     seen = set()
     for number, row in _json_lines(entry.pair_index):
         where = f"{entry.pair_index}:{number}"
         _object(row, where, _PAIR_REQUIRED, {"metadata": _TEXT})
+        for key in ("midi", "audio", "metadata"):
+            ref = Path(row.get(key) or "")
+            if ref.is_absolute() or ".." in ref.parts:
+                raise ValueError(f"{where}: {key} path {row[key]!r} is absolute or has '..'")
         midi = Path(row["midi"])
-        if midi.is_absolute() or ".." in midi.parts:
-            raise ValueError(f"{where}: midi path {row['midi']!r} is absolute or has '..'")
         if midi in seen:
             raise ValueError(f"{where}: midi {row['midi']!r} is listed twice")
         seen.add(midi)

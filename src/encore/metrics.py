@@ -44,6 +44,10 @@ def _periodic_hann(n: int) -> np.ndarray:
 _CHROMA_HANN = _periodic_hann(CHROMA_WINDOW)
 _TEMPO_HANN = _periodic_hann(_TEMPO_WINDOW)
 
+# STFT frames per block: the spectrum held at once does not grow with the
+# input, and each row is summed in the same order as from one whole STFT
+_BLOCK = 256
+
 EMBEDDING_MAGIC = b"ENEB"
 _EMBEDDING_HEADER = struct.Struct("<4sII")  # magic, D, N
 
@@ -113,15 +117,21 @@ def chromagram(audio: np.ndarray) -> ChromaMatrix:
     if x.size == 0:
         raise ValueError("audio buffer is empty")
     frames = _frame_signal(x, CHROMA_WINDOW, CHROMA_HOP)
-    spec = np.abs(np.fft.rfft(frames * _CHROMA_HANN, axis=1)) ** 2
     freqs = np.fft.rfftfreq(CHROMA_WINDOW, 1.0 / ANALYSIS_RATE)
     keep = (freqs >= _FREQ_LOW) & (freqs <= _FREQ_HIGH)
     pitch = np.round(69.0 + 12.0 * np.log2(freqs[keep] / 440.0)).astype(np.int64)
     pitch_class = pitch % 12
-    spec = spec[:, keep]
-    chroma = np.zeros((spec.shape[0], 12), dtype=np.float64)
-    for klass in range(12):
-        chroma[:, klass] = spec[:, pitch_class == klass].sum(axis=1)
+    n_frames = frames.shape[0]
+    chroma = np.empty((n_frames, 12), dtype=np.float64)
+    for start in range(0, n_frames, _BLOCK):
+        # gathered bins are column-major, so numpy sums a row left to right
+        # in a block of two rows or more but pairwise in a lone row: the
+        # last block starts early enough to hold two
+        rows = slice(max(0, min(start, n_frames - 2)), start + _BLOCK)
+        spec = np.abs(np.fft.rfft(frames[rows] * _CHROMA_HANN, axis=1)) ** 2
+        spec = spec[:, keep]
+        for klass in range(12):
+            chroma[rows, klass] = spec[:, pitch_class == klass].sum(axis=1)
     norms = np.linalg.norm(chroma, axis=1)
     sounding = norms > 0.0
     chroma[sounding] /= norms[sounding, None]
@@ -219,8 +229,11 @@ def chroma_similarity(
 
 def _onset_envelope(x: np.ndarray) -> tuple[np.ndarray, float]:
     frames = _frame_signal(x, _TEMPO_WINDOW, _TEMPO_HOP)
-    spec = np.abs(np.fft.rfft(frames * _TEMPO_HANN, axis=1))
-    flux = np.maximum(spec[1:] - spec[:-1], 0.0).sum(axis=1)
+    flux = np.empty(frames.shape[0] - 1, dtype=np.float64)
+    for start in range(0, flux.shape[0], _BLOCK):
+        # one frame of overlap, so row i still differences frames i and i+1
+        spec = np.abs(np.fft.rfft(frames[start : start + _BLOCK + 1] * _TEMPO_HANN, axis=1))
+        flux[start : start + _BLOCK] = np.maximum(spec[1:] - spec[:-1], 0.0).sum(axis=1)
     return flux, ANALYSIS_RATE / _TEMPO_HOP
 
 

@@ -17,9 +17,10 @@ import numpy as np
 import pytest
 
 import encore
+from encore import cli
 from encore.audio_io import read_wav, write_wav
 from encore.cli import EXIT_CONFIG, EXIT_FAILURES, EXIT_OK, main
-from encore.metrics import EmbeddingSet, write_embeddings
+from encore.metrics import EmbeddingSet, tempo_estimate, write_embeddings
 from encore.notes import Note, NoteSequence, segment
 from encore.smf import parse_midi, write_midi
 from encore.synth import render
@@ -397,6 +398,12 @@ UNSAFE = {
         reg, json.dumps({"midi": str(reg.parent / "synth-a" / "p0.mid"), "audio": "p0.wav"})),
     "midi listed twice": lambda reg: _pairs(
         reg, '{"midi": "p0.mid", "audio": "p0.wav"}\n{"midi": "./p0.mid", "audio": "p1.wav"}'),
+    "audio and metadata climb out": lambda reg: _pairs(
+        reg, '{"midi": "x.mid", "audio": "../../f1/x.wav", "metadata": "../outside.json"}'),
+    "metadata climbs out": lambda reg: _pairs(
+        reg, '{"midi": "p0.mid", "audio": "p0.wav", "metadata": "../outside.json"}'),
+    "audio absolute": lambda reg: _pairs(
+        reg, json.dumps({"midi": "p0.mid", "audio": str(reg.parent / "synth-a" / "p0.wav")})),
 }
 
 
@@ -431,6 +438,11 @@ def _pairs(registry, line):
     return _write(registry.parent / "synth-a" / "pairs.jsonl", line + "\n")
 
 
+def _ghost_pair(registry):
+    _pairs(registry, '{"midi": "ghost.mid", "audio": "p0.wav"}')
+    return registry
+
+
 def _list_metadata(registry):
     _pairs(registry, '{"midi": "p0.mid", "audio": "p0.wav", "metadata": "m.json"}')
     return _write(registry.parent / "synth-a" / "m.json", "[]")
@@ -450,6 +462,8 @@ MALFORMED = {
     "name is a number": ("manifest", lambda reg: _set_row(reg, name=5)),
     "pair without midi": ("manifest", lambda reg: _pairs(reg, '{"audio": "p0.wav"}')),
     "pair line is a list": ("manifest", lambda reg: _pairs(reg, '["p0.mid", "p0.wav"]')),
+    "stage out of range": ("manifest", lambda reg: _set_row(reg, stage=7)),
+    "pair names a missing file": ("manifest", _ghost_pair),
     "record with extra key": ("schedule-preview", lambda out: _record_line(out, extra=1)),
     "record is a list": ("schedule-preview", lambda out: _write(out / "stage0.jsonl", "[1, 2]\n")),
     "meta without budget": (
@@ -528,6 +542,21 @@ class TestEvaluate:
         # a known stretch with its ratio declared should read as on-tempo
         assert values[("slow", "tempo")] <= 0.05
         assert values[("slow", "chroma")] >= 0.9
+
+    def test_tempo_estimated_once_per_file(self, eval_dir, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(audio):
+            calls.append(audio.shape)
+            return tempo_estimate(audio)
+
+        monkeypatch.setattr(cli, "tempo_estimate", counting)
+        pairs = _write(eval_dir / "self.csv", "pair_id,output,reference\nself,ref.wav,ref.wav\n")
+        out = tmp_path / "results.csv"
+        code = _run("evaluate", "--pairs", pairs, "--metrics", "tempo", "--out", out)
+        assert code == EXIT_OK
+        assert len(calls) == 1
+        assert _read_results(out) == {("self", "tempo"): 0.0}
 
     def test_frechet_on_embeddings(self, tmp_path):
         d = tmp_path / "emb"

@@ -157,6 +157,34 @@ def test_registry_validation_errors(tmp_path):
         load_registry(tmp_path / "registry.json")
 
 
+def test_registry_row_errors_name_the_registry(corpus, tmp_path):
+    doc = json.loads(corpus.read_text())
+    doc["datasets"][0]["stage"] = 7
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    name = doc["datasets"][0]["name"]
+    with pytest.raises(ValueError) as err:
+        load_registry(bad)
+    assert str(err.value) == f"{bad}: {name}: stage 7 outside 0..4"
+    index = tmp_path / doc["datasets"][0]["pair_index"]
+    index.write_text(json.dumps({"midi": "ghost.mid", "audio": "alpha.wav"}) + "\n")
+    with pytest.raises(ValueError) as err:
+        load_registry(corpus)
+    assert str(err.value) == f"{corpus}: {name}: missing file ghost.mid"
+
+
+@pytest.mark.parametrize("key", ["midi", "audio", "metadata"])
+@pytest.mark.parametrize("ref", ["../outside", "a/../../outside", "/abs/outside"])
+def test_pair_paths_stay_under_the_root(corpus, tmp_path, key, ref):
+    doc = json.loads(corpus.read_text())
+    index = tmp_path / doc["datasets"][0]["pair_index"]
+    pair = {"midi": "x.mid", "audio": "x.wav", "metadata": "x.json", key: ref}
+    index.write_text("\n" + json.dumps(pair) + "\n")
+    with pytest.raises(ValueError) as err:
+        load_registry(corpus)
+    assert str(err.value) == f"{index}:2: {key} path {ref!r} is absolute or has '..'"
+
+
 def test_stage0_manifest_constant_prompt(corpus, tmp_path):
     out = tmp_path / "out"
     manifest = _build(load_registry(corpus), 0, seed=7, out_dir=out)

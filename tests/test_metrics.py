@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from encore import metrics
 from encore.augment import stretch
@@ -88,6 +90,89 @@ def test_transposition_rotates_dominant_class():
         )
         dom = chromagram(render(moved)).frames.sum(axis=0).argmax()
         assert dom == (base + k) % 12
+
+
+# ---------------------------------------------------------------------------
+# STFT blocks against one-shot oracles
+
+_B = metrics._BLOCK
+
+
+def _chroma_oracle(x):
+    """chromagram's frames from one STFT of the whole buffer."""
+    frames = metrics._frame_signal(x, metrics.CHROMA_WINDOW, metrics.CHROMA_HOP)
+    spec = np.abs(np.fft.rfft(frames * metrics._CHROMA_HANN, axis=1)) ** 2
+    freqs = np.fft.rfftfreq(metrics.CHROMA_WINDOW, 1.0 / 44100)
+    keep = (freqs >= 27.5) & (freqs <= 8000.0)
+    pitch = np.round(69.0 + 12.0 * np.log2(freqs[keep] / 440.0)).astype(np.int64)
+    pitch_class = pitch % 12
+    spec = spec[:, keep]
+    chroma = np.zeros((spec.shape[0], 12), dtype=np.float64)
+    for klass in range(12):
+        chroma[:, klass] = spec[:, pitch_class == klass].sum(axis=1)
+    norms = np.linalg.norm(chroma, axis=1)
+    sounding = norms > 0.0
+    chroma[sounding] /= norms[sounding, None]
+    return chroma
+
+
+def _onset_oracle(x):
+    """The onset envelope from one STFT of the whole buffer."""
+    frames = metrics._frame_signal(x, metrics._TEMPO_WINDOW, metrics._TEMPO_HOP)
+    spec = np.abs(np.fft.rfft(frames * metrics._TEMPO_HANN, axis=1))
+    return np.maximum(spec[1:] - spec[:-1], 0.0).sum(axis=1)
+
+
+def _noise(n, seed):
+    """Amplitude-modulated noise with a silent stretch, so some frames
+    are zero and the rest vary in level."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n) * rng.random(n)
+    x[n // 3 : n // 3 + 9000] = 0.0
+    return x
+
+
+def _assert_blocks_match(x):
+    assert np.array_equal(chromagram(x).frames, _chroma_oracle(x))
+    assert np.array_equal(metrics._onset_envelope(x)[0], _onset_oracle(x))
+
+
+@pytest.mark.parametrize("hop, window", [
+    (metrics.CHROMA_HOP, metrics.CHROMA_WINDOW),
+    (metrics._TEMPO_HOP, metrics._TEMPO_WINDOW),
+])
+@pytest.mark.parametrize("n_frames", [_B - 1, _B, _B + 1, _B + 2, 2 * _B, 2 * _B + 1, 2 * _B + 2])
+def test_blocks_match_one_shot_stft(hop, window, n_frames):
+    # the envelope has one row fewer than the STFT, so B + 2 and 2B + 2
+    # frames put a lone row in its last block
+    for extra in (0, hop - 1):
+        _assert_blocks_match(_noise(window + (n_frames - 1) * hop + extra, n_frames))
+
+
+@pytest.mark.parametrize("n", [1, 100, metrics._TEMPO_WINDOW - 1, metrics.CHROMA_WINDOW - 1])
+def test_blocks_match_one_shot_stft_on_padded_buffer(n):
+    _assert_blocks_match(_noise(n, n))
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 3 * _B * metrics.CHROMA_HOP), seed=st.integers(0, 2**32 - 1))
+def test_blocks_match_one_shot_stft_at_any_length(n, seed):
+    _assert_blocks_match(_noise(n, seed))
+
+
+@pytest.mark.parametrize("kernel", [chromagram, tempo_estimate])
+def test_stft_working_memory_is_flat_in_length(kernel):
+    peaks = []
+    for minutes in (1, 3):
+        x = _noise(minutes * 60 * 44100, minutes)
+        tracemalloc.start()
+        try:
+            kernel(x)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 32e6
+    assert abs(peaks[1] - peaks[0]) < 4e6
 
 
 # ---------------------------------------------------------------------------
