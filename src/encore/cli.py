@@ -1,13 +1,16 @@
 """Command-line front end.
 
+Each option is set one way, by its flag; its default is declared with it.
 Commands that draw random numbers take one --seed; items derive their
 own streams from it plus their identity, so adding files to a run never
 changes what an existing file gets. Inputs whose outputs would share a
 name are refused. The batch commands (tokenize, augment, manifest,
 evaluate, synth) run on one runner: a bad item becomes a failed row, not
-an aborted run, and --workers never changes the outputs. Each run writes
-a run_record.json next to its outputs. Exit codes: 0 success, 1 any
-per-item failure under --strict, 2 configuration error.
+an aborted run, and --workers N (default 1) never changes the outputs.
+manifest renders prompts with a fixed 50% field dropout and synth renders
+at gain 0.5. Each run writes a run_record.json next to its outputs. Exit
+codes: 0 success, 1 any per-item failure under --strict, 2 configuration
+error.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ import functools
 import io
 import json
 import logging
-import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -52,12 +54,10 @@ from .notes import segment
 from .prompts import PromptSpec, render_prompt
 from .seeds import derive_seed
 from .smf import parse_midi, write_midi
-from .synth import SynthConfig, render, render_clicks
+from .synth import render, render_clicks
 from .tokenizer import encode
 
 log = logging.getLogger(__name__)
-
-WORKERS_ENV = "ENCORE_WORKERS"
 
 EXIT_OK = 0
 EXIT_FAILURES = 1
@@ -65,19 +65,6 @@ EXIT_CONFIG = 2
 
 class ConfigError(Exception):
     pass
-
-
-def _workers(args) -> int:
-    value = args.workers
-    if value is None:
-        raw = os.environ.get(WORKERS_ENV, "1")
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ConfigError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise ConfigError(f"workers must be >= 1, got {value}")
-    return value
 
 
 def _map_items(fn, items, workers: int):
@@ -93,10 +80,9 @@ def _json_text(payload) -> str:
 
 
 def _write_run_record(out_dir: Path, args) -> None:
-    skip = {"func", "parser", "config"}
     record = {
         "command": args.command,
-        "config": {k: v for k, v in vars(args).items() if k not in skip},
+        "config": {k: v for k, v in vars(args).items() if k != "func"},
         "versions": {
             "encore": __version__,
             "numpy": np.__version__,
@@ -138,7 +124,9 @@ def _run_batch(args, items, work, out: Path, write, *, key="file", report=_json_
             log.error("%s: %s", name, exc)
             return {key: name, "status": "error", "error": str(exc)}
 
-    rows = _map_items(one, items, _workers(args))
+    if args.workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {args.workers}")
+    rows = _map_items(one, items, args.workers)
     for line in report(rows):
         print(line)
     write(rows)
@@ -161,45 +149,6 @@ def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _config_fits(value, want: type, action: argparse.Action) -> bool:
-    """True when a JSON config value can stand in for the option's default."""
-    if value is None:
-        return action.default is None
-    if action.choices is not None:
-        return value in action.choices
-    if isinstance(value, bool):
-        return want is bool
-    return isinstance(value, (int, float) if want is float else want)
-
-
-def _read_config(path: str, parser: argparse.ArgumentParser) -> dict:
-    """Option defaults from a JSON config file, each value checked against
-    the type and choices its option declares."""
-    try:
-        with open(path) as fh:
-            values = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(values, dict):
-        raise ConfigError(f"config {path} must hold a JSON object")
-    actions = {
-        action.dest: action
-        for action in parser._actions
-        if action.option_strings and action.dest not in ("help", "config")
-    }
-    defaults = {}
-    for key, value in values.items():
-        action = actions.get(key.replace("-", "_"))
-        if action is None:
-            raise ConfigError(f"config {path}: unknown option {key!r}")
-        want = bool if isinstance(action.default, bool) else action.type or str
-        if not _config_fits(value, want, action):
-            expected = list(action.choices) if action.choices else want.__name__
-            raise ConfigError(f"config {path}: {key!r} expects {expected}, got {value!r}")
-        defaults[action.dest] = value
-    return defaults
 
 
 # ---------------------------------------------------------------------------
@@ -314,13 +263,11 @@ def cmd_manifest(args) -> int:
         raise ConfigError(f"registry: {exc}") from exc
     if not entries:
         raise ConfigError(f"registry has no datasets for stage {stage}")
-    if not 0.0 <= args.dropout <= 1.0:
-        raise ConfigError(f"dropout must be a probability, got {args.dropout}")
     out = _out_dir(args)
     path = out / ("merged.jsonl" if stage is None else f"stage{stage}.jsonl")
 
     def work(item) -> dict:
-        return {"records": window_records(*item, args.seed, out, args.dropout)}
+        return {"records": window_records(*item, args.seed, out)}
 
     def write(rows: list[dict]) -> None:
         pools = {entry: [] for entry in entries}
@@ -444,12 +391,11 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    try:
-        cfg = SynthConfig(gain=args.gain)
-        if args.clicks is not None:
+    if args.clicks is not None:
+        try:
             buf = render_clicks(args.clicks, args.duration)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     if args.clicks is None and not args.inputs:
         raise ConfigError("need MIDI inputs or --clicks")
     items = _inputs(args)
@@ -462,7 +408,7 @@ def cmd_synth(args) -> int:
         return EXIT_OK
 
     def work(path: Path) -> dict:
-        buf = render(parse_midi(path.read_bytes(), source_id=path.name), cfg)
+        buf = render(parse_midi(path.read_bytes(), source_id=path.name))
         write_wav(out / f"{path.stem}.wav", buf)
         return {"samples": len(buf)}
 
@@ -475,18 +421,14 @@ def cmd_synth(args) -> int:
 
 def _add_common(sub, func, *, seed=True, out=None, batch=False):
     """The command's handler and shared options; out is the default output path."""
-    sub.set_defaults(func=func, parser=sub)
-    sub.add_argument("--config", help="JSON file with option defaults")
+    sub.set_defaults(func=func)
     if seed:
         sub.add_argument("--seed", type=int, default=0)
     if out:
         sub.add_argument("--out", default=out, help="output directory")
     if batch:
         sub.add_argument("--strict", action="store_true")
-        sub.add_argument(
-            "--workers", type=int, default=None,
-            help=f"parallel workers (default ${WORKERS_ENV} or 1)",
-        )
+        sub.add_argument("--workers", type=int, default=1, help="parallel workers")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -519,7 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--registry", required=True)
     p.add_argument("--stage", choices=["0", "1", "2", "3", "4", "merged"], required=True,
                    help="0..4 or 'merged'")
-    p.add_argument("--dropout", type=float, default=0.5)
     _add_common(p, cmd_manifest, out="manifest", batch=True)
 
     p = subs.add_parser("schedule-preview", help="show the first steps of a schedule")
@@ -537,7 +478,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("inputs", nargs="*")
     p.add_argument("--clicks", type=float, default=None, help="render a click track at BPM")
     p.add_argument("--duration", type=float, default=10.0)
-    p.add_argument("--gain", type=float, default=0.5)
     _add_common(p, cmd_synth, seed=False, out="audio", batch=True)
 
     return parser
@@ -551,10 +491,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse already printed the message
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
-        if args.config is not None:
-            # config values become the subcommand's defaults, so flags still win
-            args.parser.set_defaults(**_read_config(args.config, args.parser))
-            args = parser.parse_args(argv)
         if getattr(args, "seed", 0) < 0:
             raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.func(args)

@@ -287,7 +287,7 @@ def _apply_weight(records: list, weight: float, seed: int) -> list:
 
 
 def window_records(
-    entry: DatasetEntry, pair: Pair, seed: int, out_dir: str | os.PathLike, dropout: float = 0.5
+    entry: DatasetEntry, pair: Pair, seed: int, out_dir: str | os.PathLike
 ) -> list[ManifestRecord]:
     """Cut, tokenize, and prompt one pair into its records, in window order.
 
@@ -295,7 +295,8 @@ def window_records(
     ``out_dir/tokens/<dataset>/<midi path>_wNNNN.tok``. Performance-target
     pairs need a sidecar alignment per window (score offset mapped to an
     audio interval); windows without one are skipped with a warning. The
-    performance/score duration ratio picks the speed keyword.
+    performance/score duration ratio picks the speed keyword. Prompts keep
+    each optional field with probability 0.5, ``render_prompt``'s default.
     """
     stage = entry.stage
     metadata = _load_metadata(entry, pair)
@@ -317,7 +318,7 @@ def window_records(
         if stage >= 1:
             keyword = ratio_to_keyword(ratio, derive_seed(seed, ref, "keyword"))
         spec = _prompt_spec(entry, metadata, stage, keyword)
-        prompt = render_prompt(spec, dropout=dropout, rng_seed=derive_seed(seed, ref, "prompt"))
+        prompt = render_prompt(spec, rng_seed=derive_seed(seed, ref, "prompt"))
         token_file = Path("tokens", entry.name, f"{pair.midi}_w{k:04d}.tok")
         target = Path(out_dir) / token_file
         target.parent.mkdir(parents=True, exist_ok=True)

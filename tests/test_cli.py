@@ -18,7 +18,7 @@ import pytest
 
 import encore
 from encore import cli
-from encore.audio_io import read_wav, write_wav
+from encore.audio_io import write_wav
 from encore.cli import EXIT_CONFIG, EXIT_FAILURES, EXIT_OK, main
 from encore.metrics import EmbeddingSet, tempo_estimate, write_embeddings
 from encore.notes import Note, NoteSequence, segment
@@ -576,6 +576,27 @@ class TestEvaluate:
         assert code == EXIT_OK
         assert _read_results(out)[("emb", "frechet")] <= 1e-6
 
+    @pytest.mark.parametrize("dim", [2049, 1_000_000])
+    def test_oversized_embedding_is_item_failure(self, tmp_path, capsys, dim):
+        """D x D covariances of a header's D would abort the run: D = 10**6
+        asks for 7 TiB. A D above MAX_EMBEDDING_DIM fails its pair alone."""
+        d = tmp_path / "emb"
+        d.mkdir()
+        vectors = np.random.default_rng(3).normal(size=(400, 6))
+        write_embeddings(d / "a.bin", EmbeddingSet(vectors))
+        write_embeddings(d / "wide.bin", EmbeddingSet(np.ones((2, dim))))
+        pairs = _write(d / "pairs.csv", "pair_id,output,reference\nwide,wide.bin,wide.bin\n"
+                       "good,a.bin,a.bin\n")
+        out = tmp_path / "results.csv"
+        argv = ["evaluate", "--pairs", pairs, "--metrics", "frechet", "--out", out]
+        assert _run(*argv) == EXIT_OK
+        captured = capsys.readouterr()
+        assert f"FAILED wide: {d / 'wide.bin'}: dimension {dim} exceeds 2048" in captured.out
+        assert "Traceback" not in captured.err
+        assert _read_results(out) == {("good", "frechet"): 0.0}
+        assert _run(*argv, "--strict") == EXIT_FAILURES
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_score_bpm_column_wins(self, eval_dir, tmp_path):
         with open(eval_dir / "pairs.csv", "w", newline="") as fh:
             w = csv.writer(fh)
@@ -728,17 +749,14 @@ class TestSynth:
     "argv",
     [
         *(["prompt", "--stage", "2", "--dropout", v] for v in ("2", "nan", "-0.5")),
-        *(["synth", "--gain", v] for v in ("2", "nan", "-1")),
+        *(["prompt", "--stage", v] for v in ("5", "-1", "9")),
         *(["synth", "--clicks", v] for v in ("500", "nan", "0")),
         *(["synth", "--clicks", "120", "--duration", v] for v in ("1e12", "inf", "nan")),
-        *(["manifest", "--stage", "0", "--dropout", v] for v in ("2", "nan", "-0.5")),
     ],
 )
 def test_unworkable_option_is_config_error(midi_dir, tmp_path, capsys, argv):
     out = tmp_path / "out"
-    inputs = {
-        "synth": [midi_dir / "a.mid"], "manifest": ["--registry", _make_registry(tmp_path)]
-    }.get(argv[0], [])
+    inputs = [midi_dir / "a.mid"] if argv[0] == "synth" else []
     out_flag = [] if argv[0] == "prompt" else ["--out", out]
     assert _run(*argv, *inputs, *out_flag) == EXIT_CONFIG
     err = capsys.readouterr().err
@@ -768,7 +786,6 @@ def test_same_stem_inputs_are_config_error(midi_dir, tmp_path, capsys, argv):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("via", ["flag", "config"])
 @pytest.mark.parametrize(
     "argv",
     [
@@ -779,15 +796,10 @@ def test_same_stem_inputs_are_config_error(midi_dir, tmp_path, capsys, argv):
     ],
     ids=lambda argv: argv[0],
 )
-def test_negative_seed_is_config_error(midi_dir, tmp_path, capsys, argv, via):
+def test_negative_seed_is_config_error(midi_dir, tmp_path, capsys, argv):
     out = tmp_path / "out"
     argv = [midi_dir / a if a.endswith(".mid") else a for a in argv]
-    if via == "flag":
-        argv += ["--seed", "-1"]
-    else:
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"seed": -1}))
-        argv += ["--config", cfg]
+    argv += ["--seed", "-1"]
     if argv[0] in ("augment", "manifest"):
         argv += ["--out", out]
     assert _run(*argv) == EXIT_CONFIG
@@ -795,6 +807,50 @@ def test_negative_seed_is_config_error(midi_dir, tmp_path, capsys, argv, via):
     assert captured.out == ""
     errors = captured.err.splitlines()
     assert len(errors) == 1 and errors[0].startswith("error: ") and "--seed" in errors[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *([*argv, "--config", "cfg.json"] for argv in (
+            ["tokenize", "a.mid"],
+            ["augment", "a.mid", "--mode", "mistakes"],
+            ["prompt", "--stage", "1"],
+            ["manifest", "--registry", "registry.json", "--stage", "0"],
+            ["schedule-preview", "man/stage0.jsonl"],
+            ["evaluate", "--pairs", "pairs.csv"],
+            ["synth", "a.mid"],
+        )),
+        ["synth", "a.mid", "--gain", "0.5"],
+        ["manifest", "--registry", "registry.json", "--stage", "0", "--dropout", "0.5"],
+    ],
+    ids=lambda argv: f"{argv[0]} {argv[-2]}",
+)
+def test_deleted_options_refused(midi_dir, tmp_path, capsys, argv):
+    """Each option is set by its flag alone: a config file, synth --gain and
+    manifest --dropout are unknown arguments, refused before any work."""
+    registry = _make_registry(tmp_path)
+    man = tmp_path / "man"
+    assert _run("manifest", "--registry", registry, "--stage", "0", "--out", man) == EXIT_OK
+    given = {
+        "a.mid": midi_dir / "a.mid",
+        "registry.json": registry,
+        "man/stage0.jsonl": man / "stage0.jsonl",
+        "cfg.json": _write(tmp_path / "cfg.json", "{}"),
+        "pairs.csv": _write(tmp_path / "pairs.csv", "pair_id,output,reference\np,x.wav,y.wav\n"),
+    }
+    argv = [given.get(a, a) for a in argv]
+    out = tmp_path / "out"
+    if argv[0] == "evaluate":
+        argv += ["--out", out / "results.csv"]
+    elif argv[0] not in ("prompt", "schedule-preview"):
+        argv += ["--out", out]
+    capsys.readouterr()
+    assert _run(*argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments" in captured.err
     assert not out.exists()
 
 
@@ -847,65 +903,10 @@ class TestOverlongInput:
 
 
 # ---------------------------------------------------------------------------
-# config file, workers, run records
+# workers, run records
 
 
 class TestConfigAndRecords:
-    def test_config_file_fills_unset(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        out = tmp_path / "audio"
-        cfg.write_text(json.dumps({"duration": 2.0, "out": str(out)}))
-        code = _run("synth", "--clicks", "120", "--config", cfg)
-        assert code == EXIT_OK
-        assert read_wav(out / "clicks_120bpm.wav").shape == (2 * 44100,)
-
-    def test_flag_beats_config(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"duration": 2.0}))
-        out = tmp_path / "audio"
-        code = _run(
-            "synth", "--clicks", "120", "--config", cfg, "--duration", "3", "--out", out,
-        )
-        assert code == EXIT_OK
-        assert read_wav(out / "clicks_120bpm.wav").shape == (3 * 44100,)
-
-    def test_unknown_config_key(self, midi_dir, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"bogus": 1}))
-        code = _run("tokenize", midi_dir / "a.mid", "--config", cfg,
-                    "--out", tmp_path / "tok")
-        assert code == EXIT_CONFIG
-
-    def test_malformed_config(self, midi_dir, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text("{not json")
-        code = _run("tokenize", midi_dir / "a.mid", "--config", cfg,
-                    "--out", tmp_path / "tok")
-        assert code == EXIT_CONFIG
-
-    def test_wrong_typed_config_value(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"duration": "long"}))
-        code = _run("synth", "--clicks", "120", "--config", cfg, "--out", tmp_path / "audio")
-        assert code == EXIT_CONFIG
-        assert "expects float" in capsys.readouterr().err
-
-    def test_config_int_accepted_for_float(self, tmp_path):
-        # JSON has a single number type; 2 must work where 2.0 does
-        cfg = tmp_path / "cfg.json"
-        out = tmp_path / "audio"
-        cfg.write_text(json.dumps({"duration": 2}))
-        code = _run("synth", "--clicks", "120", "--config", cfg, "--out", out)
-        assert code == EXIT_OK
-        assert read_wav(out / "clicks_120bpm.wav").shape == (2 * 44100,)
-
-    def test_config_bool_rejects_int(self, midi_dir, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"strict": 1}))
-        code = _run("tokenize", midi_dir / "a.mid", "--config", cfg,
-                    "--out", tmp_path / "tok")
-        assert code == EXIT_CONFIG
-
     def test_run_record_written(self, midi_dir, tmp_path):
         out = tmp_path / "tok"
         _run("tokenize", midi_dir / "a.mid", "--out", out)
@@ -916,72 +917,27 @@ class TestConfigAndRecords:
         for key in ("encore", "numpy", "scipy", "python"):
             assert key in record["versions"]
 
-    def test_workers_flag_same_results(self, midi_dir, tmp_path):
-        out1 = tmp_path / "w1"
-        out2 = tmp_path / "w2"
-        _run("augment", midi_dir / "a.mid", midi_dir / "b.mid",
-             "--mode", "mistakes", "--out", out1)
-        _run("augment", midi_dir / "a.mid", midi_dir / "b.mid",
-             "--mode", "mistakes", "--out", out2, "--workers", "4")
-        assert (out1 / "a_mistakes.mid").read_bytes() == (out2 / "a_mistakes.mid").read_bytes()
-        assert (out1 / "b_mistakes.mid").read_bytes() == (out2 / "b_mistakes.mid").read_bytes()
-        r1 = json.loads((out1 / "report.json").read_text())
-        r2 = json.loads((out2 / "report.json").read_text())
-        assert [r["file"] for r in r1] == [r["file"] for r in r2]  # order kept
-
-    def test_workers_env(self, midi_dir, tmp_path, monkeypatch):
-        monkeypatch.setenv("ENCORE_WORKERS", "2")
-        out = tmp_path / "tok"
-        assert _run("tokenize", midi_dir / "a.mid", "--out", out) == EXIT_OK
-        assert (out / "index.json").exists()
-
     def test_bad_workers(self, midi_dir, tmp_path):
         code = _run("tokenize", midi_dir / "a.mid", "--out", tmp_path / "tok",
                     "--workers", "0")
         assert code == EXIT_CONFIG
 
-    def test_bad_workers_env(self, midi_dir, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("ENCORE_WORKERS", "abc")
-        assert _run("tokenize", midi_dir / "a.mid", "--out", tmp_path / "tok") == EXIT_CONFIG
-        assert "ENCORE_WORKERS" in capsys.readouterr().err
+    def test_workers_env_ignored(self, midi_dir, tmp_path, monkeypatch, capsys):
+        seen = []
+        for env in (None, "abc"):
+            if env is not None:
+                monkeypatch.setenv("ENCORE_WORKERS", env)
+            out = tmp_path / f"tok-{env}"
+            assert _run("tokenize", midi_dir / "a.mid", midi_dir / "b.mid", "--out", out) == 0
+            files = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "run_record.json"}
+            seen.append((files, capsys.readouterr().out))
+        assert seen[0][0] and seen[0] == seen[1]
 
     @pytest.mark.parametrize(
-        "command, config",
-        [
-            ("tokenize", {"out": 3}),
-            ("tokenize", {"workers": "2"}),
-            ("synth", {"clicks": "x"}),
-            ("augment", {"tier": "Ludicrous"}),
-        ],
+        "command",
+        ["tokenize", "synth", "evaluate", "manifest", "augment --mode mistakes",
+         "augment --mode speed"],
     )
-    def test_config_checked_against_option_type(
-        self, midi_dir, tmp_path, capsys, command, config
-    ):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(config))
-        argv = [command, midi_dir / "a.mid", "--config", cfg, "--out", tmp_path / "o"]
-        if command == "augment":
-            argv += ["--mode", "speed"]
-        assert _run(*argv) == EXIT_CONFIG
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-        assert repr(next(iter(config))) in captured.err
-
-    def test_config_overrides_parser_default(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"sonification": "performance"}))
-        code = _run("prompt", "--stage", "2", "--dropout", "0", "--config", cfg)
-        assert code == EXIT_OK
-        assert capsys.readouterr().out.strip() == "expressive performance"
-        code = _run(
-            "prompt", "--stage", "2", "--dropout", "0", "--config", cfg,
-            "--sonification", "synthesis",
-        )
-        assert code == EXIT_OK
-        assert capsys.readouterr().out.strip() == "synthesis"
-
-    @pytest.mark.parametrize("command", ["tokenize", "synth", "evaluate", "manifest"])
     def test_outputs_independent_of_workers(
         self, midi_dir, eval_dir, tmp_path, capsys, command
     ):
@@ -996,7 +952,7 @@ class TestConfigAndRecords:
             argv = ["manifest", "--registry", registry, "--stage", "0", "--out", out]
         else:
             names = ("a.mid", "broken.mid", "b.mid")
-            argv = [command, *(midi_dir / n for n in names), "--out", out]
+            argv = [*command.split(), *(midi_dir / n for n in names), "--out", out]
         seen = []
         for workers in ("1", "3"):
             assert _run(*argv, "--workers", workers) == EXIT_OK

@@ -63,14 +63,14 @@ FULL_ALIGNMENT = {
 }
 
 
-def _build(registry, stage, seed, out_dir, dropout=0.5):
+def _build(registry, stage, seed, out_dir):
     """What ``encore manifest`` builds when every pair succeeds: the records
     of every pair of the stage's datasets (all datasets for stage None)."""
     pools = {
         entry: [
             record
             for pair in load_pairs(entry)
-            for record in window_records(entry, pair, seed, out_dir, dropout)
+            for record in window_records(entry, pair, seed, out_dir)
         ]
         for entry in registry
         if stage in (None, entry.stage)
