@@ -5,6 +5,8 @@ files are written at it, and the metrics assume it.  Readers normalize
 everything to mono float64 at that rate.  Multi-channel input is
 averaged, integer PCM is scaled to [-1, 1), and other rates are resampled
 with a polyphase filter (scipy, imported only when a file needs it).
+open_wav returns a WavReader that decodes a slice of a file at a time, so
+a 44.1 kHz file is never held whole; read_wav decodes all of it.
 
 The codec is a small RIFF/WAVE parser over numpy.  It reads little-endian
 RIFF files holding 16-, 24- or 32-bit integer PCM or 32- or 64-bit IEEE
@@ -51,6 +53,11 @@ _DTYPES = {
     (_FLOAT, 64): "<f8",
 }
 _PCM_SCALE = {16: 2.0**15, 24: 2.0**31, 32: 2.0**31}
+# Bytes of a fmt chunk read, whatever size it claims: WAVE_FORMAT_EXTENSIBLE
+# needs 40
+_FMT_READ = 64
+# Frames decoded at a time by the finiteness check on opening
+_CHECK_FRAMES = 1 << 16
 
 
 def _read_fmt(body: bytes, path) -> tuple[int, int, int, int]:
@@ -79,61 +86,118 @@ def _read_fmt(body: bytes, path) -> tuple[int, int, int, int]:
     return tag, channels, rate, bits
 
 
-def _find_chunks(buf: bytes, path) -> tuple[tuple[int, int, int, int], memoryview]:
-    """The parsed fmt chunk and the data chunk's bytes, cut to what the file holds."""
-    if len(buf) < 12 or buf[8:12] != b"WAVE" or buf[:4] not in (b"RIFF", b"RIFX", b"RF64"):
+def _read_exact(fh, n: int, path) -> bytes:
+    data = fh.read(n)
+    if len(data) < n:
+        raise ValueError(f"{path}: file ended {n - len(data)} bytes early (truncated while read?)")
+    return data
+
+
+def _find_chunks(fh, path) -> tuple[tuple[int, int, int, int], int, int]:
+    """The parsed fmt chunk, and the offset and size of the data chunk's
+    bytes, cut to what the file holds.  Chunk headers are walked with seeks,
+    and no more than _FMT_READ bytes of a fmt chunk are read."""
+    file_size = os.fstat(fh.fileno()).st_size
+    head = fh.read(12)
+    if len(head) < 12 or head[8:12] != b"WAVE" or head[:4] not in (b"RIFF", b"RIFX", b"RF64"):
         raise ValueError(f"{path}: not a RIFF/WAVE file")
-    if buf[:4] != b"RIFF":
-        raise ValueError(f"{path}: unsupported container {buf[:4].decode()}")
+    if head[:4] != b"RIFF":
+        raise ValueError(f"{path}: unsupported container {head[:4].decode()}")
     fmt = None
     pos = 12
-    while pos + _CHUNK.size <= len(buf):
-        chunk_id, size = _CHUNK.unpack_from(buf, pos)
+    while pos + _CHUNK.size <= file_size:
+        fh.seek(pos)
+        chunk_id, size = _CHUNK.unpack(_read_exact(fh, _CHUNK.size, path))
         pos += _CHUNK.size
         if chunk_id == b"data":
             if fmt is None:
                 raise ValueError(f"{path}: no fmt chunk before data")
-            return fmt, memoryview(buf)[pos:pos + size]
+            return fmt, pos, min(size, file_size - pos)
         if chunk_id == b"fmt ":
-            fmt = _read_fmt(buf[pos:pos + size], path)
+            fmt = _read_fmt(fh.read(min(size, _FMT_READ)), path)
         pos += size + (size & 1)  # odd-sized chunks carry a pad byte
     raise ValueError(f"{path}: no data chunk")
 
 
+class WavReader:
+    """A WAV file as mono float64 samples at ANALYSIS_RATE, decoded a slice
+    at a time.
+
+    ``len(reader)`` is the sample count, and ``reader[lo:hi]`` reads and
+    decodes those samples alone, with the operations a whole-file decode
+    applies: view, float64, PCM scale, channel mean.  Opening checks the
+    header and decodes the file once in fixed blocks, so a non-finite sample
+    anywhere is refused up front.  A file at another rate is decoded whole
+    and resampled on opening, the one case that holds a full buffer.
+    """
+
+    def __init__(self, path: str | os.PathLike):
+        self.path = path
+        with open(path, "rb") as fh:
+            fmt, self._offset, nbytes = _find_chunks(fh, path)
+        self._tag, self._channels, rate, self._bits = fmt
+        self._frame_bytes = self._channels * self._bits // 8
+        frames = nbytes // self._frame_bytes
+        if frames == 0:
+            raise ValueError(f"{path}: empty audio stream")
+        if frames > MAX_SECONDS * rate:
+            raise ValueError(
+                f"{path}: {frames / rate:.6g} s exceeds the {MAX_SECONDS:g} s input limit"
+            )
+        self._frames = frames
+        self._resampled = None
+        if rate != ANALYSIS_RATE:
+            g = math.gcd(ANALYSIS_RATE, rate)
+            up, down = ANALYSIS_RATE // g, rate // g
+            if rate < _MIN_RATE or max(up, down) > _MAX_RATIO_TERM:
+                raise ValueError(f"{path}: unsupported sample rate {rate} Hz (ratio {up}/{down})")
+            from scipy.signal import resample_poly
+
+            self._resampled = resample_poly(self._decode(0, frames), up, down)
+            blocks = [self._resampled]
+        else:
+            blocks = (self._decode(lo, min(lo + _CHECK_FRAMES, frames))
+                      for lo in range(0, frames, _CHECK_FRAMES))
+        if not all(np.isfinite(block).all() for block in blocks):
+            raise ValueError(f"{path}: non-finite samples")
+
+    def __len__(self) -> int:
+        return self._frames if self._resampled is None else len(self._resampled)
+
+    def __getitem__(self, key: slice) -> np.ndarray:
+        lo, hi, step = key.indices(len(self))
+        if step != 1:
+            raise ValueError(f"{self.path}: a WAV reader slices without a step")
+        if self._resampled is not None:
+            return self._resampled[lo:hi]
+        return self._decode(lo, max(lo, hi))
+
+    def _decode(self, lo: int, hi: int) -> np.ndarray:
+        """Frames lo..hi-1 as mono float64."""
+        with open(self.path, "rb") as fh:
+            fh.seek(self._offset + lo * self._frame_bytes)
+            raw = np.frombuffer(_read_exact(fh, (hi - lo) * self._frame_bytes, self.path), np.uint8)
+        if self._bits == 24:
+            wide = np.zeros((raw.shape[0] // 3, 4), np.uint8)
+            wide[:, 1:] = raw.reshape(-1, 3)
+            raw = wide.ravel()
+        samples = raw.view(_DTYPES[self._tag, self._bits]).astype(np.float64)
+        if self._tag == _PCM:
+            samples /= _PCM_SCALE[self._bits]
+        if self._channels > 1:
+            samples = samples.reshape(-1, self._channels).mean(axis=1)
+        return samples
+
+
+def open_wav(path: str | os.PathLike) -> WavReader:
+    """Open a WAV file for reading as mono float64 at ANALYSIS_RATE, a slice
+    at a time; the header and every sample are checked here."""
+    return WavReader(path)
+
+
 def read_wav(path: str | os.PathLike) -> np.ndarray:
     """Read a WAV file as mono float64 at ANALYSIS_RATE."""
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    (tag, channels, rate, bits), data = _find_chunks(buf, path)
-    width = bits // 8
-    frames = len(data) // (channels * width)
-    if frames == 0:
-        raise ValueError(f"{path}: empty audio stream")
-    if frames > MAX_SECONDS * rate:
-        raise ValueError(
-            f"{path}: {frames / rate:.6g} s exceeds the {MAX_SECONDS:g} s input limit"
-        )
-    raw = np.frombuffer(data, np.uint8, frames * channels * width)
-    if bits == 24:
-        wide = np.zeros((frames * channels, 4), np.uint8)
-        wide[:, 1:] = raw.reshape(-1, 3)
-        raw = wide.ravel()
-    samples = raw.view(_DTYPES[tag, bits]).astype(np.float64)
-    if tag == _PCM:
-        samples /= _PCM_SCALE[bits]
-    if channels > 1:
-        samples = samples.reshape(-1, channels).mean(axis=1)
-    if rate != ANALYSIS_RATE:
-        g = math.gcd(ANALYSIS_RATE, rate)
-        up, down = ANALYSIS_RATE // g, rate // g
-        if rate < _MIN_RATE or max(up, down) > _MAX_RATIO_TERM:
-            raise ValueError(f"{path}: unsupported sample rate {rate} Hz (ratio {up}/{down})")
-        from scipy.signal import resample_poly
-
-        samples = resample_poly(samples, up, down)
-    if not np.isfinite(samples).all():
-        raise ValueError(f"{path}: non-finite samples")
-    return samples
+    return open_wav(path)[:]
 
 
 def write_wav(path: str | os.PathLike, samples: np.ndarray) -> None:

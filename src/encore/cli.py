@@ -30,7 +30,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .audio_io import read_wav, write_wav
+from .audio_io import open_wav, write_wav
 from .augment import SPEED_TIERS, TIER_BY_NAME, MistakeConfig, corrupt, sample_speed_augmentation
 from .curriculum import (
     atomic_write,
@@ -111,7 +111,8 @@ def _run_batch(args, items, work, out: Path, write, *, key="file", report=_json_
     """Run work over (name, item) pairs, in input order, into one row each.
 
     A row is {key: name, "status": "ok", **work(item)}, or an error row if
-    work raises OSError, ValueError or MetricError. Prints report(rows),
+    work raises OSError, ValueError, MetricError or MemoryError (an item too
+    large for this machine fails alone). Prints report(rows),
     passes the rows to write, which stores the command's outputs, writes
     the run record into out, and returns the --strict exit code.
     """
@@ -120,9 +121,10 @@ def _run_batch(args, items, work, out: Path, write, *, key="file", report=_json_
         name, item = named
         try:
             return {key: name, "status": "ok", **work(item)}
-        except (OSError, ValueError, MetricError) as exc:
-            log.error("%s: %s", name, exc)
-            return {key: name, "status": "error", "error": str(exc)}
+        except (OSError, ValueError, MetricError, MemoryError) as exc:
+            error = str(exc) or type(exc).__name__
+            log.error("%s: %s", name, error)
+            return {key: name, "status": "error", "error": error}
 
     if args.workers < 1:
         raise ConfigError(f"workers must be >= 1, got {args.workers}")
@@ -313,7 +315,7 @@ def _evaluate_pair(row: dict, metrics: list[str], base: Path) -> list[dict]:
     ratio = float(row.get("ratio") or 1.0)
     out_path = base / row["output"]
     ref_path = base / row["reference"]
-    wav = functools.cache(read_wav)  # decode each WAV once, shared across metrics
+    wav = functools.cache(open_wav)  # check each WAV once; metrics stream its samples
     tempo = functools.cache(lambda path: tempo_estimate(wav(path)))
     values = {}
     if "chroma" in metrics:

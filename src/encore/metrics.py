@@ -1,8 +1,9 @@
 """Objective metrics: chroma similarity over DTW, tempo deviation, and
 Fréchet distance between embedding sets.
 
-All functions take plain numpy buffers (mono, at audio_io.ANALYSIS_RATE)
-and are pure; file handling lives in audio_io and the CLI.
+The audio functions take a mono numpy buffer at audio_io.ANALYSIS_RATE or
+an audio_io.WavReader, which they slice one STFT block at a time, and are
+pure; file handling lives in audio_io and the CLI.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import dtw_backtrack, dtw_fill
-from .audio_io import ANALYSIS_RATE
+from .audio_io import ANALYSIS_RATE, WavReader
 from .augment import RATIO_CEILING, RATIO_FLOOR
 from .notes import NoteSequence
 
@@ -44,9 +45,10 @@ def _periodic_hann(n: int) -> np.ndarray:
 _CHROMA_HANN = _periodic_hann(CHROMA_WINDOW)
 _TEMPO_HANN = _periodic_hann(_TEMPO_WINDOW)
 
-# STFT frames per block: the spectrum held at once does not grow with the
-# input, and each row is summed in the same order as from one whole STFT
-_BLOCK = 256
+# STFT frames per block: the samples and spectrum held at once do not grow
+# with the input, and each row is summed in the same order as from one
+# whole STFT
+_BLOCK = 64
 
 EMBEDDING_MAGIC = b"ENEB"
 _EMBEDDING_HEADER = struct.Struct("<4sII")  # magic, D, N
@@ -98,15 +100,34 @@ class ChromaMatrix:
         return not self.frames.any()
 
 
-def _frame_signal(x: np.ndarray, window: int, hop: int) -> np.ndarray:
-    if x.shape[0] < window:
-        x = np.pad(x, (0, window - x.shape[0]))
-    n_frames = 1 + (x.shape[0] - window) // hop
-    frames = np.lib.stride_tricks.sliding_window_view(x, window)[:: hop]
-    return frames[:n_frames]
+def _signal(audio):
+    """A WavReader as it is, anything else as a mono float64 array: both
+    give float64 samples when sliced."""
+    if isinstance(audio, WavReader):
+        return audio
+    x = np.asarray(audio, dtype=np.float64)
+    if x.ndim != 1:
+        raise ValueError(f"audio must be mono, got shape {x.shape}")
+    return x
 
 
-def chromagram(audio: np.ndarray) -> ChromaMatrix:
+def _frame_count(n: int, window: int, hop: int) -> int:
+    """STFT frames of n samples; a signal shorter than a window is
+    zero-padded to one."""
+    return 1 + (max(n, window) - window) // hop
+
+
+def _frames(x, window: int, hop: int, first: int, stop: int) -> np.ndarray:
+    """STFT frames first..stop-1 of x, from a slice of the samples they
+    span, zero-padded at the end when x is shorter than a window."""
+    span = (stop - 1 - first) * hop + window
+    seg = x[first * hop : first * hop + span]
+    if seg.shape[0] < span:
+        seg = np.pad(seg, (0, span - seg.shape[0]))
+    return np.lib.stride_tricks.sliding_window_view(seg, window)[::hop]
+
+
+def chromagram(audio: np.ndarray | WavReader) -> ChromaMatrix:
     """Fold STFT bin energies into 12 pitch classes.
 
     Window 4096, hop 2048, Hann. Bins between 27.5 Hz and 8 kHz are
@@ -115,24 +136,22 @@ def chromagram(audio: np.ndarray) -> ChromaMatrix:
     neighboring semitones) summed by pitch class; frames are then
     L2-normalized (silent frames stay zero).
     """
-    x = np.asarray(audio, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError(f"audio must be mono, got shape {x.shape}")
-    if x.size == 0:
+    x = _signal(audio)
+    if len(x) == 0:
         raise ValueError("audio buffer is empty")
-    frames = _frame_signal(x, CHROMA_WINDOW, CHROMA_HOP)
     freqs = np.fft.rfftfreq(CHROMA_WINDOW, 1.0 / ANALYSIS_RATE)
     keep = (freqs >= _FREQ_LOW) & (freqs <= _FREQ_HIGH)
     pitch = np.round(69.0 + 12.0 * np.log2(freqs[keep] / 440.0)).astype(np.int64)
     pitch_class = pitch % 12
-    n_frames = frames.shape[0]
+    n_frames = _frame_count(len(x), CHROMA_WINDOW, CHROMA_HOP)
     chroma = np.empty((n_frames, 12), dtype=np.float64)
     for start in range(0, n_frames, _BLOCK):
         # gathered bins are column-major, so numpy sums a row left to right
         # in a block of two rows or more but pairwise in a lone row: the
         # last block starts early enough to hold two
-        rows = slice(max(0, min(start, n_frames - 2)), start + _BLOCK)
-        spec = np.abs(np.fft.rfft(frames[rows] * _CHROMA_HANN, axis=1)) ** 2
+        rows = slice(max(0, min(start, n_frames - 2)), min(start + _BLOCK, n_frames))
+        frames = _frames(x, CHROMA_WINDOW, CHROMA_HOP, rows.start, rows.stop)
+        spec = np.abs(np.fft.rfft(frames * _CHROMA_HANN, axis=1)) ** 2
         spec = spec[:, keep]
         for klass in range(12):
             chroma[rows, klass] = spec[:, pitch_class == klass].sum(axis=1)
@@ -150,6 +169,8 @@ def _cosine_distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # frames are unit-norm or zero, so the dot product is the cosine;
     # convention: silence matches silence (distance 0) and maximally
     # mismatches sound (distance 1)
+    if b is a:  # a @ a.T runs BLAS syrk, which rounds unlike gemm
+        b = a.copy()
     dist = a @ b.T
     np.subtract(1.0, dist, out=dist)
     # rounded dot products of unit vectors can stray past 1, and the
@@ -200,18 +221,19 @@ class ChromaSimilarityResult:
 
 
 def chroma_similarity(
-    out_audio: np.ndarray,
-    ref_audio: np.ndarray,
+    out_audio: np.ndarray | WavReader,
+    ref_audio: np.ndarray | WavReader,
     penalty_weight: float = DEFAULT_PENALTY_WEIGHT,
     band: int | None = None,
 ) -> ChromaSimilarityResult:
     """Mean cosine similarity along the DTW path, minus a cost penalty.
 
     score = mean_cosine - penalty_weight * dtw_cost. Raises MetricError
-    when either input is entirely silent (similarity undefined).
+    when either input is entirely silent (similarity undefined). A pair
+    of the same object is computed once.
     """
     ca = chromagram(out_audio)
-    cb = chromagram(ref_audio)
+    cb = ca if ref_audio is out_audio else chromagram(ref_audio)
     if ca.is_silent or cb.is_silent:
         raise MetricError("chroma similarity undefined for all-silent audio")
     dist = _cosine_distance_matrix(ca.frames, cb.frames)
@@ -231,12 +253,13 @@ def chroma_similarity(
 # tempo
 
 
-def _onset_envelope(x: np.ndarray) -> tuple[np.ndarray, float]:
-    frames = _frame_signal(x, _TEMPO_WINDOW, _TEMPO_HOP)
-    flux = np.empty(frames.shape[0] - 1, dtype=np.float64)
+def _onset_envelope(x: np.ndarray | WavReader) -> tuple[np.ndarray, float]:
+    n_frames = _frame_count(len(x), _TEMPO_WINDOW, _TEMPO_HOP)
+    flux = np.empty(n_frames - 1, dtype=np.float64)
     for start in range(0, flux.shape[0], _BLOCK):
         # one frame of overlap, so row i still differences frames i and i+1
-        spec = np.abs(np.fft.rfft(frames[start : start + _BLOCK + 1] * _TEMPO_HANN, axis=1))
+        frames = _frames(x, _TEMPO_WINDOW, _TEMPO_HOP, start, min(start + _BLOCK + 1, n_frames))
+        spec = np.abs(np.fft.rfft(frames * _TEMPO_HANN, axis=1))
         flux[start : start + _BLOCK] = np.maximum(spec[1:] - spec[:-1], 0.0).sum(axis=1)
     return flux, ANALYSIS_RATE / _TEMPO_HOP
 
@@ -259,7 +282,7 @@ def _parabolic_lag(acf: np.ndarray, lag: int) -> float:
     return lag + float(np.clip(delta, -0.5, 0.5))
 
 
-def tempo_estimate(audio: np.ndarray) -> float:
+def tempo_estimate(audio: np.ndarray | WavReader) -> float:
     """Tempo in BPM from spectral-flux autocorrelation.
 
     The onset envelope is the half-wave-rectified frame-to-frame spectral
@@ -269,10 +292,8 @@ def tempo_estimate(audio: np.ndarray) -> float:
     align better with the frame grid), so small integer divisors of its
     lag are tried and the fastest one scoring within 10% of the peak wins.
     """
-    x = np.asarray(audio, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError(f"audio must be mono, got shape {x.shape}")
-    if x.shape[0] < 5 * ANALYSIS_RATE:
+    x = _signal(audio)
+    if len(x) < 5 * ANALYSIS_RATE:
         raise ValueError("tempo estimation needs at least 5 s of audio")
     flux, fps = _onset_envelope(x)
     flux = flux - flux.mean()

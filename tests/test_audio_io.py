@@ -3,6 +3,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -12,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.io import wavfile
 
 import encore
-from encore.audio_io import read_wav, write_wav
+from encore import audio_io
+from encore.audio_io import open_wav, read_wav, write_wav
 
 
 def test_float32_round_trip(tmp_path):
@@ -305,3 +307,121 @@ def test_hostile_bytes_read_or_value_error(seed_wavs, which, cut, edits):
         return
     assert samples.ndim == 1 and samples.dtype == np.float64
     assert np.isfinite(samples).all()
+
+
+# ---------------------------------------------------------------------------
+# open_wav: the same samples, a slice at a time
+
+
+def _formats():
+    """(name, file bytes) for every layout the codec reads, one param each."""
+    rng = np.random.default_rng(11)
+    n = 1000
+
+    def pcm(bits, channels):
+        if bits == 24:
+            return rng.integers(0, 256, 3 * n * channels, dtype=np.uint8).tobytes()
+        info = np.iinfo(np.int16 if bits == 16 else np.int32)
+        data = rng.integers(info.min, info.max, n * channels, endpoint=True)
+        return data.astype("<i2" if bits == 16 else "<i4").tobytes()
+
+    def flt(bits, channels):
+        return rng.uniform(-1.0, 1.0, n * channels).astype(f"<f{bits // 8}").tobytes()
+
+    listing = b"LIST" + struct.pack("<I", 5) + b"INFOx" + b"\x00"
+    layouts = [
+        ("pcm16", _riff(_fmt(1, 1, 44100, 16), pcm(16, 1))),
+        ("pcm24", _riff(_fmt(1, 1, 44100, 24), pcm(24, 1))),
+        ("pcm32", _riff(_fmt(1, 1, 44100, 32), pcm(32, 1))),
+        ("float32", _riff(_fmt(3, 1, 44100, 32), flt(32, 1))),
+        ("float64", _riff(_fmt(3, 1, 44100, 64), flt(64, 1))),
+        ("pcm16-3ch", _riff(_fmt(1, 3, 44100, 16), pcm(16, 3))),
+        ("float64-2ch", _riff(_fmt(3, 2, 44100, 64), flt(64, 2))),
+        ("extensible-pcm24-2ch", _riff(_extensible(1, 2, 44100, 24), pcm(24, 2))),
+        ("extensible-float32", _riff(_extensible(3, 1, 44100, 32), flt(32, 1))),
+        ("odd-chunk", _riff(_fmt(1, 1, 44100, 16), pcm(16, 1), listing)),
+        ("truncated", _riff(_fmt(1, 2, 44100, 16), pcm(16, 2))),
+        ("48khz-2ch", _riff(_fmt(1, 2, 48000, 16), pcm(16, 2))),
+    ]
+    return [pytest.param(name, raw, id=name) for name, raw in layouts]
+
+
+@pytest.mark.parametrize("name, raw", _formats())
+def test_reader_slices_match_read_wav(tmp_path, monkeypatch, name, raw):
+    monkeypatch.setattr(audio_io, "_CHECK_FRAMES", 97)  # a finiteness check in many blocks
+    path = tmp_path / f"{name}.wav"
+    path.write_bytes(raw)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # scipy warns about the LIST chunk
+        full = _scipy_read(path)
+    if name == "truncated":  # 7 bytes short: one whole 4-byte frame and part of another
+        path.write_bytes(raw[:-7])
+        full = full[:-2]
+    assert np.array_equal(read_wav(path), full)
+    reader = open_wav(path)
+    n = len(full)
+    assert len(reader) == n
+    for lo, hi in [(0, n), (0, 1), (3, 17), (500, 999), (n - 5, n + 10), (n + 3, n + 9), (7, 3)]:
+        part = reader[lo:hi]
+        assert part.dtype == np.float64
+        assert np.array_equal(part, full[lo:hi]), (lo, hi)
+
+
+def test_reader_refuses_a_step(tmp_path):
+    path = tmp_path / "x.wav"
+    write_wav(path, np.zeros(10))
+    with pytest.raises(ValueError, match="step"):
+        open_wav(path)[::2]
+
+
+@pytest.mark.parametrize("where", [0, 4096, 3 * 4096 + 99])
+def test_nan_anywhere_refused_on_open(tmp_path, monkeypatch, where):
+    """3 x 4096 + 100 samples: the last 100 lie past the last full chroma
+    frame, so no STFT reads them; the check on opening still does."""
+    monkeypatch.setattr(audio_io, "_CHECK_FRAMES", 1000)
+    samples = np.zeros(3 * 4096 + 100)
+    samples[where] = np.nan
+    path = tmp_path / "nan.wav"
+    write_wav(path, samples)
+    with pytest.raises(ValueError, match="non-finite") as info:
+        open_wav(path)
+    assert str(path) in str(info.value)
+
+
+def test_overflowing_channel_mean_refused(tmp_path):
+    """Two finite float64 channels whose mean overflows to inf."""
+    path = tmp_path / "big.wav"
+    path.write_bytes(_riff(_fmt(3, 2, 44100, 64), np.full(20, 1.7e308).astype("<f8").tobytes()))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(ValueError, match="non-finite"):
+            open_wav(path)
+
+
+def test_file_truncated_after_open(tmp_path):
+    path = tmp_path / "x.wav"
+    write_wav(path, np.linspace(-0.5, 0.5, 5000))
+    reader = open_wav(path)
+    path.write_bytes(path.read_bytes()[:2000])
+    assert np.array_equal(reader[:10], np.linspace(-0.5, 0.5, 5000)[:10].astype(np.float32))
+    with pytest.raises(ValueError, match="ended") as info:
+        reader[4000:4100]
+    assert str(path) in str(info.value)
+
+
+def test_huge_fmt_size_fails_without_allocating(tmp_path):
+    """A 60-byte file whose fmt chunk claims 0xFFFFFFF0 bytes: the walk
+    reads a few bytes of it and seeks past the end of the file."""
+    raw = bytearray(_riff(_fmt(1, 1, 44100, 16), bytes(16)))
+    struct.pack_into("<I", raw, 16, 0xFFFFFFF0)
+    path = tmp_path / "huge.wav"
+    path.write_bytes(bytes(raw))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="no data chunk") as info:
+            open_wav(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(path) in str(info.value)
+    assert peak < 1 << 20

@@ -11,19 +11,20 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import encore
-from encore import cli
-from encore.audio_io import write_wav
+from encore import cli, metrics
+from encore.audio_io import WavReader, write_wav
 from encore.cli import EXIT_CONFIG, EXIT_FAILURES, EXIT_OK, main
-from encore.metrics import EmbeddingSet, tempo_estimate, write_embeddings
+from encore.metrics import EmbeddingSet, chromagram, tempo_estimate, write_embeddings
 from encore.notes import Note, NoteSequence, segment
 from encore.smf import parse_midi, write_midi
-from encore.synth import render
+from encore.synth import render, render_clicks
 from encore.tokenizer import TokenStream, encode
 
 
@@ -547,7 +548,8 @@ class TestEvaluate:
         calls = []
 
         def counting(audio):
-            calls.append(audio.shape)
+            assert isinstance(audio, WavReader)  # streamed, never decoded whole
+            calls.append(len(audio))
             return tempo_estimate(audio)
 
         monkeypatch.setattr(cli, "tempo_estimate", counting)
@@ -557,6 +559,64 @@ class TestEvaluate:
         assert code == EXIT_OK
         assert len(calls) == 1
         assert _read_results(out) == {("self", "tempo"): 0.0}
+
+    def test_chromagram_computed_once_per_file(self, eval_dir, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(audio):
+            assert isinstance(audio, WavReader)
+            calls.append(audio.path.name)
+            return chromagram(audio)
+
+        monkeypatch.setattr(metrics, "chromagram", counting)
+        pairs = _write(eval_dir / "self.csv", "pair_id,output,reference\n"
+                       "self,ref.wav,ref.wav\nsame,same.wav,ref.wav\n")
+        out = tmp_path / "results.csv"
+        code = _run("evaluate", "--pairs", pairs, "--metrics", "chroma", "--out", out)
+        assert code == EXIT_OK
+        assert calls == ["ref.wav", "same.wav", "ref.wav"]
+        # same.wav holds ref.wav's samples, so both pairs score alike
+        results = _read_results(out)
+        assert results[("self", "chroma")] == results[("same", "chroma")]
+
+    def test_memory_error_is_item_failure(self, eval_dir, tmp_path, monkeypatch, capsys):
+        real = metrics.chroma_similarity
+
+        def tight(out_audio, ref_audio):
+            if out_audio.path.name == "slow.wav":
+                raise MemoryError  # numpy's message-less form
+            return real(out_audio, ref_audio)
+
+        monkeypatch.setattr(cli, "chroma_similarity", tight)
+        out = tmp_path / "results.csv"
+        argv = ["evaluate", "--pairs", eval_dir / "pairs.csv", "--metrics", "chroma",
+                "--out", out]
+        assert _run(*argv) == EXIT_OK
+        captured = capsys.readouterr()
+        assert "FAILED slow: MemoryError" in captured.out
+        assert "Traceback" not in captured.err
+        assert set(_read_results(out)) == {("same", "chroma")}
+        assert _run(*argv, "--strict") == EXIT_FAILURES
+
+    def test_pair_memory_grows_by_the_dtw_alone(self, tmp_path):
+        """From a 1-min to a 3-min pair, traced peak memory grows by the
+        DTW's n x m float64 distances and step bytes plus a few MB: no
+        decoded file is held, where 3 min of float64 is 64 MB per side."""
+        peaks, cells = [], []
+        for minutes in (1, 3):
+            n = minutes * 60 * 44100
+            write_wav(tmp_path / f"out{minutes}.wav", render_clicks(150.0, n / 44100))
+            write_wav(tmp_path / f"ref{minutes}.wav", render_clicks(120.0, n / 44100))
+            row = {"pair_id": "p", "output": f"out{minutes}.wav",
+                   "reference": f"ref{minutes}.wav", "ratio": "1.25"}
+            tracemalloc.start()
+            try:
+                cli._evaluate_pair(row, ["chroma", "tempo"], tmp_path)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            cells.append((1 + (n - 4096) // 2048) ** 2)
+        assert peaks[1] - peaks[0] <= 9 * (cells[1] - cells[0]) + 4e6
 
     def test_frechet_on_embeddings(self, tmp_path):
         d = tmp_path / "emb"
@@ -900,6 +960,35 @@ class TestOverlongInput:
         assert "p0.mid" in error and "input limit" in error
         assert "Traceback" not in capsys.readouterr().err
         assert _run(*argv, "--strict") == EXIT_FAILURES
+
+
+    def test_memory_error_is_item_failure(self, midi_dir, tmp_path):
+        """One 14000 s note is within the 4 h input limit, but its 4.6 GiB
+        render does not fit the child's 2 GiB of address space: that item
+        fails alone, and the other is still written."""
+        long = midi_dir / "long.mid"
+        note = Note(start=0.0, pitch=60, end=14000.0, velocity=90)
+        long.write_bytes(write_midi(NoteSequence(notes=[note], total_duration=14000.0)))
+        out = tmp_path / "audio"
+        code = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+            "from encore.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        src = str(Path(encore.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+        argv = [sys.executable, "-c", code, "synth", midi_dir / "a.mid", long, "--out", out]
+        done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == EXIT_OK, done.stderr
+        rows = json.loads((out / "index.json").read_text())
+        assert [r["status"] for r in rows] == ["ok", "error"]
+        assert rows[1]["file"] == str(long) and "allocate" in rows[1]["error"]
+        assert f"{long}: " in done.stderr and "Traceback" not in done.stderr
+        assert (out / "a.wav").exists()
+        strict = subprocess.run([*argv, "--strict"], capture_output=True, text=True, env=env,
+                                timeout=120)
+        assert strict.returncode == EXIT_FAILURES, strict.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from encore import metrics
+from encore.audio_io import open_wav, read_wav, write_wav
 from encore.augment import stretch
 from encore.metrics import (
     ChromaMatrix,
@@ -98,9 +99,17 @@ def test_transposition_rotates_dominant_class():
 _B = metrics._BLOCK
 
 
+def _frame_signal(x, window, hop):
+    """Every STFT frame of the whole buffer, zero-padded to one window."""
+    if x.shape[0] < window:
+        x = np.pad(x, (0, window - x.shape[0]))
+    n_frames = 1 + (x.shape[0] - window) // hop
+    return np.lib.stride_tricks.sliding_window_view(x, window)[::hop][:n_frames]
+
+
 def _chroma_oracle(x):
     """chromagram's frames from one STFT of the whole buffer."""
-    frames = metrics._frame_signal(x, metrics.CHROMA_WINDOW, metrics.CHROMA_HOP)
+    frames = _frame_signal(x, metrics.CHROMA_WINDOW, metrics.CHROMA_HOP)
     spec = np.abs(np.fft.rfft(frames * metrics._CHROMA_HANN, axis=1)) ** 2
     freqs = np.fft.rfftfreq(metrics.CHROMA_WINDOW, 1.0 / 44100)
     keep = (freqs >= 27.5) & (freqs <= 8000.0)
@@ -118,7 +127,7 @@ def _chroma_oracle(x):
 
 def _onset_oracle(x):
     """The onset envelope from one STFT of the whole buffer."""
-    frames = metrics._frame_signal(x, metrics._TEMPO_WINDOW, metrics._TEMPO_HOP)
+    frames = _frame_signal(x, metrics._TEMPO_WINDOW, metrics._TEMPO_HOP)
     spec = np.abs(np.fft.rfft(frames * metrics._TEMPO_HANN, axis=1))
     return np.maximum(spec[1:] - spec[:-1], 0.0).sum(axis=1)
 
@@ -141,7 +150,11 @@ def _assert_blocks_match(x):
     (metrics.CHROMA_HOP, metrics.CHROMA_WINDOW),
     (metrics._TEMPO_HOP, metrics._TEMPO_WINDOW),
 ])
-@pytest.mark.parametrize("n_frames", [_B - 1, _B, _B + 1, _B + 2, 2 * _B, 2 * _B + 1, 2 * _B + 2])
+@pytest.mark.parametrize("n_frames", [
+    _B - 1, _B, _B + 1, _B + 2, 2 * _B, 2 * _B + 1, 2 * _B + 2,
+    # also block edges, after several full blocks (256 = 4 x 64)
+    255, 256, 257, 258, 512, 513, 514,
+])
 def test_blocks_match_one_shot_stft(hop, window, n_frames):
     # the envelope has one row fewer than the STFT, so B + 2 and 2B + 2
     # frames put a lone row in its last block
@@ -173,6 +186,40 @@ def test_stft_working_memory_is_flat_in_length(kernel):
             tracemalloc.stop()
     assert peaks[1] < 32e6
     assert abs(peaks[1] - peaks[0]) < 4e6
+
+
+# ---------------------------------------------------------------------------
+# features streamed from a WavReader
+
+
+_W, _H = metrics.CHROMA_WINDOW, metrics.CHROMA_HOP
+
+
+@pytest.mark.parametrize("n", [
+    1, 100, metrics._TEMPO_WINDOW - 1, _W - 1, _W, _W + 1, _W + (_B - 1) * _H,
+    _W + _B * _H + 7, 3 * _B * _H + 5, 5 * 44100 + 3 * _H + 11,
+])
+def test_reader_features_match_array(tmp_path, n):
+    path = tmp_path / "x.wav"
+    write_wav(path, _noise(n, n))
+    x = read_wav(path)
+    reader = open_wav(path)
+    assert np.array_equal(chromagram(reader).frames, _chroma_oracle(x))
+    assert np.array_equal(metrics._onset_envelope(reader)[0], _onset_oracle(x))
+    if n >= 5 * 44100:
+        assert tempo_estimate(reader) == tempo_estimate(x)
+
+
+def test_self_pair_matches_two_equal_buffers():
+    """A pair of one object computes one chromagram, and its distances are
+    bit-identical to those of two equal buffers (numpy would multiply a
+    matrix by its own transpose with BLAS syrk, which rounds differently)."""
+    buf = render(_demo_sequence())
+    one, two = chroma_similarity(buf, buf), chroma_similarity(buf, buf.copy())
+    assert (one.mean_cosine, one.dtw_cost, one.path) == (two.mean_cosine, two.dtw_cost, two.path)
+    a = chromagram(buf).frames
+    assert np.array_equal(metrics._cosine_distance_matrix(a, a),
+                          metrics._cosine_distance_matrix(a, a.copy()))
 
 
 # ---------------------------------------------------------------------------
