@@ -3,15 +3,18 @@
 Each kernel has exactly one implementation, in numpy.  ``dtw_fill`` does
 the same adds and mins as the textbook scalar recurrence, so its total is
 bit-identical to it; beyond the cost it needs one byte per cell.
-``render_notes`` evaluates a note's phase with angle-addition tables
+``NoteRenderer`` evaluates a note's phase with angle-addition tables
 instead of a ``sin`` call per sample and partial; it agrees with
 per-sample ``np.sin`` evaluation to within 1e-9 for notes in the first
-minutes of a piece.  The tests keep the scalar DTW loop, the comparing
-backtrack and the per-sample render loop as the oracles.
+minutes of a piece.  It renders a window of samples at a time, and the
+samples are the same bits whatever the windows.  The tests keep the
+scalar DTW loop, the comparing backtrack and the per-sample render loop
+as the oracles.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 
 import numpy as np
@@ -101,6 +104,11 @@ def dtw_backtrack(steps):
 # to 4 kHz the two differ by about 4e-10 two minutes in and 3e-9 at ten.
 # The envelope is exactly 1 between the attack and release edges, so it is
 # only evaluated on the edges.
+#
+# A window renders only the anchor rows of each note that overlap it and
+# the envelope samples inside it.  Every sample is computed by the same
+# operations whatever the window: elementwise ones on the same values, and
+# a gemm row, which BLAS computes alike in any product of two or more rows.
 
 _BLOCK = 256
 
@@ -114,32 +122,79 @@ def _envelope(t, attack, release, dur):
     return np.clip(env, 0.0, 1.0, out=env)
 
 
-def render_notes(starts, durs, freqs, amps, n_partials, attack, release, sr, out):
-    total = out.shape[0]
-    ks = np.arange(1, n_partials + 1, dtype=np.float64)
-    steps = np.arange(_BLOCK, dtype=np.float64) / sr
-    for n in range(starts.shape[0]):
-        s = starts[n]
-        dur = durs[n]
-        a = attack
-        r = release
+class NoteRenderer:
+    """The mix of a piece's notes, added window by window into caller buffers.
+
+    ``render(out, lo)`` adds every note's samples in [lo, lo + len(out))
+    into ``out``.  Windows must come in increasing order, as a file is
+    written; a note's samples are the same bits whatever the windows.
+    Notes are added in note order, so each sample sums its notes in the
+    same order as a whole-buffer render.  A pointer over the notes sorted
+    by start and a list of the notes still sounding pick the notes of a
+    window, and each pitch's per-offset table is made once.
+    """
+
+    def __init__(self, starts, durs, freqs, amps, n_partials, attack, release, sr):
+        self._notes = list(zip(starts.tolist(), durs.tolist(), freqs.tolist(), amps.tolist()))
+        self._first = np.maximum(0, np.rint(starts * sr)).astype(np.int64).tolist()
+        self._end = np.rint((starts + durs) * sr).astype(np.int64).tolist()
+        self._order = np.argsort(self._first, kind="stable").tolist()
+        self._next = 0  # into _order: the first note not yet started
+        self._live: list[int] = []  # started notes, in note order
+        self._ks = np.arange(1, n_partials + 1, dtype=np.float64)
+        self._steps = np.arange(_BLOCK, dtype=np.float64) / sr
+        self._tables: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+        self._attack, self._release, self._sr = attack, release, sr
+
+    def _table(self, freq):
+        """The angular frequencies of a pitch's partials below Nyquist and
+        its per-offset table [cos(w_k n/sr); sin(w_k n/sr)], n < _BLOCK."""
+        table = self._tables.get(freq)
+        if table is None:
+            fk = self._ks * freq
+            w = _TWO_PI * fk[fk < self._sr / 2.0]
+            offset = np.multiply.outer(w, self._steps)
+            table = self._tables[freq] = (w, np.vstack((np.cos(offset), np.sin(offset))))
+        return table
+
+    def render(self, out, lo=0):
+        hi = lo + out.shape[0]
+        self._live = [n for n in self._live if self._end[n] > lo]
+        while self._next < len(self._order) and self._first[self._order[self._next]] < hi:
+            bisect.insort(self._live, self._order[self._next])
+            self._next += 1
+        for n in self._live:
+            self._add(n, out, lo, hi)
+
+    def _add(self, n, out, lo, hi):
+        s, dur, freq, amp = self._notes[n]
+        sr = self._sr
+        a, r = self._attack, self._release
         if a + r > dur:
             fit = dur / (a + r)
             a *= fit
             r *= fit
-        i0 = max(0, int(round(s * sr)))
-        i1 = min(total, int(round((s + dur) * sr)))
-        fk = ks * freqs[n]
-        w = _TWO_PI * fk[fk < sr / 2.0]
-        if i1 <= i0 or w.size == 0:
-            continue
+        i0, i1 = self._first[n], self._end[n]
+        j0, j1 = max(i0, lo), min(i1, hi)
+        if j1 <= j0:
+            return
+        w, table = self._table(freq)
+        if w.size == 0:
+            return
         length = i1 - i0
-        phase = np.multiply.outer(np.arange(i0, i1, _BLOCK, dtype=np.float64) / sr - s, w)
-        weight = amps[n] / ks[: w.size]
+        # Anchor rows r0..r1-1 of the note's grid cover [j0, j1).  numpy sends
+        # a one-row product to gemv, whose sums round unlike gemm's rows, so
+        # a note of several rows never computes one alone.
+        r0, r1 = (j0 - i0) // _BLOCK, (j1 - i0 - 1) // _BLOCK + 1
+        if r1 - r0 == 1 and length > _BLOCK:
+            r0, r1 = (r0, r1 + 1) if r1 * _BLOCK < length else (r0 - 1, r1)
+        anchors = np.arange(i0 + r0 * _BLOCK, i0 + r1 * _BLOCK, _BLOCK, dtype=np.float64)
+        phase = np.multiply.outer(anchors / sr - s, w)
+        weight = amp / self._ks[: w.size]
         per_anchor = np.hstack((np.sin(phase) * weight, np.cos(phase) * weight))
-        offset = np.multiply.outer(w, steps[:length])
-        per_step = np.vstack((np.cos(offset), np.sin(offset)))
-        x = (per_anchor @ per_step).ravel()[:length]
+        per_step = table if length >= _BLOCK else np.ascontiguousarray(table[:, :length])
+        skip = i0 + r0 * _BLOCK
+        x = (per_anchor @ per_step).ravel()[j0 - skip : j1 - skip]
         # Samples in [head, tail) lie on the envelope's plateau; one sample of
         # slack on each side absorbs the rounding of t.  Overlapping edges
         # merge into one range.
@@ -148,7 +203,10 @@ def render_notes(starts, durs, freqs, amps, n_partials, attack, release, sr, out
         head = min(max(head, i0), i1)
         tail = min(max(tail, i0), i1)
         edges = ((i0, i1),) if head >= tail else ((i0, head), (tail, i1))
-        for j0, j1 in edges:
-            t = np.arange(j0, j1, dtype=np.float64) / sr - s
-            x[j0 - i0 : j1 - i0] *= _envelope(t, a, r, dur)
-        out[i0:i1] += x
+        for e0, e1 in edges:
+            e0, e1 = max(e0, j0), min(e1, j1)
+            if e0 < e1:
+                t = np.arange(e0, e1, dtype=np.float64) / sr - s
+                x[e0 - j0 : e1 - j0] *= _envelope(t, a, r, dur)
+        out[j0 - lo : j1 - lo] += x
+

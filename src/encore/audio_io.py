@@ -7,6 +7,8 @@ averaged, integer PCM is scaled to [-1, 1), and other rates are resampled
 with a polyphase filter (scipy, imported only when a file needs it).
 open_wav returns a WavReader that decodes a slice of a file at a time, so
 a 44.1 kHz file is never held whole; read_wav decodes all of it.
+write_wav_blocks writes a 32-bit float file block by block, and write_wav
+writes one array through it.
 
 The codec is a small RIFF/WAVE parser over numpy.  It reads little-endian
 RIFF files holding 16-, 24- or 32-bit integer PCM or 32- or 64-bit IEEE
@@ -200,23 +202,43 @@ def read_wav(path: str | os.PathLike) -> np.ndarray:
     return open_wav(path)[:]
 
 
-def write_wav(path: str | os.PathLike, samples: np.ndarray) -> None:
-    """Write mono samples as a 32-bit float WAV file at ANALYSIS_RATE.
+def write_wav_blocks(path: str | os.PathLike, samples: int, blocks) -> None:
+    """Write ``samples`` mono samples, given as an iterable of 1-D blocks, as
+    a 32-bit float WAV file at ANALYSIS_RATE.
 
     The layout is RIFF, an 18-byte fmt chunk (IEEE float, cbSize 0), a
-    fact chunk holding the frame count, then data.
+    fact chunk holding the frame count, then data.  The header is written
+    first, so the blocks are written as they come.  They go to a temporary
+    name next to ``path`` that is renamed to it once every sample is in, so
+    a failure part way leaves no WAV.
     """
-    data = np.ascontiguousarray(samples, dtype="<f4")
-    if data.ndim != 1:
-        raise ValueError(f"{path}: expected mono samples, got shape {data.shape}")
-    if _HEADER.size - 8 + data.nbytes > 0xFFFFFFFF:
-        raise ValueError(f"{path}: {len(data)} samples do not fit a RIFF file")
+    if _HEADER.size - 8 + 4 * samples > 0xFFFFFFFF:
+        raise ValueError(f"{path}: {samples} samples do not fit a RIFF file")
     header = _HEADER.pack(
-        b"RIFF", _HEADER.size - 8 + data.nbytes, b"WAVE",
+        b"RIFF", _HEADER.size - 8 + 4 * samples, b"WAVE",
         b"fmt ", 18, _FLOAT, 1, ANALYSIS_RATE, 4 * ANALYSIS_RATE, 4, 32, 0,
-        b"fact", 4, len(data),
-        b"data", data.nbytes,
+        b"fact", 4, samples,
+        b"data", 4 * samples,
     )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(data.data)
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(header)
+            written = 0
+            for block in blocks:
+                data = np.ascontiguousarray(block, dtype="<f4")
+                if data.ndim != 1:
+                    raise ValueError(f"{path}: expected mono samples, got shape {data.shape}")
+                written += len(data)
+                fh.write(data.data)
+        if written != samples:
+            raise ValueError(f"{path}: got {written} samples where the header says {samples}")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def write_wav(path: str | os.PathLike, samples: np.ndarray) -> None:
+    """Write mono samples as a 32-bit float WAV file at ANALYSIS_RATE."""
+    write_wav_blocks(path, len(samples), [samples])

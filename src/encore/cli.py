@@ -30,7 +30,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .audio_io import open_wav, write_wav
+from .audio_io import open_wav
 from .augment import SPEED_TIERS, TIER_BY_NAME, MistakeConfig, corrupt, sample_speed_augmentation
 from .curriculum import (
     atomic_write,
@@ -54,7 +54,7 @@ from .notes import segment
 from .prompts import PromptSpec, render_prompt
 from .seeds import derive_seed
 from .smf import parse_midi, write_midi
-from .synth import render, render_clicks
+from .synth import click_chunks, note_chunks, write_rendering
 from .tokenizer import encode
 
 log = logging.getLogger(__name__)
@@ -395,7 +395,7 @@ def cmd_evaluate(args) -> int:
 def cmd_synth(args) -> int:
     if args.clicks is not None:
         try:
-            buf = render_clicks(args.clicks, args.duration)
+            clicks = click_chunks(args.clicks, args.duration)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
     if args.clicks is None and not args.inputs:
@@ -404,15 +404,14 @@ def cmd_synth(args) -> int:
     out = _out_dir(args)
     if args.clicks is not None:
         path = out / f"clicks_{args.clicks:g}bpm.wav"
-        write_wav(path, buf)
-        print(f"{path}: {len(buf)} samples")
+        samples = write_rendering(path, clicks)
+        print(f"{path}: {samples} samples")
         _write_run_record(out, args)
         return EXIT_OK
 
     def work(path: Path) -> dict:
-        buf = render(parse_midi(path.read_bytes(), source_id=path.name))
-        write_wav(out / f"{path.stem}.wav", buf)
-        return {"samples": len(buf)}
+        seq = parse_midi(path.read_bytes(), source_id=path.name)
+        return {"samples": write_rendering(out / f"{path.stem}.wav", note_chunks(seq))}
 
     return _run_batch(args, items, work, out, _index(out / "index.json"))
 

@@ -5,21 +5,31 @@ linear attack/release envelope.  The point is not musical quality: the
 output has a predictable spectrum (partial k of a note sits at exactly
 k times its equal-tempered fundamental), which makes rendered audio a
 usable ground truth for the chroma and tempo metrics.
+
+Audio is made in chunks of CHUNK samples.  render and render_clicks join
+a rendering's chunks into one array; write_rendering streams them to a
+WAV file, holding a few chunks whatever the length, with the same bytes.
 """
 
 from __future__ import annotations
 
+import os
+from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from ._kernels import render_notes
-from .audio_io import ANALYSIS_RATE
+from ._kernels import NoteRenderer
+from .audio_io import ANALYSIS_RATE, write_wav_blocks
 from .notes import MAX_SECONDS, NoteSequence
 
 # Notes shorter than this are rendered at this length so they remain
 # audible; the envelope is shrunk proportionally to fit short notes.
 MIN_NOTE_SECONDS = 0.001
+
+# Samples rendered at a time; 2**15 to 2**17 run equally fast.
+CHUNK = 1 << 16
 
 _CLICK_SECONDS = 0.01
 _CLICK_SEED = 0x5EED
@@ -45,6 +55,52 @@ def _pitch_hz(pitch: int) -> float:
     return 440.0 * 2.0 ** ((pitch - 69) / 12.0)
 
 
+class Rendering(NamedTuple):
+    """A render's length in samples and its unscaled float64 chunks of
+    CHUNK samples (the last may be shorter), made as they are iterated."""
+
+    samples: int
+    chunks: Iterator[np.ndarray]
+
+
+def _gain(peak: float) -> float:
+    """The factor applied to every sample: a mix that would clip is rescaled
+    to a 0.9 peak, any other is left as it is (times 1.0, exactly)."""
+    return 0.9 / peak if peak > 1.0 else 1.0
+
+
+def _chunks(total: int, fill) -> Iterator[np.ndarray]:
+    """Zeroed chunks covering samples [0, total), each passed to
+    ``fill(chunk, lo)`` before it is yielded."""
+    for lo in range(0, total, CHUNK):
+        chunk = np.zeros(min(CHUNK, total - lo))
+        fill(chunk, lo)
+        yield chunk
+
+
+def _whole(rendering: Rendering) -> np.ndarray:
+    out = np.concatenate([np.zeros(0), *rendering.chunks])
+    out *= _gain(float(np.max(np.abs(out))) if out.size else 0.0)
+    return out
+
+
+def note_chunks(seq: NoteSequence, cfg: SynthConfig = SynthConfig()) -> Rendering:
+    """The rendering of ``seq`` at ANALYSIS_RATE, chunk by chunk; see render."""
+    sr = float(ANALYSIS_RATE)
+    durs = np.array(
+        [max(n.end - n.start, MIN_NOTE_SECONDS) for n in seq.notes], dtype=np.float64
+    )
+    starts = np.array([n.start for n in seq.notes], dtype=np.float64)
+    tail = float(np.max(starts + durs)) if len(seq.notes) else 0.0
+    total = int(np.ceil(max(seq.total_duration, tail) * sr))
+    freqs = np.array([_pitch_hz(n.pitch) for n in seq.notes], dtype=np.float64)
+    amps = np.array([n.velocity / 127.0 * cfg.gain for n in seq.notes], dtype=np.float64)
+    notes = NoteRenderer(
+        starts, durs, freqs, amps, cfg.partials, cfg.attack, cfg.release, sr
+    )
+    return Rendering(total, _chunks(total, notes.render))
+
+
 def render(seq: NoteSequence, cfg: SynthConfig = SynthConfig()) -> np.ndarray:
     """Render ``seq`` to a mono float64 buffer at ANALYSIS_RATE.
 
@@ -54,29 +110,44 @@ def render(seq: NoteSequence, cfg: SynthConfig = SynthConfig()) -> np.ndarray:
     ``cfg.gain``.  Notes mix additively.  If the mix would clip, the
     whole buffer is rescaled to a 0.9 peak; otherwise samples are
     returned untouched, so rendering is linear in the notes.  The buffer
-    is at most ``notes.MAX_SECONDS`` (about 5 GB of float64) plus the
-    ``MIN_NOTE_SECONDS`` padding of a final short note.
+    holds 8 bytes per sample, so a long piece is better streamed to a
+    file with ``write_rendering(path, note_chunks(seq))``, which writes
+    the same samples and holds a few chunks.
     """
+    return _whole(note_chunks(seq, cfg))
+
+
+def click_chunks(bpm: float, duration: float) -> Rendering:
+    """A click track at ANALYSIS_RATE, chunk by chunk: one short noise burst
+    per beat.  ``duration`` is in seconds, at most ``notes.MAX_SECONDS``;
+    both arguments are checked here, before any chunk is made."""
+    if not 30.0 <= bpm <= 300.0:
+        raise ValueError(f"bpm must be in [30, 300], got {bpm}")
+    if not 0 < duration <= MAX_SECONDS:
+        raise ValueError(f"duration must be in (0, {MAX_SECONDS:g}] s, got {duration}")
     sr = float(ANALYSIS_RATE)
-    durs = np.array(
-        [max(n.end - n.start, MIN_NOTE_SECONDS) for n in seq.notes], dtype=np.float64
-    )
-    starts = np.array([n.start for n in seq.notes], dtype=np.float64)
-    tail = float(np.max(starts + durs)) if len(seq.notes) else 0.0
-    total = int(np.ceil(max(seq.total_duration, tail) * sr))
-    out = np.zeros(total, dtype=np.float64)
-    if len(seq.notes):
-        freqs = np.array([_pitch_hz(n.pitch) for n in seq.notes], dtype=np.float64)
-        amps = np.array(
-            [n.velocity / 127.0 * cfg.gain for n in seq.notes], dtype=np.float64
-        )
-        render_notes(
-            starts, durs, freqs, amps, cfg.partials, cfg.attack, cfg.release, sr, out
-        )
-    peak = float(np.max(np.abs(out))) if total else 0.0
-    if peak > 1.0:
-        out *= 0.9 / peak
-    return out
+    total = int(np.ceil(duration * sr))
+    burst_len = int(_CLICK_SECONDS * sr)
+    # one fixed burst reused for every click keeps the output deterministic
+    rng = np.random.default_rng(_CLICK_SEED)
+    burst = rng.uniform(-1.0, 1.0, burst_len)
+    burst *= np.linspace(1.0, 0.0, burst_len)  # decaying click
+    period = 60.0 / bpm
+    beat = 0  # the first beat whose burst may reach the next chunk
+
+    def add_bursts(out, lo):
+        nonlocal beat
+        hi = lo + out.shape[0]
+        k = beat
+        while (i0 := int(round(k * period * sr))) < hi:
+            i1 = min(i0 + burst_len, hi)
+            if i1 > lo:
+                out[max(i0, lo) - lo : i1 - lo] += burst[max(i0, lo) - i0 : i1 - i0]
+            if k == beat and i0 + burst_len <= hi:
+                beat += 1
+            k += 1
+
+    return Rendering(total, _chunks(total, add_bursts))
 
 
 def render_clicks(bpm: float, duration: float) -> np.ndarray:
@@ -84,27 +155,39 @@ def render_clicks(bpm: float, duration: float) -> np.ndarray:
 
     ``duration`` is in seconds, at most ``notes.MAX_SECONDS``.
     """
-    if not 30.0 <= bpm <= 300.0:
-        raise ValueError(f"bpm must be in [30, 300], got {bpm}")
-    if not 0 < duration <= MAX_SECONDS:
-        raise ValueError(f"duration must be in (0, {MAX_SECONDS:g}] s, got {duration}")
-    sr = float(ANALYSIS_RATE)
-    out = np.zeros(int(np.ceil(duration * sr)), dtype=np.float64)
-    burst_len = int(_CLICK_SECONDS * sr)
-    # one fixed burst reused for every click keeps the output deterministic
-    rng = np.random.default_rng(_CLICK_SEED)
-    burst = rng.uniform(-1.0, 1.0, burst_len)
-    burst *= np.linspace(1.0, 0.0, burst_len)  # decaying click
-    period = 60.0 / bpm
-    beat = 0
-    while True:
-        i0 = int(round(beat * period * sr))
-        if i0 >= out.shape[0]:
-            break
-        i1 = min(i0 + burst_len, out.shape[0])
-        out[i0:i1] += burst[: i1 - i0]
-        beat += 1
-    peak = float(np.max(np.abs(out)))
-    if peak > 1.0:
-        out *= 0.9 / peak
-    return out
+    return _whole(click_chunks(bpm, duration))
+
+
+def write_rendering(path: str | os.PathLike, rendering: Rendering) -> int:
+    """Write ``rendering`` as a float32 WAV at ``path``, scaled as render
+    scales it, and return its sample count.
+
+    The peak scaling needs the whole file's peak, so the unscaled chunks
+    go to an unlinked temporary file in ``path``'s directory (8 bytes per
+    sample) while the peak is found, and are read back, scaled and written
+    one chunk at a time.  The WAV appears only once it is complete.
+    """
+    import tempfile  # kept off the start-up path
+
+    with tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(path))) as spill:
+        peak = 0.0
+        for chunk in rendering.chunks:
+            peak = max(peak, float(np.max(np.abs(chunk))))
+            spill.write(chunk.data)
+        spill.seek(0)
+        write_wav_blocks(path, rendering.samples,
+                         _scaled(spill, rendering.samples, _gain(peak)))
+    return rendering.samples
+
+
+def _scaled(spill, samples: int, gain: float):
+    """The spilled samples times gain, as float32 blocks of CHUNK samples;
+    ``(x * gain).astype("<f4")`` bit for bit, through two fixed buffers."""
+    buf = np.empty(min(CHUNK, samples))
+    block = np.empty(buf.shape[0], dtype="<f4")
+    for lo in range(0, samples, CHUNK):
+        n = min(CHUNK, samples - lo)
+        if spill.readinto(buf[:n]) != buf[:n].nbytes:
+            raise ValueError(f"spilled render holds fewer than its {samples} samples")
+        np.multiply(buf[:n], gain, out=block[:n], casting="unsafe")
+        yield block[:n]

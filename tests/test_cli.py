@@ -6,7 +6,9 @@ script uses, and checks outputs on disk plus the exit code contract:
 """
 
 import csv
+import hashlib
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -18,14 +20,48 @@ import numpy as np
 import pytest
 
 import encore
-from encore import cli, metrics
-from encore.audio_io import WavReader, write_wav
+from encore import cli, metrics, synth
+from encore.audio_io import WavReader, read_wav, write_wav
 from encore.cli import EXIT_CONFIG, EXIT_FAILURES, EXIT_OK, main
 from encore.metrics import EmbeddingSet, chromagram, tempo_estimate, write_embeddings
 from encore.notes import Note, NoteSequence, segment
 from encore.smf import parse_midi, write_midi
 from encore.synth import render, render_clicks
 from encore.tokenizer import TokenStream, encode
+
+
+def _dense_sequence(seconds):
+    """Eight notes a second, held up to 2 s, over most of the keyboard."""
+    rng = np.random.default_rng(11)
+    count = int(8 * seconds)
+    starts = np.sort(rng.uniform(0.0, seconds - 2.0, count))
+    notes = [
+        Note(start=float(s), pitch=int(p), end=float(s + d), velocity=int(v))
+        for s, p, d, v in zip(starts, rng.integers(36, 97, count),
+                              rng.uniform(0.05, 2.0, count), rng.integers(40, 121, count))
+    ]
+    return NoteSequence(notes=notes, total_duration=seconds)
+
+
+_LIMITED_MAIN = (
+    "import resource, sys\n"
+    "from encore.cli import main\n"
+    "with open('/proc/self/statm') as fh:\n"
+    "    size = int(fh.read().split()[0]) * resource.getpagesize()\n"
+    "resource.setrlimit(resource.RLIMIT_AS, (size + (int(sys.argv[1]) << 20),) * 2)\n"
+    "sys.exit(main(sys.argv[2:]))\n"
+)
+
+
+def _run_limited(headroom_mb, *argv):
+    """Run the CLI in a child whose address space is capped at its size after
+    importing encore.cli plus headroom_mb."""
+    src = str(Path(encore.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    return subprocess.run(
+        [sys.executable, "-c", _LIMITED_MAIN, str(headroom_mb), *map(str, argv)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
 
 
 def _sequence(n_notes=50, step=0.5, stretch=1.0):
@@ -800,6 +836,87 @@ class TestSynth:
     def test_no_inputs(self, tmp_path):
         assert _run("synth", "--out", tmp_path / "audio") == EXIT_CONFIG
 
+    # SHA-256 of the WAVs the whole-buffer click renderer wrote, by BPM and
+    # sample count: 2 * synth.CHUNK samples and one either side.  At 40.5
+    # BPM a burst straddles the first chunk edge and one is cut by the end.
+    _CLICK_DIGESTS = {
+        (40.5, 131071): "d75d564bc66e1d8675f3ff7f746ab43d5374b1a1431805386f7a51ffd894f5ab",
+        (40.5, 131072): "afa35f07aa39a59dd872dcbadc9aff6f0f820010046c100c69115b38e4a22110",
+        (40.5, 131073): "e75731220038cf4c099fdcbe8387e6b7238990b080a77fc5930372d127ecf23d",
+        (120.0, 131071): "5d7def1aedfc357d7d01caddb13a0d9c2a1ad7215206cca5fd1c7dc1ef1f2daf",
+        (120.0, 131072): "ab5bfe27d1473f5a61381161a1f82224dc45cc8cad3e1e88f4fbdb0536235497",
+        (120.0, 131073): "18c3e10accc0823958780e4e825d58248b3c5dc986e7b5f0ccafcae3f75431bc",
+    }
+
+    @pytest.mark.parametrize("bpm,samples", sorted(_CLICK_DIGESTS))
+    def test_streamed_clicks_keep_their_bytes(self, tmp_path, bpm, samples):
+        assert samples - 2 * synth.CHUNK in (-1, 0, 1)
+        duration = samples / 44100
+        assert math.ceil(duration * 44100) == samples
+        out = tmp_path / "audio"
+        code = _run("synth", "--clicks", bpm, "--duration", repr(duration), "--out", out)
+        assert code == EXIT_OK
+        data = (out / f"clicks_{bpm:g}bpm.wav").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == self._CLICK_DIGESTS[bpm, samples]
+        assert sorted(p.name for p in out.iterdir()) == [
+            f"clicks_{bpm:g}bpm.wav", "run_record.json"]
+
+    @pytest.mark.parametrize("fault", ["render", "write"])
+    def test_failed_item_leaves_no_partial_wav(self, midi_dir, tmp_path, monkeypatch, capsys,
+                                               fault):
+        """A failure part way through a file, in the render pass or while the
+        WAV is written, leaves neither the WAV nor a temporary file."""
+
+        def faulty(seq):
+            rendering = synth.note_chunks(seq)
+            if len(seq.notes) != 30:  # b.mid
+                return rendering
+            if fault == "write":  # the spill runs out mid-file
+                return synth.Rendering(rendering.samples + 1, rendering.chunks)
+
+            def chunks():
+                for k, chunk in enumerate(rendering.chunks):
+                    if k == 2:
+                        raise ValueError("injected")
+                    yield chunk
+
+            return synth.Rendering(rendering.samples, chunks())
+
+        monkeypatch.setattr(cli, "note_chunks", faulty)
+        out = tmp_path / "audio"
+        argv = ["synth", midi_dir / "a.mid", midi_dir / "b.mid", "--out", out]
+        assert _run(*argv) == EXIT_OK
+        rows = json.loads((out / "index.json").read_text())
+        assert [r["status"] for r in rows] == ["ok", "error"]
+        assert "Traceback" not in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["a.wav", "index.json",
+                                                          "run_record.json"]
+        assert _run(*argv, "--strict") == EXIT_FAILURES
+
+    def test_long_score_renders_in_bounded_memory(self, tmp_path):
+        """A dense 3-min score renders with 48 MB of address space to spare
+        after the imports, less than its 64 MB of float64 samples."""
+        midi = tmp_path / "dense.mid"
+        midi.write_bytes(write_midi(_dense_sequence(180.0)))
+        out = tmp_path / "audio"
+        done = _run_limited(48, "synth", midi, "--out", out, "--strict")
+        assert done.returncode == EXIT_OK, done.stderr
+        assert len(read_wav(out / "dense.wav")) > 170 * 44100
+
+    def test_streamed_render_memory_does_not_grow(self, tmp_path):
+        """From a 1-min to a 5-min score, traced peak memory grows by the
+        notes' own size, where 4 more minutes of float64 are 85 MB."""
+        peaks = []
+        for minutes in (1, 5):
+            seq = _dense_sequence(60.0 * minutes)
+            tracemalloc.start()
+            try:
+                synth.write_rendering(tmp_path / "x.wav", synth.note_chunks(seq))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 2e6
+
 
 # ---------------------------------------------------------------------------
 # option values that cannot work
@@ -962,32 +1079,22 @@ class TestOverlongInput:
         assert _run(*argv, "--strict") == EXIT_FAILURES
 
 
-    def test_memory_error_is_item_failure(self, midi_dir, tmp_path):
-        """One 14000 s note is within the 4 h input limit, but its 4.6 GiB
-        render does not fit the child's 2 GiB of address space: that item
-        fails alone, and the other is still written."""
-        long = midi_dir / "long.mid"
-        note = Note(start=0.0, pitch=60, end=14000.0, velocity=90)
-        long.write_bytes(write_midi(NoteSequence(notes=[note], total_duration=14000.0)))
-        out = tmp_path / "audio"
-        code = (
-            "import resource, sys\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
-            "from encore.cli import main\n"
-            "sys.exit(main(sys.argv[1:]))\n"
-        )
-        src = str(Path(encore.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
-        argv = [sys.executable, "-c", code, "synth", midi_dir / "a.mid", long, "--out", out]
-        done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+    def test_memory_error_is_item_failure(self, tmp_path):
+        """A 3-min self-pair needs about 115 MiB of DTW distances, more than
+        the 64 MB of address space the child has left after its imports:
+        that pair fails alone, and the 13 s pair is still scored."""
+        for name, seconds in (("big", 180.0), ("small", 13.0)):
+            write_wav(tmp_path / f"{name}.wav", render_clicks(120.0, seconds))
+        pairs = _write(tmp_path / "pairs.csv", "pair_id,output,reference\n"
+                       "big,big.wav,big.wav\nsmall,small.wav,small.wav\n")
+        out = tmp_path / "results.csv"
+        argv = ["evaluate", "--pairs", pairs, "--metrics", "chroma,tempo", "--out", out]
+        done = _run_limited(64, *argv)
         assert done.returncode == EXIT_OK, done.stderr
-        rows = json.loads((out / "index.json").read_text())
-        assert [r["status"] for r in rows] == ["ok", "error"]
-        assert rows[1]["file"] == str(long) and "allocate" in rows[1]["error"]
-        assert f"{long}: " in done.stderr and "Traceback" not in done.stderr
-        assert (out / "a.wav").exists()
-        strict = subprocess.run([*argv, "--strict"], capture_output=True, text=True, env=env,
-                                timeout=120)
+        assert "FAILED big: " in done.stdout and "allocate" in done.stdout
+        assert "big: " in done.stderr and "Traceback" not in done.stderr
+        assert set(_read_results(out)) == {("small", "chroma"), ("small", "tempo")}
+        strict = _run_limited(64, *argv, "--strict")
         assert strict.returncode == EXIT_FAILURES, strict.stderr
 
 

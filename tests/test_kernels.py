@@ -211,7 +211,7 @@ def test_render_paths_agree():
     out = np.zeros_like(expected)
     args = (starts, durs, freqs, amps, 4, 0.01, 0.05, 44100.0)
     _render_notes_per_sample(*args, expected)
-    kernels.render_notes(*args, out)
+    kernels.NoteRenderer(*args).render(out)
     np.testing.assert_allclose(out, expected, rtol=0, atol=1e-9)
 
 
@@ -253,14 +253,51 @@ def test_render_matches_per_sample_oracle(
     expected = np.zeros(int(seconds * sample_rate))
     out = np.zeros_like(expected)
     _render_notes_per_sample(*args, expected)
-    kernels.render_notes(*args, out)
+    kernels.NoteRenderer(*args).render(out)
     np.testing.assert_allclose(out, expected, rtol=0, atol=1e-9)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    notes=st.lists(
+        st.tuples(
+            st.floats(0.0, 2.5),  # start, s
+            st.one_of(st.just(MIN_NOTE_SECONDS), st.floats(MIN_NOTE_SECONDS, 2.0)),
+            st.integers(0, 127),  # pitch
+            st.floats(0.0, 1.0),  # amplitude
+        ),
+        max_size=12,
+    ),
+    in_order=st.booleans(),
+    n_partials=st.integers(1, 8),
+    seconds=st.floats(0.0, 3.0),
+    # from pieces of a 256-sample anchor row up to many rows: a window that
+    # holds one row of a longer note must not change its bits
+    chunk=st.one_of(st.integers(64, 600), st.sampled_from([1024, 4097, 1 << 16])),
+)
+def test_windowed_render_is_bit_identical_to_whole(notes, in_order, n_partials, seconds,
+                                                   chunk):
+    if in_order:  # as NoteSequence keeps them
+        notes = sorted(notes, key=lambda note: note[0])
+    starts, durs, pitches, amps = (
+        np.array([note[i] for note in notes], dtype=np.float64) for i in range(4)
+    )
+    freqs = 440.0 * 2.0 ** ((pitches - 69) / 12.0)
+    args = (starts, durs, freqs, amps, n_partials, 0.01, 0.05, 44100.0)
+    whole = np.zeros(int(seconds * 44100))
+    kernels.NoteRenderer(*args).render(whole)
+    renderer = kernels.NoteRenderer(*args)
+    windows = []
+    for lo in range(0, whole.shape[0], chunk):
+        windows.append(np.zeros(min(chunk, whole.shape[0] - lo)))
+        renderer.render(windows[-1], lo)
+    assert np.array_equal(np.concatenate([np.zeros(0), *windows]), whole)
 
 
 def test_render_drops_partials_above_nyquist():
     out = np.zeros(44100)
     # pitch 127 fundamental ~12.5 kHz: partials 2..4 alias, must be dropped
-    kernels.render_notes(
+    kernels.NoteRenderer(
         np.array([0.0]),
         np.array([1.0]),
         np.array([440.0 * 2.0 ** ((127 - 69) / 12.0)]),
@@ -269,8 +306,7 @@ def test_render_drops_partials_above_nyquist():
         0.01,
         0.05,
         44100.0,
-        out,
-    )
+    ).render(out)
     spec = np.abs(np.fft.rfft(out))
     freqs = np.fft.rfftfreq(out.shape[0], 1.0 / 44100.0)
     main = freqs[np.argmax(spec)]
