@@ -126,8 +126,6 @@ def _run_batch(args, items, work, out: Path, write, *, key="file", report=_json_
             log.error("%s: %s", name, error)
             return {key: name, "status": "error", "error": error}
 
-    if args.workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {args.workers}")
     rows = _map_items(one, items, args.workers)
     for line in report(rows):
         print(line)
@@ -147,9 +145,13 @@ def _inputs(args) -> list[tuple[str, Path]]:
     return [(str(path), path) for path in by_stem.values()]
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def _out_dir(path) -> Path:
+    """path as a directory, made if missing, or ConfigError naming it."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {out}: {exc.strerror}") from None
     return out
 
 
@@ -168,7 +170,7 @@ def _tokenize_line(row: dict) -> str:
 
 def cmd_tokenize(args) -> int:
     items = _inputs(args)
-    out = _out_dir(args)
+    out = _out_dir(args.out)
 
     def work(path: Path) -> dict:
         seq = parse_midi(path.read_bytes(), source_id=path.name)
@@ -197,7 +199,7 @@ def cmd_tokenize(args) -> int:
 
 def cmd_augment(args) -> int:
     items = _inputs(args)
-    out = _out_dir(args)
+    out = _out_dir(args.out)
 
     def work(path: Path) -> dict:
         seq = parse_midi(path.read_bytes(), source_id=path.name)
@@ -265,7 +267,7 @@ def cmd_manifest(args) -> int:
         raise ConfigError(f"registry: {exc}") from exc
     if not entries:
         raise ConfigError(f"registry has no datasets for stage {stage}")
-    out = _out_dir(args)
+    out = _out_dir(args.out)
     path = out / ("merged.jsonl" if stage is None else f"stage{stage}.jsonl")
 
     def work(item) -> dict:
@@ -371,7 +373,9 @@ def cmd_evaluate(args) -> int:
         if by_id.setdefault(row["pair_id"], row) is not row:
             raise ConfigError(f"{pairs_path}: pair_id {row['pair_id']!r} appears twice")
     out_path = Path(args.out)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
+    if out_path.is_dir():
+        raise ConfigError(f"--out {out_path} is a directory")
+    _out_dir(out_path.parent)
 
     def report(rows: list[dict]) -> list[str]:
         written = sum(len(r.get("results", ())) for r in rows)
@@ -401,7 +405,7 @@ def cmd_synth(args) -> int:
     if args.clicks is None and not args.inputs:
         raise ConfigError("need MIDI inputs or --clicks")
     items = _inputs(args)
-    out = _out_dir(args)
+    out = _out_dir(args.out)
     if args.clicks is not None:
         path = out / f"clicks_{args.clicks:g}bpm.wav"
         samples = write_rendering(path, clicks)
@@ -494,6 +498,8 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "seed", 0) < 0:
             raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
+        if getattr(args, "workers", 1) < 1:
+            raise ConfigError(f"--workers must be >= 1, got {args.workers}")
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -74,10 +74,15 @@ def _object(value, where, required: dict, optional: dict) -> dict:
 
 def atomic_write(path: Path, text: str) -> None:
     """Write text through a temporary file and a rename, so a reader sees
-    the old file or the new one, never part of one."""
+    the old file or the new one, never part of one; a failed write leaves
+    no temporary file behind."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, newline="")
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(text, newline="")
+        os.replace(tmp, path)
+    finally:
+        if tmp.exists():
+            tmp.unlink()
 
 
 def _read_json(path: Path):
@@ -194,8 +199,10 @@ def load_registry(path: str | os.PathLike) -> list[DatasetEntry]:
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
         for pair in load_pairs(entry):
-            for ref in (pair.midi, pair.audio, pair.metadata):
-                if ref is not None and not (entry.root_path / ref).exists():
+            # a MIDI is read per item, so one that is a directory fails alone
+            for ref, usable in ((pair.midi, Path.exists), (pair.audio, Path.is_file),
+                                (pair.metadata, Path.is_file)):
+                if ref is not None and not usable(entry.root_path / ref):
                     raise ValueError(f"{path}: {entry.name}: missing file {ref}")
         entries.append(entry)
     return entries
@@ -204,8 +211,8 @@ def load_registry(path: str | os.PathLike) -> list[DatasetEntry]:
 def load_pairs(entry: DatasetEntry) -> list[Pair]:
     """Read an entry's pair index, canonically sorted by MIDI path.
 
-    Every path must stay under the dataset root (relative, no ``..``).
-    MIDI paths name token files, so each must also appear once.
+    Every path must be non-empty and stay under the dataset root
+    (relative, no ``..``). MIDI paths name token files, so each must also appear once.
     """
     pairs = []
     seen = set()
@@ -213,6 +220,8 @@ def load_pairs(entry: DatasetEntry) -> list[Pair]:
         where = f"{entry.pair_index}:{number}"
         _object(row, where, _PAIR_REQUIRED, {"metadata": _TEXT})
         for key in ("midi", "audio", "metadata"):
+            if row.get(key) == "":
+                raise ValueError(f"{where}: {key} path is empty")
             ref = Path(row.get(key) or "")
             if ref.is_absolute() or ".." in ref.parts:
                 raise ValueError(f"{where}: {key} path {row[key]!r} is absolute or has '..'")

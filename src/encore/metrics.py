@@ -31,9 +31,6 @@ _PREFERRED_LOW = 70.0
 _TEMPO_WINDOW = 2048
 _TEMPO_HOP = 512
 
-_FREQ_LOW = 27.5
-_FREQ_HIGH = 8000.0
-
 
 def _periodic_hann(n: int) -> np.ndarray:
     """scipy.signal.windows.hann(n, sym=False), bit for bit: the same
@@ -44,6 +41,18 @@ def _periodic_hann(n: int) -> np.ndarray:
 
 _CHROMA_HANN = _periodic_hann(CHROMA_WINDOW)
 _TEMPO_HANN = _periodic_hann(_TEMPO_WINDOW)
+
+
+def _chroma_fold() -> tuple[np.ndarray, np.ndarray]:
+    """chromagram's bins sorted stably by pitch class, and where each class C..B starts."""
+    freqs = np.arange(CHROMA_WINDOW // 2 + 1) * (ANALYSIS_RATE / CHROMA_WINDOW)  # no numpy.fft
+    bins = np.flatnonzero((freqs >= 27.5) & (freqs <= 8000.0))
+    classes = np.round(69.0 + 12.0 * np.log2(freqs[bins] / 440.0)).astype(np.int64) % 12
+    order = np.argsort(classes, kind="stable")
+    return bins[order], np.searchsorted(classes[order], np.arange(12))
+
+
+_CHROMA_BINS, _CHROMA_STARTS = _chroma_fold()
 
 # STFT frames per block: the samples and spectrum held at once do not grow
 # with the input, and each row is summed in the same order as from one
@@ -70,7 +79,8 @@ class MetricError(RuntimeError):
 class ChromaMatrix:
     """T x 12 pitch-class energy frames; row 0 of a frame is class C.
 
-    Every frame is either L2-normalized or all-zero (silence).
+    Every frame is either L2-normalized or all-zero (silence), and is
+    stored rounded to multiples of 2**-24 (its norm moves by about 1e-7 at most).
     """
 
     frames: np.ndarray
@@ -90,7 +100,7 @@ class ChromaMatrix:
             raise ValueError("frames must be unit-norm or all-zero")
         if self.frame_rate <= 0:
             raise ValueError(f"frame_rate must be positive, got {self.frame_rate}")
-        object.__setattr__(self, "frames", frames)
+        object.__setattr__(self, "frames", np.round(frames * 2.0**24) / 2.0**24)
 
     def __len__(self) -> int:
         return self.frames.shape[0]
@@ -139,45 +149,35 @@ def chromagram(audio: np.ndarray | WavReader) -> ChromaMatrix:
     x = _signal(audio)
     if len(x) == 0:
         raise ValueError("audio buffer is empty")
-    freqs = np.fft.rfftfreq(CHROMA_WINDOW, 1.0 / ANALYSIS_RATE)
-    keep = (freqs >= _FREQ_LOW) & (freqs <= _FREQ_HIGH)
-    pitch = np.round(69.0 + 12.0 * np.log2(freqs[keep] / 440.0)).astype(np.int64)
-    pitch_class = pitch % 12
     n_frames = _frame_count(len(x), CHROMA_WINDOW, CHROMA_HOP)
     chroma = np.empty((n_frames, 12), dtype=np.float64)
     for start in range(0, n_frames, _BLOCK):
-        # gathered bins are column-major, so numpy sums a row left to right
-        # in a block of two rows or more but pairwise in a lone row: the
-        # last block starts early enough to hold two
-        rows = slice(max(0, min(start, n_frames - 2)), min(start + _BLOCK, n_frames))
-        frames = _frames(x, CHROMA_WINDOW, CHROMA_HOP, rows.start, rows.stop)
-        spec = np.abs(np.fft.rfft(frames * _CHROMA_HANN, axis=1)) ** 2
-        spec = spec[:, keep]
-        for klass in range(12):
-            chroma[rows, klass] = spec[:, pitch_class == klass].sum(axis=1)
+        stop = min(start + _BLOCK, n_frames)
+        frames = _frames(x, CHROMA_WINDOW, CHROMA_HOP, start, stop)
+        spec = np.abs(np.fft.rfft(frames * _CHROMA_HANN, axis=1))
+        spec = np.take(spec, _CHROMA_BINS, axis=1)
+        spec *= spec  # energies, squared after the gather, which keeps a third of the bins
+        chroma[start:stop] = np.add.reduceat(spec, _CHROMA_STARTS, axis=1)
     norms = np.linalg.norm(chroma, axis=1)
     sounding = norms > 0.0
     chroma[sounding] /= norms[sounding, None]
     return ChromaMatrix(chroma, ANALYSIS_RATE / CHROMA_HOP)
 
 
-def _silence_mask(frames: np.ndarray) -> np.ndarray:
-    return ~frames.any(axis=1)
-
-
 def _cosine_distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # frames are unit-norm or zero, so the dot product is the cosine;
-    # convention: silence matches silence (distance 0) and maximally
-    # mismatches sound (distance 1)
-    if b is a:  # a @ a.T runs BLAS syrk, which rounds unlike gemm
-        b = a.copy()
+    """|a_i - b_j|^2 / 2, within 2.1e-7 of 1 - a_i . b_j for unit frames.
+
+    On ChromaMatrix frames every product is a multiple of 2**-48 and no
+    partial sum exceeds 4, so every cell is exact whatever BLAS kernel or
+    summation order computes it: a self-distance is 0, none is negative.
+    Silence matches silence (distance 0) and mismatches sound (distance 1).
+    """
     dist = a @ b.T
-    np.subtract(1.0, dist, out=dist)
-    # rounded dot products of unit vectors can stray past 1, and the
-    # accumulated cost must stay non-negative
-    np.clip(dist, 0.0, 2.0, out=dist)
-    za = _silence_mask(a)
-    zb = _silence_mask(b)
+    dist *= -2.0
+    dist += np.einsum("ij,ij->i", a, a)[:, None]
+    dist += np.einsum("ij,ij->i", b, b)[None, :]
+    dist *= 0.5
+    za, zb = ~a.any(axis=1), ~b.any(axis=1)
     dist[np.ix_(za, zb)] = 0.0
     dist[np.ix_(za, ~zb)] = 1.0
     dist[np.ix_(~za, zb)] = 1.0

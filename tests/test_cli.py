@@ -530,6 +530,26 @@ def test_malformed_curriculum_json_is_config_error(tmp_path, capsys, case):
     assert len(errors) == 1 and str(bad) in errors[0]
 
 
+@pytest.mark.parametrize("pair, named", [
+    ({"audio": ""}, "pairs.jsonl"),
+    ({"audio": "sub"}, "sub"),
+    ({"metadata": ""}, "pairs.jsonl"),
+    ({"metadata": "sub"}, "sub"),
+], ids=["empty audio", "audio is a directory", "empty metadata", "metadata is a directory"])
+def test_pair_paths_must_name_files(tmp_path, capsys, pair, named):
+    """An empty path or a directory would pass an existence check on the
+    dataset root or the directory itself."""
+    registry = _make_registry(tmp_path, n_pairs=1)
+    (registry.parent / "synth-a" / "sub").mkdir()
+    _pairs(registry, json.dumps({"midi": "p0.mid", "audio": "p0.wav", **pair}))
+    out = tmp_path / "man"
+    assert _run("manifest", "--registry", registry, "--stage", "0", "--strict",
+                "--out", out) == EXIT_CONFIG
+    (error,) = capsys.readouterr().err.splitlines()
+    assert error.startswith("error: ") and named in error
+    assert not out.exists()
+
+
 def test_malformed_metadata_is_item_failure(tmp_path, capsys):
     registry = _make_registry(tmp_path, n_pairs=1)
     bad = _list_metadata(registry)
@@ -929,18 +949,52 @@ class TestSynth:
         *(["prompt", "--stage", v] for v in ("5", "-1", "9")),
         *(["synth", "--clicks", v] for v in ("500", "nan", "0")),
         *(["synth", "--clicks", "120", "--duration", v] for v in ("1e12", "inf", "nan")),
+        *([cmd, "--workers", "0"] for cmd in ("tokenize", "synth", "evaluate", "manifest")),
     ],
 )
 def test_unworkable_option_is_config_error(midi_dir, tmp_path, capsys, argv):
     out = tmp_path / "out"
-    inputs = [midi_dir / "a.mid"] if argv[0] == "synth" else []
+    inputs = [midi_dir / "a.mid"] if argv[0] in ("tokenize", "synth") else []
     out_flag = [] if argv[0] == "prompt" else ["--out", out]
+    if argv[0] == "evaluate":  # its --out is the results file
+        pairs = _write(tmp_path / "pairs.csv", "pair_id,output,reference\nx,a,a\n")
+        inputs, out_flag = ["--pairs", pairs], ["--out", out / "results.csv"]
+    if argv[0] == "manifest":
+        inputs = ["--registry", _make_registry(tmp_path, n_pairs=1), "--stage", "0"]
     assert _run(*argv, *inputs, *out_flag) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert sum(line.startswith("error:") for line in err.splitlines()) == 1
     # checked before any item runs or any output is written
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["tokenize"], ["synth", "--clicks", "120"]], ids=lambda a: a[0])
+def test_out_that_is_a_file_is_config_error(midi_dir, tmp_path, capsys, argv):
+    (tmp_path / "o").mkdir()
+    afile = _write(tmp_path / "o" / "afile", "kept")
+    inputs = [midi_dir / "a.mid"] if argv[0] == "tokenize" else []
+    assert _run(*argv, *inputs, "--out", afile) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    (error,) = err.splitlines()
+    assert error.startswith("error: ") and str(afile) in error
+    assert afile.read_text() == "kept"
+    assert [p.name for p in afile.parent.iterdir()] == ["afile"]
+
+
+def test_evaluate_out_that_is_a_directory_is_config_error(tmp_path, capsys):
+    outdir = tmp_path / "outdir"
+    outdir.mkdir()
+    write_wav(tmp_path / "x.wav", render(_sequence(n_notes=8)))
+    pairs = _write(tmp_path / "pairs.csv", "pair_id,output,reference\nx,x.wav,x.wav\n")
+    assert _run("evaluate", "--pairs", pairs, "--metrics", "chroma", "--out", outdir) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    (error,) = captured.err.splitlines()
+    assert error.startswith("error: ") and str(outdir) in error
+    assert not any(outdir.iterdir())
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["outdir", "pairs.csv", "x.wav"]
 
 
 @pytest.mark.parametrize(

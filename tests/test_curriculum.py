@@ -11,6 +11,7 @@ from encore.curriculum import (
     DatasetEntry,
     ManifestRecord,
     StageManifest,
+    atomic_write,
     build_manifest,
     load_pairs,
     load_registry,
@@ -171,6 +172,14 @@ def test_registry_row_errors_name_the_registry(corpus, tmp_path):
     with pytest.raises(ValueError) as err:
         load_registry(corpus)
     assert str(err.value) == f"{corpus}: {name}: missing file ghost.mid"
+
+
+def test_failed_atomic_write_leaves_no_temporary_file(tmp_path):
+    target = tmp_path / "out"
+    target.mkdir()
+    with pytest.raises(OSError):
+        atomic_write(target, "text")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
 
 
 @pytest.mark.parametrize("key", ["midi", "audio", "metadata"])

@@ -115,14 +115,14 @@ def _chroma_oracle(x):
     keep = (freqs >= 27.5) & (freqs <= 8000.0)
     pitch = np.round(69.0 + 12.0 * np.log2(freqs[keep] / 440.0)).astype(np.int64)
     pitch_class = pitch % 12
-    spec = spec[:, keep]
-    chroma = np.zeros((spec.shape[0], 12), dtype=np.float64)
-    for klass in range(12):
-        chroma[:, klass] = spec[:, pitch_class == klass].sum(axis=1)
+    order = np.argsort(pitch_class, kind="stable")
+    spec = spec[:, keep][:, order]
+    starts = np.searchsorted(pitch_class[order], np.arange(12))
+    chroma = np.add.reduceat(spec, starts, axis=1)
     norms = np.linalg.norm(chroma, axis=1)
     sounding = norms > 0.0
     chroma[sounding] /= norms[sounding, None]
-    return chroma
+    return np.round(chroma * 2.0**24) / 2.0**24
 
 
 def _onset_oracle(x):
@@ -212,14 +212,78 @@ def test_reader_features_match_array(tmp_path, n):
 
 def test_self_pair_matches_two_equal_buffers():
     """A pair of one object computes one chromagram, and its distances are
-    bit-identical to those of two equal buffers (numpy would multiply a
-    matrix by its own transpose with BLAS syrk, which rounds differently)."""
+    bit-identical to those of two equal buffers (numpy multiplies a matrix
+    by its own transpose with BLAS syrk, whose cells are exact too)."""
     buf = render(_demo_sequence())
     one, two = chroma_similarity(buf, buf), chroma_similarity(buf, buf.copy())
     assert (one.mean_cosine, one.dtw_cost, one.path) == (two.mean_cosine, two.dtw_cost, two.path)
     a = chromagram(buf).frames
     assert np.array_equal(metrics._cosine_distance_matrix(a, a),
                           metrics._cosine_distance_matrix(a, a.copy()))
+
+
+# ---------------------------------------------------------------------------
+# exact distance cells: every way of computing a cell gives the same bits
+
+_distance = metrics._cosine_distance_matrix
+
+
+def _per_diagonal_distance(a, b):
+    """|a_i - b_j|^2 / 2 cell by cell, one anti-diagonal at a time, with the
+    silence conventions."""
+    n, m = len(a), len(b)
+    silent_a, silent_b = ~a.any(axis=1), ~b.any(axis=1)
+    out = np.empty((n, m))
+    for d in range(n + m - 1):
+        i = np.arange(max(0, d - m + 1), min(n, d + 1))
+        j = d - i
+        cells = ((a[i] - b[j]) ** 2).sum(axis=1) / 2.0
+        cells[silent_a[i] != silent_b[j]] = 1.0
+        out[i, j] = cells
+    return out
+
+
+def _assert_exact_cells(a, b, tiles):
+    whole = _distance(a, b)
+    n, m = whole.shape
+    for rows, cols in [(1, 1), *tiles]:
+        assert np.array_equal(np.vstack([_distance(a[i : i + rows], b) for i in range(0, n, rows)]),
+                              whole)
+        assert np.array_equal(np.hstack([_distance(a, b[j : j + cols]) for j in range(0, m, cols)]),
+                              whole)
+    assert np.array_equal(_per_diagonal_distance(a, b), whole)
+    assert (whole >= 0.0).all()
+    for x in (a, b):
+        self_distance = _distance(x, x)
+        assert np.array_equal(self_distance, _distance(x, x.copy()))
+        assert not self_distance.diagonal().any()
+
+
+def _grid_frames(rng, n, silent):
+    """n unit or all-zero frames, as ChromaMatrix stores them."""
+    x = rng.random((n, 12)) ** 4
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    x[rng.random(n) < silent] = 0.0
+    return ChromaMatrix(x, 21.5).frames
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 70), m=st.integers(1, 70), rows=st.integers(2, 70),
+    cols=st.integers(2, 70), silent=st.sampled_from([0.0, 0.2, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_distance_cells_are_exact(n, m, rows, cols, silent, seed):
+    rng = np.random.default_rng(seed)
+    _assert_exact_cells(_grid_frames(rng, n, silent), _grid_frames(rng, m, silent),
+                        [(rows, cols)])
+
+
+def test_distance_cells_are_exact_on_renders():
+    seq = _demo_sequence()
+    a = chromagram(render(seq)).frames
+    b = chromagram(render(stretch(seq, 1.3))).frames
+    _assert_exact_cells(a, b, [(7, 5), (64, 100), (150, 33)])
 
 
 # ---------------------------------------------------------------------------
