@@ -5,8 +5,8 @@ files are written at it, and the metrics assume it.  Readers normalize
 everything to mono float64 at that rate.  Multi-channel input is
 averaged, integer PCM is scaled to [-1, 1), and other rates are resampled
 with a polyphase filter (scipy, imported only when a file needs it).
-open_wav returns a WavReader that decodes a slice of a file at a time, so
-a 44.1 kHz file is never held whole; read_wav decodes all of it.
+A WavReader decodes a slice of a file at a time, so a 44.1 kHz file is
+never held whole; read_wav decodes all of it.
 write_wav_blocks writes a 32-bit float file block by block, and write_wav
 writes one array through it.
 
@@ -191,15 +191,9 @@ class WavReader:
         return samples
 
 
-def open_wav(path: str | os.PathLike) -> WavReader:
-    """Open a WAV file for reading as mono float64 at ANALYSIS_RATE, a slice
-    at a time; the header and every sample are checked here."""
-    return WavReader(path)
-
-
 def read_wav(path: str | os.PathLike) -> np.ndarray:
     """Read a WAV file as mono float64 at ANALYSIS_RATE."""
-    return open_wav(path)[:]
+    return WavReader(path)[:]
 
 
 def write_wav_blocks(path: str | os.PathLike, samples: int, blocks) -> None:

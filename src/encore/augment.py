@@ -8,7 +8,9 @@ removes one short time block per five-second span.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 
 import numpy as np
 
@@ -137,6 +139,16 @@ def _neighbor_pitch(pitch: int, direction: int, report: MistakeReport) -> int:
     return candidate
 
 
+def _drop_blocks(notes: list[Note], intervals: list[tuple[float, float]]) -> list[Note]:
+    """The notes whose start lies in no interval [t_start, t_end), in one pass:
+    a start is covered iff the intervals starting at or before it reach past it."""
+    intervals = sorted(intervals)
+    starts = [t_start for t_start, _ in intervals]
+    reach = list(accumulate((t_end for _, t_end in intervals), max))
+    return [n for n in notes
+            if (i := bisect_right(starts, n.start)) == 0 or reach[i - 1] <= n.start]
+
+
 def corrupt(
     seq: NoteSequence, cfg: MistakeConfig = MistakeConfig()
 ) -> tuple[NoteSequence, MistakeReport]:
@@ -189,14 +201,12 @@ def corrupt(
         kept.append(current)
 
     blocks = math.floor(seq.total_duration / cfg.block_period)
-    survivors = kept
     for k in range(blocks + 1):
         t_start = k * cfg.block_period + float(rng.uniform(0.0, cfg.block_period))
         t_end = t_start + float(rng.uniform(*cfg.block_length))
         report.removed_intervals.append((t_start, t_end))
-        before = len(survivors)
-        survivors = [n for n in survivors if not t_start <= n.start < t_end]
-        report.block_removed += before - len(survivors)
+    survivors = _drop_blocks(kept, report.removed_intervals)
+    report.block_removed = len(kept) - len(survivors)
 
     max_end = max((n.end for n in survivors), default=0.0)
     return replace(seq, notes=survivors, total_duration=max(seq.total_duration, max_end)), report

@@ -30,7 +30,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .audio_io import open_wav
+from .audio_io import WavReader
 from .augment import SPEED_TIERS, TIER_BY_NAME, MistakeConfig, corrupt, sample_speed_augmentation
 from .curriculum import (
     atomic_write,
@@ -317,7 +317,7 @@ def _evaluate_pair(row: dict, metrics: list[str], base: Path) -> list[dict]:
     ratio = float(row.get("ratio") or 1.0)
     out_path = base / row["output"]
     ref_path = base / row["reference"]
-    wav = functools.cache(open_wav)  # check each WAV once; metrics stream its samples
+    wav = functools.cache(WavReader)  # check each WAV once; metrics stream its samples
     tempo = functools.cache(lambda path: tempo_estimate(wav(path)))
     values = {}
     if "chroma" in metrics:
@@ -397,13 +397,18 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    if args.clicks is not None:
+    if (args.clicks is None) == (not args.inputs):
+        raise ConfigError("need MIDI inputs or --clicks, not both")
+    if args.clicks is None:
+        if args.duration is not None:
+            raise ConfigError("--duration sets a click track's length; it needs --clicks")
+    else:
+        if args.duration is None:
+            args.duration = 10.0  # so the run record shows the length rendered
         try:
             clicks = click_chunks(args.clicks, args.duration)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-    if args.clicks is None and not args.inputs:
-        raise ConfigError("need MIDI inputs or --clicks")
     items = _inputs(args)
     out = _out_dir(args.out)
     if args.clicks is not None:
@@ -482,7 +487,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("synth", help="render MIDI (or a click track) to WAV")
     p.add_argument("inputs", nargs="*")
     p.add_argument("--clicks", type=float, default=None, help="render a click track at BPM")
-    p.add_argument("--duration", type=float, default=10.0)
+    p.add_argument("--duration", type=float, default=None,
+                   help="click track length in seconds (default 10)")
     _add_common(p, cmd_synth, seed=False, out="audio", batch=True)
 
     return parser

@@ -257,28 +257,18 @@ def _alignment_for(metadata: dict, offset: float) -> tuple[float, float] | None:
 def _prompt_spec(
     entry: DatasetEntry, metadata: dict, stage: int, keyword: str | None
 ) -> PromptSpec:
-    sonification = "performance" if entry.input_kind == "performance" else "synthesis"
-    common = {
-        "title": metadata.get("title"),
-        "composer": metadata.get("composer"),
-        "instrumentation": entry.instrumentation or None,
-    }
-    if stage == 0:
-        return PromptSpec(sonification="synthesis", stage=0)
-    if stage == 3:
-        return PromptSpec(
-            sonification=sonification, stage=3, speed_keyword=keyword,
-            mistake=True, **common,
-        )
-    if stage == 4:
-        return PromptSpec(
-            sonification=sonification, stage=4, speed_keyword=keyword,
-            performer=metadata.get("performer"),
-            expression_label=metadata.get("expression"),
-            **common,
-        )
+    """Each field at the stages that carry it; stage 0 renders a fixed prompt."""
+    performance = stage > 0 and entry.input_kind == "performance"
     return PromptSpec(
-        sonification=sonification, stage=stage, speed_keyword=keyword, **common
+        sonification="performance" if performance else "synthesis",
+        stage=stage,
+        speed_keyword=keyword,
+        title=metadata.get("title"),
+        composer=metadata.get("composer"),
+        instrumentation=entry.instrumentation or None,
+        mistake=True if stage == 3 else None,
+        performer=metadata.get("performer") if stage == 4 else None,
+        expression_label=metadata.get("expression") if stage == 4 else None,
     )
 
 

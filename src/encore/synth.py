@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import os
 from collections.abc import Iterator
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -31,24 +30,15 @@ MIN_NOTE_SECONDS = 0.001
 # Samples rendered at a time; 2**15 to 2**17 run equally fast.
 CHUNK = 1 << 16
 
+# The voice: harmonic partials per note, linear attack and release in
+# seconds, and the amplitude of a velocity-127 note.
+PARTIALS = 4
+ATTACK = 0.01
+RELEASE = 0.05
+GAIN = 0.5
+
 _CLICK_SECONDS = 0.01
 _CLICK_SEED = 0x5EED
-
-
-@dataclass(frozen=True)
-class SynthConfig:
-    partials: int = 4
-    attack: float = 0.01
-    release: float = 0.05
-    gain: float = 0.5
-
-    def __post_init__(self):
-        if self.partials < 1:
-            raise ValueError(f"partials must be >= 1, got {self.partials}")
-        if self.attack < 0 or self.release < 0:
-            raise ValueError("attack and release must be non-negative")
-        if not 0.0 <= self.gain <= 1.0:
-            raise ValueError(f"gain must be in [0, 1], got {self.gain}")
 
 
 def _pitch_hz(pitch: int) -> float:
@@ -84,7 +74,7 @@ def _whole(rendering: Rendering) -> np.ndarray:
     return out
 
 
-def note_chunks(seq: NoteSequence, cfg: SynthConfig = SynthConfig()) -> Rendering:
+def note_chunks(seq: NoteSequence) -> Rendering:
     """The rendering of ``seq`` at ANALYSIS_RATE, chunk by chunk; see render."""
     sr = float(ANALYSIS_RATE)
     durs = np.array(
@@ -94,27 +84,25 @@ def note_chunks(seq: NoteSequence, cfg: SynthConfig = SynthConfig()) -> Renderin
     tail = float(np.max(starts + durs)) if len(seq.notes) else 0.0
     total = int(np.ceil(max(seq.total_duration, tail) * sr))
     freqs = np.array([_pitch_hz(n.pitch) for n in seq.notes], dtype=np.float64)
-    amps = np.array([n.velocity / 127.0 * cfg.gain for n in seq.notes], dtype=np.float64)
-    notes = NoteRenderer(
-        starts, durs, freqs, amps, cfg.partials, cfg.attack, cfg.release, sr
-    )
+    amps = np.array([n.velocity / 127.0 * GAIN for n in seq.notes], dtype=np.float64)
+    notes = NoteRenderer(starts, durs, freqs, amps, PARTIALS, ATTACK, RELEASE, sr)
     return Rendering(total, _chunks(total, notes.render))
 
 
-def render(seq: NoteSequence, cfg: SynthConfig = SynthConfig()) -> np.ndarray:
+def render(seq: NoteSequence) -> np.ndarray:
     """Render ``seq`` to a mono float64 buffer at ANALYSIS_RATE.
 
-    Each note becomes ``cfg.partials`` harmonic sines with amplitudes 1/k
+    Each note becomes PARTIALS harmonic sines with amplitudes 1/k
     (partials at or above Nyquist are dropped), shaped by a linear
-    attack/release envelope and weighted by velocity/127 times
-    ``cfg.gain``.  Notes mix additively.  If the mix would clip, the
-    whole buffer is rescaled to a 0.9 peak; otherwise samples are
-    returned untouched, so rendering is linear in the notes.  The buffer
-    holds 8 bytes per sample, so a long piece is better streamed to a
-    file with ``write_rendering(path, note_chunks(seq))``, which writes
-    the same samples and holds a few chunks.
+    ATTACK/RELEASE envelope and weighted by velocity/127 times GAIN.
+    Notes mix additively.  If the mix would clip, the whole buffer is
+    rescaled to a 0.9 peak; otherwise samples are returned untouched, so
+    rendering is linear in the notes.  The buffer holds 8 bytes per
+    sample, so a long piece is better streamed to a file with
+    ``write_rendering(path, note_chunks(seq))``, which writes the same
+    samples and holds a few chunks.
     """
-    return _whole(note_chunks(seq, cfg))
+    return _whole(note_chunks(seq))
 
 
 def click_chunks(bpm: float, duration: float) -> Rendering:

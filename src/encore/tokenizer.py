@@ -105,20 +105,6 @@ class TokenStream:
             raise DecodeError("token ID outside declared vocabulary")
         return cls(tokens=tokens, window_length=window_ms / 1000)
 
-    def dump(self) -> str:
-        """Human-readable one-token-per-line rendering."""
-        names = {"end_tie": "EndTie", "eos": "EOS"}
-        lines = []
-        for token in self.tokens:
-            kind, value = describe(token)
-            if kind == "onoff":
-                lines.append("On" if value else "Off")
-            elif kind in names:
-                lines.append(names[kind])
-            else:
-                lines.append(f"{kind.capitalize()}({value})")
-        return "\n".join(lines)
-
 
 def encode(window: Window) -> TokenStream:
     """Tokenize a window.

@@ -14,7 +14,7 @@ from scipy.io import wavfile
 
 import encore
 from encore import audio_io
-from encore.audio_io import open_wav, read_wav, write_wav
+from encore.audio_io import WavReader, read_wav, write_wav
 
 
 def test_float32_round_trip(tmp_path):
@@ -310,7 +310,7 @@ def test_hostile_bytes_read_or_value_error(seed_wavs, which, cut, edits):
 
 
 # ---------------------------------------------------------------------------
-# open_wav: the same samples, a slice at a time
+# WavReader: the same samples, a slice at a time
 
 
 def _formats():
@@ -358,7 +358,7 @@ def test_reader_slices_match_read_wav(tmp_path, monkeypatch, name, raw):
         path.write_bytes(raw[:-7])
         full = full[:-2]
     assert np.array_equal(read_wav(path), full)
-    reader = open_wav(path)
+    reader = WavReader(path)
     n = len(full)
     assert len(reader) == n
     for lo, hi in [(0, n), (0, 1), (3, 17), (500, 999), (n - 5, n + 10), (n + 3, n + 9), (7, 3)]:
@@ -371,7 +371,7 @@ def test_reader_refuses_a_step(tmp_path):
     path = tmp_path / "x.wav"
     write_wav(path, np.zeros(10))
     with pytest.raises(ValueError, match="step"):
-        open_wav(path)[::2]
+        WavReader(path)[::2]
 
 
 @pytest.mark.parametrize("where", [0, 4096, 3 * 4096 + 99])
@@ -384,7 +384,7 @@ def test_nan_anywhere_refused_on_open(tmp_path, monkeypatch, where):
     path = tmp_path / "nan.wav"
     write_wav(path, samples)
     with pytest.raises(ValueError, match="non-finite") as info:
-        open_wav(path)
+        WavReader(path)
     assert str(path) in str(info.value)
 
 
@@ -395,13 +395,13 @@ def test_overflowing_channel_mean_refused(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         with pytest.raises(ValueError, match="non-finite"):
-            open_wav(path)
+            WavReader(path)
 
 
 def test_file_truncated_after_open(tmp_path):
     path = tmp_path / "x.wav"
     write_wav(path, np.linspace(-0.5, 0.5, 5000))
-    reader = open_wav(path)
+    reader = WavReader(path)
     path.write_bytes(path.read_bytes()[:2000])
     assert np.array_equal(reader[:10], np.linspace(-0.5, 0.5, 5000)[:10].astype(np.float32))
     with pytest.raises(ValueError, match="ended") as info:
@@ -419,7 +419,7 @@ def test_huge_fmt_size_fails_without_allocating(tmp_path):
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="no data chunk") as info:
-            open_wav(path)
+            WavReader(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

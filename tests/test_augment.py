@@ -2,11 +2,13 @@
 
 import math
 from dataclasses import replace as dc_replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from encore import augment
 from encore.augment import (
     MistakeConfig,
     SPEED_TIERS,
@@ -274,3 +276,59 @@ def test_program_never_changes():
     out, _ = corrupt(seq, MistakeConfig(seed=8))
     assert {n.program for n in out.notes} <= {n.program for n in seq.notes}
 
+
+
+def _drop_blocks_by_loop(notes, intervals):
+    """The block removal as it was: each interval in turn filters the survivors
+    (O(blocks x notes)); kept as the oracle of the one-pass _drop_blocks."""
+    survivors = notes
+    for t_start, t_end in intervals:
+        survivors = [n for n in survivors if not t_start <= n.start < t_end]
+    return survivors
+
+
+@st.composite
+def _corrupt_cases(draw):
+    duration = draw(st.floats(0.5, 60.0))
+    notes = [
+        Note(start=start, pitch=pitch, end=start + length)
+        for start, pitch, length in draw(st.lists(
+            st.tuples(st.floats(0.0, duration), st.integers(0, 127), st.floats(0.0, 2.0)),
+            max_size=60,
+        ))
+    ]
+    p = st.sampled_from([0.0, 0.3, 1.0])
+    low = draw(st.floats(0.0, 12.0))
+    cfg = MistakeConfig(
+        p_mistouch=draw(p), p_async=draw(p), p_subst=draw(p), p_ghost=draw(p),
+        block_period=draw(st.floats(0.25, 10.0)),
+        # lengths above the period make neighbouring intervals overlap
+        block_length=(low, low + draw(st.floats(0.01, 12.0))),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    return NoteSequence(notes, total_duration=max([duration, *(n.end for n in notes)])), cfg
+
+
+@settings(max_examples=200, deadline=None)
+@given(_corrupt_cases())
+def test_one_pass_block_removal_matches_loop(case):
+    seq, cfg = case
+    new = corrupt(seq, cfg)
+    with mock.patch.object(augment, "_drop_blocks", _drop_blocks_by_loop):
+        old = corrupt(seq, cfg)
+    assert new == old
+
+
+_quarter = st.integers(0, 40).map(lambda q: q / 4)
+
+
+@given(
+    st.lists(_quarter, max_size=30),
+    st.lists(st.tuples(_quarter, st.integers(1, 12).map(lambda q: q / 4)), max_size=8),
+)
+def test_drop_blocks_matches_loop_on_a_grid(starts, intervals):
+    """Starts and interval ends on one grid, so starts meet interval edges;
+    intervals unsorted and overlapping."""
+    notes = [Note(start=t, pitch=60, end=t) for t in starts]
+    intervals = [(t0, t0 + length) for t0, length in intervals]
+    assert augment._drop_blocks(notes, intervals) == _drop_blocks_by_loop(notes, intervals)

@@ -950,11 +950,16 @@ class TestSynth:
         *(["synth", "--clicks", v] for v in ("500", "nan", "0")),
         *(["synth", "--clicks", "120", "--duration", v] for v in ("1e12", "inf", "nan")),
         *([cmd, "--workers", "0"] for cmd in ("tokenize", "synth", "evaluate", "manifest")),
+        # a click track would drop the MIDI input; a MIDI render ignores --duration
+        ["synth", "--clicks", "120", "a.mid"],
+        ["synth", "--duration", "2"],
     ],
 )
 def test_unworkable_option_is_config_error(midi_dir, tmp_path, capsys, argv):
     out = tmp_path / "out"
-    inputs = [midi_dir / "a.mid"] if argv[0] in ("tokenize", "synth") else []
+    argv = [midi_dir / a if a == "a.mid" else a for a in argv]
+    midi = argv[0] == "tokenize" or argv[0] == "synth" and "--clicks" not in argv
+    inputs = [midi_dir / "a.mid"] if midi else []
     out_flag = [] if argv[0] == "prompt" else ["--out", out]
     if argv[0] == "evaluate":  # its --out is the results file
         pairs = _write(tmp_path / "pairs.csv", "pair_id,output,reference\nx,a,a\n")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from encore import metrics
-from encore.audio_io import open_wav, read_wav, write_wav
+from encore.audio_io import WavReader, read_wav, write_wav
 from encore.augment import stretch
 from encore.metrics import (
     ChromaMatrix,
@@ -24,7 +24,7 @@ from encore.metrics import (
     write_embeddings,
 )
 from encore.notes import Note, NoteSequence
-from encore.synth import SynthConfig, render, render_clicks
+from encore.synth import render, render_clicks
 
 # pitch-class indices with C = 0
 PC_C, PC_E, PC_G, PC_A = 0, 4, 7, 9
@@ -203,7 +203,7 @@ def test_reader_features_match_array(tmp_path, n):
     path = tmp_path / "x.wav"
     write_wav(path, _noise(n, n))
     x = read_wav(path)
-    reader = open_wav(path)
+    reader = WavReader(path)
     assert np.array_equal(chromagram(reader).frames, _chroma_oracle(x))
     assert np.array_equal(metrics._onset_envelope(reader)[0], _onset_oracle(x))
     if n >= 5 * 44100:

@@ -4,9 +4,15 @@ Fixtures are assembled byte by byte with local helpers, independent of the
 writer under test, so parse expectations are hand-computed oracles.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import encore
 from encore.notes import Note, NoteSequence, SequenceTooLongError
 from encore.smf import (
     MidiParseError,
@@ -391,3 +397,16 @@ def test_mutated_bytes_parse_or_raise_typed_error(edits):
     except (MidiParseError, SequenceTooLongError):
         return
     assert isinstance(seq, NoteSequence)
+
+
+def test_symbolic_modules_import_without_numpy():
+    """The package imports no module of its own, so a MIDI-only caller
+    (corpus writers, memory probes) does not load numpy."""
+    code = "import sys, encore.notes, encore.smf, encore.seeds; print('numpy' in sys.modules)"
+    src = str(Path(encore.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

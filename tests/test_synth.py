@@ -1,25 +1,18 @@
 import numpy as np
 import pytest
 
-from encore.audio_io import ANALYSIS_RATE
+from encore.audio_io import ANALYSIS_RATE, read_wav, write_wav
 from encore.augment import stretch
 from encore.notes import MAX_SECONDS, Note, NoteSequence
-from encore.synth import SynthConfig, render, render_clicks
-
-
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        {"partials": 0},
-        {"attack": -0.01},
-        {"release": -1.0},
-        {"gain": 1.5},
-        {"gain": -0.1},
-    ],
+from encore.synth import (
+    ATTACK,
+    CHUNK,
+    RELEASE,
+    note_chunks,
+    render,
+    render_clicks,
+    write_rendering,
 )
-def test_config_validation(kwargs):
-    with pytest.raises(ValueError):
-        SynthConfig(**kwargs)
 
 
 def test_empty_sequence_renders_silence():
@@ -30,7 +23,7 @@ def test_empty_sequence_renders_silence():
 
 def test_single_note_peak_at_fundamental():
     seq = NoteSequence([Note(0.0, 69, 2.0)], total_duration=2.0)
-    buf = render(seq, SynthConfig(partials=1))
+    buf = render(seq)
     spec = np.abs(np.fft.rfft(buf))
     freqs = np.fft.rfftfreq(buf.shape[0], 1.0 / 44100.0)
     assert abs(freqs[np.argmax(spec)] - 440.0) < 1.0
@@ -38,7 +31,7 @@ def test_single_note_peak_at_fundamental():
 
 def test_partial_amplitudes_fall_as_one_over_k():
     seq = NoteSequence([Note(0.0, 57, 2.0, velocity=127)], total_duration=2.0)
-    buf = render(seq, SynthConfig(gain=1.0))
+    buf = render(seq)  # a clip rescales every sample alike: the ratios hold
     spec = np.abs(np.fft.rfft(buf))
     freqs = np.fft.rfftfreq(buf.shape[0], 1.0 / 44100.0)
     f0 = 220.0
@@ -63,29 +56,47 @@ def test_render_deterministic():
 
 
 def test_rendering_is_additive_per_note():
-    notes = [Note(0.1, 60, 1.0), Note(0.4, 64, 1.3), Note(0.7, 67, 2.0)]
+    # low velocity: no note and no mix clips
+    notes = [Note(0.1, 60, 1.0, 25), Note(0.4, 64, 1.3, 25), Note(0.7, 67, 2.0, 25)]
     seq = NoteSequence(notes, total_duration=2.5)
-    cfg = SynthConfig(gain=0.1)  # low gain: no note and no mix clips
-    mixed = render(seq, cfg)
+    mixed = render(seq)
     summed = np.zeros_like(mixed)
     for note in notes:
-        summed += render(NoteSequence([note], total_duration=2.5), cfg)
+        summed += render(NoteSequence([note], total_duration=2.5))
     assert np.array_equal(mixed, summed)
 
 
 def test_clipping_normalizes_to_nine_tenths():
     notes = [Note(0.0, 60 + i, 1.0, velocity=127) for i in range(8)]
     seq = NoteSequence(notes, total_duration=1.0)
-    buf = render(seq, SynthConfig(gain=1.0))
+    buf = render(seq)
     assert np.abs(buf).max() == pytest.approx(0.9, abs=1e-12)
+
+
+@pytest.mark.parametrize("velocity, clips", [(127, True), (30, False)])
+def test_streamed_and_whole_renders_write_the_same_bytes(tmp_path, velocity, clips):
+    """write_rendering scales spilled chunks; write_wav(render(...)) scales one
+    buffer.  Both must give the same WAV bytes, clipping or not, over more
+    than two chunks."""
+    notes = [Note(0.1 * k, 40 + k, 0.1 * k + 2.0, velocity) for k in range(40)]
+    seq = NoteSequence(notes, total_duration=6.0)
+    assert 6.0 * ANALYSIS_RATE > 2 * CHUNK
+    write_rendering(tmp_path / "streamed.wav", note_chunks(seq))
+    write_wav(tmp_path / "whole.wav", render(seq))
+    streamed = (tmp_path / "streamed.wav").read_bytes()
+    assert streamed == (tmp_path / "whole.wav").read_bytes()
+    peak = np.abs(read_wav(tmp_path / "streamed.wav")).max()
+    if clips:
+        assert peak == pytest.approx(0.9, abs=1e-6)
+    else:
+        assert 0.0 < peak < 0.9
 
 
 def test_stretch_doubles_sample_length():
     seq = NoteSequence([Note(0.0, 60, 1.0), Note(1.0, 62, 3.2)], total_duration=3.2)
-    cfg = SynthConfig()
-    short = render(seq, cfg)
-    long = render(stretch(seq, 2.0), cfg)
-    envelope_samples = int((cfg.attack + cfg.release) * ANALYSIS_RATE)
+    short = render(seq)
+    long = render(stretch(seq, 2.0))
+    envelope_samples = int((ATTACK + RELEASE) * ANALYSIS_RATE)
     assert abs(long.shape[0] - 2 * short.shape[0]) <= envelope_samples
 
 

@@ -254,22 +254,6 @@ def test_untrusted_bytes_raise_only_decode_error(
         pass
 
 
-def test_dump():
-    win = Window(offset=0.0, length=10.0, notes=(Note(start=0.0, pitch=60, end=1.0),))
-    text = encode(win).dump()
-    assert text.splitlines() == [
-        "EndTie",
-        "Time(0)",
-        "Instrument(0)",
-        "On",
-        "Note(60)",
-        "Time(51)",
-        "Off",
-        "Note(60)",
-        "EOS",
-    ]
-
-
 @st.composite
 def grid_windows(draw):
     voices = draw(
