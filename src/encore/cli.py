@@ -356,7 +356,7 @@ def cmd_evaluate(args) -> int:
         raise ConfigError(f"unknown metrics {sorted(unknown)}")
     pairs_path = Path(args.pairs)
     try:
-        with open(pairs_path) as fh:
+        with open(pairs_path, encoding="utf-8-sig", newline="") as fh:
             reader = csv.DictReader(fh)
             pair_rows = list(reader)
     except (OSError, ValueError, csv.Error) as exc:  # ValueError: not UTF-8
@@ -411,14 +411,13 @@ def cmd_synth(args) -> int:
             raise ConfigError(str(exc)) from exc
     items = _inputs(args)
     out = _out_dir(args.out)
-    if args.clicks is not None:
-        path = out / f"clicks_{args.clicks:g}bpm.wav"
-        samples = write_rendering(path, clicks)
-        print(f"{path}: {samples} samples")
-        _write_run_record(out, args)
-        return EXIT_OK
+    if args.clicks is not None:  # the click track is the run's one item
+        wav = out / f"clicks_{args.clicks:g}bpm.wav"
+        items = [(str(wav), wav)]
 
     def work(path: Path) -> dict:
+        if args.clicks is not None:
+            return {"samples": write_rendering(path, clicks)}
         seq = parse_midi(path.read_bytes(), source_id=path.name)
         return {"samples": write_rendering(out / f"{path.stem}.wav", note_chunks(seq))}
 

@@ -17,6 +17,7 @@ import json
 import logging
 import math
 import os
+import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -241,8 +242,11 @@ def _load_metadata(entry: DatasetEntry, pair: Pair) -> dict:
     path = entry.root_path / pair.metadata
     metadata = _object(_read_json(path), path, {}, _METADATA_OPTIONAL)
     for row in metadata.get("alignment", ()):
-        if not (isinstance(row, list) and len(row) == 3 and all(_is(v, _NUMBER) for v in row)):
-            raise ValueError(f"{path}: alignment rows are [score_offset, perf_start, perf_end]")
+        if not (isinstance(row, list) and len(row) == 3
+                and all(_is(v, _NUMBER) and abs(v) <= sys.float_info.max for v in row)
+                and row[1] < row[2]):
+            raise ValueError(f"{path}: alignment rows are [score_offset, perf_start, perf_end],"
+                             " finite, with perf_start < perf_end")
     return metadata
 
 

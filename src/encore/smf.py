@@ -6,8 +6,6 @@ seconds, so long files with many tempo changes accumulate no drift.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-
 from .notes import Note, NoteSequence
 
 DEFAULT_TEMPO_US = 500_000  # microseconds per quarter note, per the SMF standard
@@ -15,7 +13,7 @@ PPQ = 480  # ticks per quarter note in written files
 
 _DRUM_CHANNEL = 9
 
-_EV_OFF, _EV_ON, _EV_PROGRAM = 0, 1, 2
+_EV_OFF, _EV_ON, _EV_PROGRAM, _EV_TEMPO = 0, 1, 2, 3
 
 # writer byte order for events sharing a tick: tempo and program changes
 # first, then offs, so a note ending where its successor begins closes before
@@ -83,17 +81,16 @@ class _Cursor:
         return byte
 
 
-def _parse_track(data: bytes, start: int, limit: int):
-    """Collect channel events and tempo changes from one MTrk payload.
+def _parse_track(data: bytes, start: int, limit: int, index: int, events: list) -> int:
+    """Append one MTrk payload's channel events and tempo changes to events.
 
-    Returns (events, tempos, end_tick) with events in stream order as
-    (tick, kind, data_a, data_b, channel) tuples.
+    Each event is a (tick, index, kind, data_a, data_b, channel) tuple in
+    stream order; a tempo change is an _EV_TEMPO event with microseconds
+    per quarter in data_a. Returns the track's end tick.
     """
     cur = _Cursor(data, start, limit)
     tick = 0
     running: int | None = None
-    events = []
-    tempos = []
     while cur.pos < cur.limit:
         tick += cur.varlen()
         first = cur.u8()
@@ -115,7 +112,10 @@ def _parse_track(data: bytes, start: int, limit: int):
                     raise MidiParseError(
                         f"tempo event with length {len(payload)}", cur.pos
                     )
-                tempos.append((tick, int.from_bytes(payload, "big")))
+                tempo = int.from_bytes(payload, "big")
+                if tempo == 0:
+                    raise MidiParseError("zero tempo", cur.pos - 3)
+                events.append((tick, index, _EV_TEMPO, tempo, 0, 0))
             elif meta_type == 0x2F:
                 break
         elif status in (0xF0, 0xF7):
@@ -132,45 +132,13 @@ def _parse_track(data: bytes, start: int, limit: int):
             a = cur.data_byte() if data_a is None else data_a
             b = cur.data_byte() if kind not in (0xC0, 0xD0) else 0
             if kind == 0x90 and b > 0:
-                events.append((tick, _EV_ON, a, b, channel))
+                events.append((tick, index, _EV_ON, a, b, channel))
             elif kind == 0x80 or kind == 0x90:
-                events.append((tick, _EV_OFF, a, 0, channel))
+                events.append((tick, index, _EV_OFF, a, 0, channel))
             elif kind == 0xC0:
-                events.append((tick, _EV_PROGRAM, a, 0, channel))
+                events.append((tick, index, _EV_PROGRAM, a, 0, channel))
             # control change, aftertouch, and pitch bend are ignored
-    return events, tempos, tick
-
-
-class _TempoMap:
-    """Piecewise tick-to-seconds conversion.
-
-    Segment sums are kept as exact integer tick-microsecond products; the
-    single floating division happens per query.
-    """
-
-    def __init__(self, tempos, ppq: int):
-        ticks = [0]
-        values = [DEFAULT_TEMPO_US]
-        for tick, tempo in tempos:
-            if tick == ticks[-1]:
-                values[-1] = tempo
-            else:
-                ticks.append(tick)
-                values.append(tempo)
-        cumulative = [0]
-        for i in range(1, len(ticks)):
-            cumulative.append(
-                cumulative[-1] + (ticks[i] - ticks[i - 1]) * values[i - 1]
-            )
-        self._ticks = ticks
-        self._values = values
-        self._cumulative = cumulative
-        self._denominator = ppq * 1_000_000
-
-    def seconds(self, tick: int) -> float:
-        i = bisect_right(self._ticks, tick) - 1
-        numerator = self._cumulative[i] + (tick - self._ticks[i]) * self._values[i]
-        return numerator / self._denominator
+    return tick
 
 
 def parse_midi(data: bytes, source_id: str = "") -> NoteSequence:
@@ -219,49 +187,40 @@ def parse_midi(data: bytes, source_id: str = "") -> NoteSequence:
 
     # merge by (tick, track); the stable sort keeps each track's stream order,
     # which is the authoritative order for events sharing a tick
-    merged = []
-    tempos = []
+    events = []
     end_tick = 0
     for index, (body, limit) in enumerate(spans):
-        events, track_tempos, track_end = _parse_track(data, body, limit)
-        merged.extend((tick, index, kind, a, b, ch) for tick, kind, a, b, ch in events)
-        tempos.extend((tick, index, tempo) for tick, tempo in track_tempos)
-        end_tick = max(end_tick, track_end)
-    merged.sort(key=lambda ev: ev[:2])
-    tempos.sort(key=lambda ev: ev[:2])
+        end_tick = max(end_tick, _parse_track(data, body, limit, index, events))
+    events.sort(key=lambda ev: ev[:2])
 
+    # the tempo in force began at segment_tick, segment_us (exact integer
+    # tick-microseconds) in; changes sharing a tick add 0, so the last wins
+    segment_tick, segment_us, tempo = 0, 0, DEFAULT_TEMPO_US
+    denominator = division * 1_000_000
+    reference_bpm = None
     programs = [0] * 16
-    open_notes: dict[tuple[int, int], tuple[int, int, int]] = {}
-    raw = []
-    for tick, _, kind, a, b, channel in merged:
-        if kind == _EV_PROGRAM:
+    open_notes: dict[tuple[int, int], tuple[float, int, int]] = {}
+    notes = []
+    for tick, _, kind, a, b, channel in events:
+        if kind == _EV_TEMPO:
+            segment_us += (tick - segment_tick) * tempo
+            segment_tick, tempo = tick, a
+            if reference_bpm is None:
+                reference_bpm = 60_000_000 / a
+        elif kind == _EV_PROGRAM:
             programs[channel] = a
-        elif kind == _EV_ON:
-            key = (channel, a)
-            held = open_notes.pop(key, None)
-            if held is not None:
-                raw.append((*held, tick, a, channel))
-            open_notes[key] = (tick, b, programs[channel])
         else:
+            seconds = (segment_us + (tick - segment_tick) * tempo) / denominator
             held = open_notes.pop((channel, a), None)
             if held is not None:
-                raw.append((*held, tick, a, channel))
-    for (channel, pitch), held in open_notes.items():
-        raw.append((*held, max(end_tick, held[0]), pitch, channel))
-
-    tempo_map = _TempoMap([(tick, tempo) for tick, _, tempo in tempos], division)
-    notes = [
-        Note(
-            start=tempo_map.seconds(start_tick),
-            pitch=pitch,
-            end=tempo_map.seconds(off_tick),
-            velocity=velocity,
-            program=program,
-            is_drum=channel == _DRUM_CHANNEL,
-        )
-        for start_tick, velocity, program, off_tick, pitch, channel in raw
-    ]
-    reference_bpm = 60_000_000 / tempos[0][2] if tempos else None
+                start, velocity, program = held
+                notes.append(Note(start, a, seconds, velocity, program, channel == _DRUM_CHANNEL))
+            if kind == _EV_ON:
+                open_notes[channel, a] = (seconds, b, programs[channel])
+    del events  # before NoteSequence sorts the notes
+    seconds = (segment_us + (end_tick - segment_tick) * tempo) / denominator
+    for (channel, pitch), (start, velocity, program) in open_notes.items():
+        notes.append(Note(start, pitch, seconds, velocity, program, channel == _DRUM_CHANNEL))
     return NoteSequence(notes, source_id=source_id, reference_bpm=reference_bpm)
 
 

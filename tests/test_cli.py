@@ -94,6 +94,13 @@ def _run(*argv):
     return main([str(a) for a in argv])
 
 
+# one note at a tempo of 0 us per quarter, which no clock can run at
+ZERO_TEMPO_MIDI = (
+    "4d546864000000060000000100604d54726b00000014"
+    "00ff5103000000" "00903c40" "8360803c00" "00ff2f00"
+)
+
+
 # ---------------------------------------------------------------------------
 # tokenize
 
@@ -126,6 +133,16 @@ class TestTokenize:
             "tokenize", midi_dir / "broken.mid", "--out", tmp_path / "tok", "--strict"
         )
         assert code == EXIT_FAILURES
+
+    def test_zero_tempo_is_item_failure(self, midi_dir, tmp_path, capsys):
+        zero = midi_dir / "zero.mid"
+        zero.write_bytes(bytes.fromhex(ZERO_TEMPO_MIDI))
+        out = tmp_path / "tok"
+        assert _run("tokenize", midi_dir / "a.mid", zero, "--out", out) == EXIT_OK
+        index = json.loads((out / "index.json").read_text())
+        assert [row["status"] for row in index] == ["ok", "error"]
+        assert index[1]["file"] == str(zero) and "zero tempo" in index[1]["error"]
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_no_tmp_left_behind(self, midi_dir, tmp_path):
         out = tmp_path / "tok"
@@ -480,9 +497,9 @@ def _ghost_pair(registry):
     return registry
 
 
-def _list_metadata(registry):
+def _list_metadata(registry, text="[]"):
     _pairs(registry, '{"midi": "p0.mid", "audio": "p0.wav", "metadata": "m.json"}')
-    return _write(registry.parent / "synth-a" / "m.json", "[]")
+    return _write(registry.parent / "synth-a" / "m.json", text)
 
 
 def _record_line(out, **extra):
@@ -551,14 +568,25 @@ def test_pair_paths_must_name_files(tmp_path, capsys, pair, named):
 
 
 def test_malformed_metadata_is_item_failure(tmp_path, capsys):
+    """A sidecar that is not an object, or whose alignment rows are not
+    finite and increasing (Python's JSON reader takes NaN and Infinity),
+    fails its pair."""
     registry = _make_registry(tmp_path, n_pairs=1)
-    bad = _list_metadata(registry)
-    out = tmp_path / "man"
-    argv = ["manifest", "--registry", registry, "--stage", "merged", "--out", out]
-    assert _run(*argv) == EXIT_CONFIG  # the only pair failed: no usable windows
-    captured = capsys.readouterr()
-    assert captured.out.startswith(f"FAILED synth-a/p0.mid: {bad}: ")
-    assert "Traceback" not in captured.err
+    for k, text in enumerate([
+        "[]",
+        '{"alignment": [[0.0, NaN, 12.0]]}',
+        '{"alignment": [[10.0, 20.0, Infinity]]}',
+        '{"alignment": [[0.0, 12.0, 12.0]]}',
+        '{"alignment": [[0.0, 0.0, 1%s]]}' % ("0" * 400),  # an int no float holds
+        '{"alignment": [[0.0, "0", 12.0]]}',
+    ]):
+        bad = _list_metadata(registry, text)
+        out = tmp_path / f"man{k}"
+        argv = ["manifest", "--registry", registry, "--stage", "merged", "--out", out]
+        assert _run(*argv) == EXIT_CONFIG, text  # the only pair failed: no usable windows
+        captured = capsys.readouterr()
+        assert captured.out.startswith(f"FAILED synth-a/p0.mid: {bad}: "), text
+        assert "Traceback" not in captured.err
 # ---------------------------------------------------------------------------
 # evaluate
 
@@ -753,6 +781,16 @@ class TestEvaluate:
         assert code == EXIT_CONFIG
         assert f"{pairs}: missing column output" in capsys.readouterr().err
 
+    def test_pairs_csv_with_bom(self, eval_dir, tmp_path):
+        """Spreadsheet exports start UTF-8 files with a byte order mark."""
+        pairs = eval_dir / "pairs.csv"
+        pairs.write_bytes(b"\xef\xbb\xbf" + pairs.read_bytes())
+        out = tmp_path / "results.csv"
+        code = _run("evaluate", "--pairs", pairs, "--metrics", "chroma", "--strict",
+                    "--out", out)
+        assert code == EXIT_OK
+        assert set(_read_results(out)) == {("same", "chroma"), ("slow", "chroma")}
+
     def test_undecodable_pairs_csv(self, tmp_path, capsys):
         pairs = tmp_path / "pairs.csv"
         pairs.write_bytes(b"pair_id,output,reference\n\xff\xfe,a.wav,b.wav\n")
@@ -879,7 +917,22 @@ class TestSynth:
         data = (out / f"clicks_{bpm:g}bpm.wav").read_bytes()
         assert hashlib.sha256(data).hexdigest() == self._CLICK_DIGESTS[bpm, samples]
         assert sorted(p.name for p in out.iterdir()) == [
-            f"clicks_{bpm:g}bpm.wav", "run_record.json"]
+            f"clicks_{bpm:g}bpm.wav", "index.json", "run_record.json"]
+
+    def test_clicks_are_a_batch_item(self, tmp_path, capsys):
+        """A click track that cannot be written is a failed row, as a MIDI
+        render is."""
+        out = tmp_path / "audio"
+        wav = out / "clicks_120bpm.wav"
+        wav.mkdir(parents=True)
+        argv = ["synth", "--clicks", 120, "--duration", 1, "--out", out]
+        assert _run(*argv) == EXIT_OK
+        assert _run(*argv, "--strict") == EXIT_FAILURES
+        assert "Traceback" not in capsys.readouterr().err
+        (row,) = json.loads((out / "index.json").read_text())
+        assert row["file"] == str(wav) and row["status"] == "error"
+        assert sorted(p.name for p in out.iterdir()) == [
+            "clicks_120bpm.wav", "index.json", "run_record.json"]
 
     @pytest.mark.parametrize("fault", ["render", "write"])
     def test_failed_item_leaves_no_partial_wav(self, midi_dir, tmp_path, monkeypatch, capsys,

@@ -4,9 +4,13 @@ Fixtures are assembled byte by byte with local helpers, independent of the
 writer under test, so parse expectations are hand-computed oracles.
 """
 
+import math
 import os
+import random
 import subprocess
 import sys
+import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -93,6 +97,66 @@ def test_tempo_change_oracle():
     seq = parse_midi(data)
     spans = [(n.pitch, n.start, n.end) for n in seq.notes]
     assert spans == [(60, 0.25, 0.75), (62, 1.0, 1.25), (64, 1.5, 2.5)]
+
+
+def test_format1_tempo_oracle():
+    # ppq 96; the tempo map lives in the second track: 500000 (default) to
+    # tick 96, 600000 to 192, then 300000 and 750000 both at tick 192, of
+    # which the later one rules. Pitch 60 sounds across two changes, 62
+    # starts at the tick of the double change, 64 is never released and
+    # closes at the longest track's end, tick 500.
+    notes = track([
+        (0, [0x90, 60, 90]),
+        (192, [0x90, 62, 90]),
+        (108, [0x80, 60, 0]),
+        (50, [0x90, 64, 90]),
+        (50, [0x80, 62, 0]),
+        (20, [0xB0, 7, 100]),
+    ])
+    tempos = track([
+        (96, [0xFF, 0x51, 0x03, *(600_000).to_bytes(3, "big")]),
+        (96, [0xFF, 0x51, 0x03, *(300_000).to_bytes(3, "big")]),
+        (0, [0xFF, 0x51, 0x03, *(750_000).to_bytes(3, "big")]),
+        (308, [0xB0, 7, 100]),
+    ])
+    segments = [(0, 500_000), (96, 600_000), (192, 750_000)]
+
+    def seconds(tick):
+        us = Fraction(0)
+        ends = [begin for begin, _ in segments[1:]] + [math.inf]
+        for (begin, tempo), end in zip(segments, ends):
+            us += max(0, min(tick, end) - begin) * tempo
+        return float(us / (96 * 1_000_000))
+
+    seq = parse_midi(smf([notes, tempos], division=96))
+    assert [(n.pitch, n.start, n.end) for n in seq.notes] == [
+        (60, seconds(0), seconds(300)),
+        (62, seconds(192), seconds(400)),
+        (64, seconds(350), seconds(500)),
+    ]
+    assert seq.total_duration == seconds(500)
+    assert seq.reference_bpm == 100.0
+
+
+def test_parse_peak_memory():
+    """On a 20-min score of 9600 notes the reader's transient memory stays
+    within a small multiple of what the returned sequence holds."""
+    rng = random.Random(0)
+    notes = []
+    for k in range(9600):
+        start = k / 8 + rng.random() / 10
+        notes.append(Note(start, rng.randint(21, 108), start + rng.uniform(0.05, 1.5),
+                          rng.randint(1, 127)))
+    data = write_midi(NoteSequence(notes, total_duration=1202.0))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        seq = parse_midi(data)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(seq) == 9600
+    assert peak - base <= 2.5 * (retained - base)
 
 
 def test_default_tempo_when_absent():
@@ -238,6 +302,17 @@ def test_missing_declared_track():
     data = smf([track([])], fmt=1, declared=2)
     with pytest.raises(MidiParseError):
         parse_midi(data)
+
+
+def test_zero_tempo_rejected():
+    data = smf([track([
+        (0, [0xFF, 0x51, 0x03, 0x00, 0x00, 0x00]),
+        (0, [0x90, 60, 64]),
+        (480, [0x80, 60, 0]),
+    ])], division=96)
+    with pytest.raises(MidiParseError, match="zero tempo") as err:
+        parse_midi(data)
+    assert err.value.offset == 26  # the tempo's first byte
 
 
 def test_data_byte_without_running_status():
