@@ -75,6 +75,11 @@ def stretch(seq: NoteSequence, ratio: float) -> NoteSequence:
     return replace(seq, notes=notes, total_duration=seq.total_duration * ratio, reference_bpm=bpm)
 
 
+def draw_tier(rng_seed: int) -> SpeedTier:
+    """A speed tier drawn uniformly from SPEED_TIERS."""
+    return SPEED_TIERS[int(np.random.default_rng(rng_seed).integers(len(SPEED_TIERS)))]
+
+
 def sample_speed_augmentation(
     seq: NoteSequence, tier: SpeedTier, rng_seed: int
 ) -> tuple[NoteSequence, float, str]:

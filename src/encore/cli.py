@@ -24,14 +24,13 @@ import logging
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict
 from pathlib import Path
-
-import numpy as np
-import scipy
 
 from . import __version__
 from .audio_io import WavReader
-from .augment import SPEED_TIERS, TIER_BY_NAME, MistakeConfig, corrupt, sample_speed_augmentation
+from .augment import (SPEED_TIERS, TIER_BY_NAME, MistakeConfig, corrupt, draw_tier,
+                      sample_speed_augmentation)
 from .curriculum import (
     atomic_write,
     build_manifest,
@@ -43,7 +42,6 @@ from .curriculum import (
     write_manifest,
 )
 from .metrics import (
-    MetricError,
     chroma_similarity,
     deviation_from_expected,
     frechet_distance,
@@ -80,12 +78,15 @@ def _json_text(payload) -> str:
 
 
 def _write_run_record(out_dir: Path, args) -> None:
+    import numpy  # loaded by now
+    import scipy  # only for its version, so no command's work waits for it
+
     record = {
         "command": args.command,
         "config": {k: v for k, v in vars(args).items() if k != "func"},
         "versions": {
             "encore": __version__,
-            "numpy": np.__version__,
+            "numpy": numpy.__version__,
             "scipy": scipy.__version__,
             "python": sys.version.split()[0],
         },
@@ -111,8 +112,8 @@ def _run_batch(args, items, work, out: Path, write, *, key="file", report=_json_
     """Run work over (name, item) pairs, in input order, into one row each.
 
     A row is {key: name, "status": "ok", **work(item)}, or an error row if
-    work raises OSError, ValueError, MetricError or MemoryError (an item too
-    large for this machine fails alone). Prints report(rows),
+    work raises OSError, ValueError (MetricError included) or MemoryError (an
+    item too large for this machine fails alone). Prints report(rows),
     passes the rows to write, which stores the command's outputs, writes
     the run record into out, and returns the --strict exit code.
     """
@@ -121,7 +122,7 @@ def _run_batch(args, items, work, out: Path, write, *, key="file", report=_json_
         name, item = named
         try:
             return {key: name, "status": "ok", **work(item)}
-        except (OSError, ValueError, MetricError, MemoryError) as exc:
+        except (OSError, ValueError, MemoryError) as exc:
             error = str(exc) or type(exc).__name__
             log.error("%s: %s", name, error)
             return {key: name, "status": "error", "error": error}
@@ -183,7 +184,7 @@ def cmd_tokenize(args) -> int:
         return {
             "windows": len(windows),
             "tokens_min": min(counts, default=0),
-            "tokens_mean": round(float(np.mean(counts)) if counts else 0.0, 1),
+            "tokens_mean": round(sum(counts) / len(counts), 1) if counts else 0.0,
             "tokens_max": max(counts, default=0),
         }
 
@@ -205,25 +206,15 @@ def cmd_augment(args) -> int:
         seq = parse_midi(path.read_bytes(), source_id=path.name)
         item_seed = derive_seed(args.seed, "augment", path.name)
         if args.mode == "speed":
-            if args.tier is not None:
-                tier = TIER_BY_NAME[args.tier]
-            else:
-                pick = np.random.default_rng(item_seed)
-                tier = SPEED_TIERS[int(pick.integers(len(SPEED_TIERS)))]
+            tier = TIER_BY_NAME[args.tier] if args.tier is not None else draw_tier(item_seed)
             augmented, ratio, keyword = sample_speed_augmentation(
                 seq, tier, derive_seed(args.seed, "speed", path.name)
             )
             detail = {"tier": tier.name, "ratio": ratio, "keyword": keyword}
         else:
             augmented, report = corrupt(seq, MistakeConfig(seed=item_seed))
-            detail = {
-                "mistouch": report.mistouch,
-                "asynchrony": report.asynchrony,
-                "substitution": report.substitution,
-                "ghost": report.ghost,
-                "block_removed": report.block_removed,
-                "removed_intervals": report.removed_intervals,
-            }
+            detail = asdict(report)
+            del detail["pitch_flips"]  # report.json never held it
         (out / f"{path.stem}_{args.mode}.mid").write_bytes(write_midi(augmented))
         return detail
 
@@ -299,7 +290,7 @@ def cmd_schedule_preview(args) -> int:
                 shown += 1
             else:
                 break
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     print(f"total steps: {total}")
     return EXIT_OK

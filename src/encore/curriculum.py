@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 import os
 import sys
 from dataclasses import asdict, dataclass, fields
@@ -125,8 +124,10 @@ class DatasetEntry:
             raise ValueError(f"{self.name}: unknown input_kind {self.input_kind!r}")
         if self.target_kind not in TARGET_KINDS:
             raise ValueError(f"{self.name}: unknown target_kind {self.target_kind!r}")
-        if not 0 < self.weight < math.inf:
-            raise ValueError(f"{self.name}: weight must be positive and finite")
+        # above MERGED_BUDGET, a dataset of two or more windows passes any
+        # manifest's pool cap (see _apply_weight)
+        if not 0 < self.weight <= MERGED_BUDGET:
+            raise ValueError(f"{self.name}: weight must be positive and at most {MERGED_BUDGET}")
         object.__setattr__(self, "root_path", Path(self.root_path))
         object.__setattr__(self, "pair_index", Path(self.pair_index))
 
@@ -276,16 +277,23 @@ def _prompt_spec(
     )
 
 
-def _apply_weight(records: list, weight: float, seed: int) -> list:
+def _apply_weight(entry: DatasetEntry, records: list, seed: int, budget: int) -> list:
     """The max(1, round(weight * n)) records a dataset of n records gives,
     in their order. With q, r = divmod(that, n), every record appears q
     times, and the r records that rank first by a seed derived from their
-    window reference once more."""
-    if weight == 1.0 or not records:
+    window reference once more. A schedule of budget steps draws at most
+    budget records, so a pool above max(n, budget) raises ValueError."""
+    if not records:
         return records
-    whole, extra = divmod(max(1, round(weight * len(records))), len(records))
-    ranked = sorted(records, key=lambda r: derive_seed(seed, r.window_ref, "weight"))
-    picked = {r.window_ref for r in ranked[:extra]}
+    pooled = max(1, round(entry.weight * len(records)))
+    if pooled > max(len(records), budget):
+        raise ValueError(f"{entry.name}: weight {entry.weight} pools {pooled} of its"
+                         f" {len(records)} records; the cap is max({len(records)}, {budget})")
+    whole, extra = divmod(pooled, len(records))
+    picked = set()
+    if extra:
+        ranked = sorted(records, key=lambda r: derive_seed(seed, r.window_ref, "weight"))
+        picked = {r.window_ref for r in ranked[:extra]}
     return [r for r in records for _ in range(whole + (r.window_ref in picked))]
 
 
@@ -346,15 +354,15 @@ def build_manifest(
     """
     if stage is not None and stage not in STAGE_BUDGETS:
         raise ValueError(f"stage {stage} outside 0..4")
+    budget = MERGED_BUDGET if stage is None else STAGE_BUDGETS[stage]
     records = [
         record
         for entry in sorted(pools, key=lambda e: (e.stage, e.name))
-        for record in _apply_weight(pools[entry], entry.weight, seed)
+        for record in _apply_weight(entry, pools[entry], seed, budget)
     ]
     if not records:
         where = "merged pool" if stage is None else f"stage {stage}"
         raise ValueError(f"{where}: no usable windows in any dataset")
-    budget = MERGED_BUDGET if stage is None else STAGE_BUDGETS[stage]
     return StageManifest(stage=stage, step_budget=budget, records=records)
 
 

@@ -67,7 +67,7 @@ _EMBEDDING_HEADER = struct.Struct("<4sII")  # magic, D, N
 MAX_EMBEDDING_DIM = 2048
 
 
-class MetricError(RuntimeError):
+class MetricError(ValueError):
     """A metric is undefined or not computable for the given inputs."""
 
 
@@ -223,12 +223,11 @@ class ChromaSimilarityResult:
 def chroma_similarity(
     out_audio: np.ndarray | WavReader,
     ref_audio: np.ndarray | WavReader,
-    penalty_weight: float = DEFAULT_PENALTY_WEIGHT,
     band: int | None = None,
 ) -> ChromaSimilarityResult:
     """Mean cosine similarity along the DTW path, minus a cost penalty.
 
-    score = mean_cosine - penalty_weight * dtw_cost. Raises MetricError
+    score = mean_cosine - DEFAULT_PENALTY_WEIGHT * dtw_cost. Raises MetricError
     when either input is entirely silent (similarity undefined). A pair
     of the same object is computed once.
     """
@@ -243,8 +242,8 @@ def chroma_similarity(
     return ChromaSimilarityResult(
         mean_cosine=mean_cosine,
         dtw_cost=cost,
-        penalty_weight=penalty_weight,
-        score=mean_cosine - penalty_weight * cost,
+        penalty_weight=DEFAULT_PENALTY_WEIGHT,
+        score=mean_cosine - DEFAULT_PENALTY_WEIGHT * cost,
         path=path,
     )
 

@@ -12,8 +12,6 @@ import struct
 from collections import deque
 from dataclasses import dataclass
 
-import numpy as np
-
 from .notes import Note, Window
 
 # Token-ID layout: 128 instrument IDs (the program numbers), 128 note IDs,
@@ -34,15 +32,7 @@ _HEADER = struct.Struct("<4sHHII")  # magic, version, vocab size, window ms, res
 DECODE_VELOCITY = 100  # velocity is not tokenized; decoded notes all get this
 
 
-class TokenError(ValueError):
-    pass
-
-
-class EncodeError(TokenError):
-    pass
-
-
-class DecodeError(TokenError):
+class DecodeError(ValueError):
     pass
 
 
@@ -82,7 +72,7 @@ class TokenStream:
         """Header (magic, version, vocab size, window ms) + u16 LE token body."""
         window_ms = round(self.window_length * 1000)
         header = _HEADER.pack(_MAGIC, _VERSION, VOCAB_SIZE, window_ms, 0)
-        return header + np.asarray(self.tokens, dtype="<u2").tobytes()
+        return header + struct.pack(f"<{len(self.tokens)}H", *self.tokens)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "TokenStream":
@@ -100,7 +90,7 @@ class TokenStream:
         body = data[_HEADER.size :]
         if len(body) % 2:
             raise DecodeError("token body has odd byte length")
-        tokens = tuple(int(t) for t in np.frombuffer(body, dtype="<u2"))
+        tokens = struct.unpack(f"<{len(body) // 2}H", body)
         if any(t >= vocab_size for t in tokens):
             raise DecodeError("token ID outside declared vocabulary")
         return cls(tokens=tokens, window_length=window_ms / 1000)
@@ -128,16 +118,12 @@ def encode(window: Window) -> TokenStream:
 
     events = []
     for note in window.notes:
-        if not 0 <= note.start < window.length:
-            raise EncodeError(f"note starts outside the window: {note}")
         q_start = min(round(note.start / res), TIME_STEPS - 1)
         q_end = max(round(note.end / res), q_start + 1)
         events.append((q_start, 1, note.program, note.pitch))
         if q_end < TIME_STEPS:
             events.append((q_end, 0, note.program, note.pitch))
     for note in window.sustained:
-        if note.end <= 0:
-            raise EncodeError(f"sustained note ends before the window: {note}")
         q_end = max(round(note.end / res), 1)
         if q_end < TIME_STEPS:
             events.append((q_end, 0, note.program, note.pitch))

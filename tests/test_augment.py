@@ -14,6 +14,7 @@ from encore.augment import (
     SPEED_TIERS,
     TIER_BY_NAME,
     corrupt,
+    draw_tier,
     sample_speed_augmentation,
     stretch,
 )
@@ -114,6 +115,15 @@ def test_sample_speed_augmentation():
             assert out.total_duration == pytest.approx(10.0 * ratio)
     again = sample_speed_augmentation(seq, SPEED_TIERS[0], 7)
     assert again == sample_speed_augmentation(seq, SPEED_TIERS[0], 7)
+
+
+def test_draw_tier_keeps_its_bits():
+    """augment's random tier is one PCG64 integer draw: these are frozen."""
+    assert [draw_tier(seed).name for seed in range(8)] == [
+        "Fast", "SlightlySlow", "Fast", "SlightlyFast",
+        "SlightlyFast", "SlightlyFast", "SlightlySlow", "Fast",
+    ]
+    assert {draw_tier(seed) for seed in range(60)} == set(SPEED_TIERS)
 
 
 def test_mistake_config_validation():

@@ -13,6 +13,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -334,6 +335,23 @@ class TestManifest:
             "manifest", "--registry", bad, "--stage", "0", "--out", tmp_path / "man"
         )
         assert code == EXIT_CONFIG
+
+    def test_huge_weight_is_config_error(self, tmp_path):
+        """A weight of 1e9 is refused at load, before any pair runs. The
+        child's address space is capped, so a build that tried to pool
+        1e9 copies would fail fast instead of exhausting the machine."""
+        registry = _make_registry(tmp_path)
+        doc = json.loads(registry.read_text())
+        doc["datasets"][0]["weight"] = 1e9
+        registry.write_text(json.dumps(doc))
+        started = time.perf_counter()
+        done = _run_limited(256, "manifest", "--registry", registry, "--stage", "0",
+                            "--out", tmp_path / "man")
+        assert time.perf_counter() - started < 5
+        assert done.returncode == EXIT_CONFIG, done.stderr
+        assert f"{registry}: synth-a: weight" in done.stderr
+        assert "Traceback" not in done.stderr
+        assert not (tmp_path / "man").exists()
 
     def test_bad_midi_named_in_error(self, tmp_path, capsys):
         """A MIDI that cannot be read fails as an item: the other pairs
@@ -681,6 +699,20 @@ class TestEvaluate:
         assert "Traceback" not in captured.err
         assert set(_read_results(out)) == {("same", "chroma")}
         assert _run(*argv, "--strict") == EXIT_FAILURES
+
+    def test_metric_error_is_item_failure(self, eval_dir, tmp_path, capsys):
+        """An all-silent WAV has no chroma: its pair fails alone."""
+        write_wav(eval_dir / "silent.wav", np.zeros(6 * 44100))
+        pairs = _write(eval_dir / "quiet.csv", "pair_id,output,reference\n"
+                       "same,same.wav,ref.wav\nquiet,silent.wav,ref.wav\n")
+        out = tmp_path / "results.csv"
+        code = _run("evaluate", "--pairs", pairs, "--strict", "--out", out)
+        assert code == EXIT_FAILURES
+        captured = capsys.readouterr()
+        assert ("FAILED quiet: chroma similarity undefined for all-silent audio"
+                in captured.out.splitlines())
+        assert "Traceback" not in captured.err
+        assert set(_read_results(out)) == {("same", "chroma"), ("same", "tempo")}
 
     def test_pair_memory_grows_by_the_dtw_alone(self, tmp_path):
         """From a 1-min to a 3-min pair, traced peak memory grows by the
@@ -1325,3 +1357,22 @@ def test_commands_run_without_scipy_signal_or_io(tmp_path, mode):
     results = _read_results(tmp_path / "results.csv")
     assert results[("c", "chroma")] == pytest.approx(1.0)
     assert results[("c", "tempo")] == pytest.approx(0.0)
+
+
+_MODULES_PROBE = """
+import json, sys
+import encore.notes, encore.smf, encore.tokenizer
+numpy = "numpy" in sys.modules
+import encore.cli
+print(json.dumps({"numpy": numpy, "scipy": "scipy" in sys.modules}))
+"""
+
+
+def test_token_codec_imports_no_numpy_and_cli_no_scipy():
+    src = str(Path(encore.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", _MODULES_PROBE], capture_output=True, text=True,
+        timeout=120, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {"numpy": False, "scipy": False}

@@ -306,6 +306,30 @@ def test_dataset_weight_scales_contribution(corpus, tmp_path, weight, expected):
         assert all(refs.count(ref) == 2 for ref in refs)
 
 
+def test_registry_refuses_weight_above_merged_budget(corpus):
+    doc = json.loads(corpus.read_text())
+    doc["datasets"][0]["weight"] = 1e9
+    corpus.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=rf"{corpus}: synth-a: weight must be .* at most"):
+        load_registry(corpus)
+    DatasetEntry("x", 0, "score", "synth_audio", "", corpus, corpus, weight=MERGED_BUDGET)
+
+
+@pytest.mark.parametrize("stage", [0, None])
+def test_pool_above_its_cap_raises(tmp_path, stage):
+    """Two records may pool up to the manifest's step budget, and no more."""
+    budget = MERGED_BUDGET if stage is None else STAGE_BUDGETS[stage]
+    records = [_record("a"), _record("b")]
+    for weight, fits in ((budget / 2, True), (budget / 2 + 1, False)):
+        entry = DatasetEntry("ds", 0, "score", "synth_audio", "", tmp_path, tmp_path,
+                             weight=weight)
+        if fits:
+            assert len(build_manifest(stage, 7, {entry: records}).records) == budget
+        else:
+            with pytest.raises(ValueError, match=rf"ds: weight .* pools {budget + 2} "):
+                build_manifest(stage, 7, {entry: records})
+
+
 # ---------------------------------------------------------------------------
 # schedule
 
