@@ -11,6 +11,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
+from typing import ClassVar
 
 import numpy as np
 
@@ -93,34 +94,26 @@ def sample_speed_augmentation(
 
 @dataclass(frozen=True)
 class MistakeConfig:
+    """Per-run mistake probabilities and seed; the shapes of the mistakes
+    are class constants."""
+
     p_mistouch: float = 0.05
     p_async: float = 0.2
     p_subst: float = 0.05
     p_ghost: float = 0.05
-    async_shift: tuple[float, float] = (-0.7, 0.7)
-    mistouch_onset_delay: tuple[float, float] = (0.02, 0.1)
-    mistouch_duration: tuple[float, float] = (0.1, 0.3)
-    mistouch_velocity_scale: float = 0.8
-    block_period: float = 5.0
-    block_length: tuple[float, float] = (0.2, 0.5)
     seed: int = 0
+    async_shift: ClassVar[tuple[float, float]] = (-0.7, 0.7)
+    mistouch_onset_delay: ClassVar[tuple[float, float]] = (0.02, 0.1)
+    mistouch_duration: ClassVar[tuple[float, float]] = (0.1, 0.3)
+    mistouch_velocity_scale: ClassVar[float] = 0.8
+    block_period: ClassVar[float] = 5.0
+    block_length: ClassVar[tuple[float, float]] = (0.2, 0.5)
 
     def __post_init__(self):
         for name in ("p_mistouch", "p_async", "p_subst", "p_ghost"):
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must be a probability, got {p}")
-        for name in (
-            "async_shift",
-            "mistouch_onset_delay",
-            "mistouch_duration",
-            "block_length",
-        ):
-            low, high = getattr(self, name)
-            if not low < high:
-                raise ValueError(f"{name} interval {low}..{high} is empty")
-        if self.block_period <= 0:
-            raise ValueError("block_period must be positive")
 
 
 @dataclass
@@ -131,17 +124,13 @@ class MistakeReport:
     asynchrony: int = 0
     substitution: int = 0
     ghost: int = 0
-    pitch_flips: int = 0
     block_removed: int = 0
     removed_intervals: list[tuple[float, float]] = field(default_factory=list)
 
 
-def _neighbor_pitch(pitch: int, direction: int, report: MistakeReport) -> int:
+def _neighbor_pitch(pitch: int, direction: int) -> int:
     candidate = pitch + direction
-    if not 0 <= candidate <= 127:
-        candidate = pitch - direction
-        report.pitch_flips += 1
-    return candidate
+    return candidate if 0 <= candidate <= 127 else pitch - direction
 
 
 def _drop_blocks(notes: list[Note], intervals: list[tuple[float, float]]) -> list[Note]:
@@ -172,7 +161,7 @@ def corrupt(
     for note in seq.notes:
         if rng.random() < cfg.p_mistouch:
             direction = 1 if rng.random() < 0.5 else -1
-            pitch = _neighbor_pitch(note.pitch, direction, report)
+            pitch = _neighbor_pitch(note.pitch, direction)
             velocity = min(max(round(cfg.mistouch_velocity_scale * note.velocity), 1), 127)
             start = note.start + float(rng.uniform(*cfg.mistouch_onset_delay))
             end = start + float(rng.uniform(*cfg.mistouch_duration))
@@ -196,9 +185,7 @@ def corrupt(
             report.asynchrony += 1
         if rng.random() < cfg.p_subst:
             direction = 1 if rng.random() < 0.5 else -1
-            current = replace(
-                current, pitch=_neighbor_pitch(current.pitch, direction, report)
-            )
+            current = replace(current, pitch=_neighbor_pitch(current.pitch, direction))
             report.substitution += 1
         if rng.random() < cfg.p_ghost:
             report.ghost += 1

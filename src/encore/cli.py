@@ -199,6 +199,8 @@ def cmd_tokenize(args) -> int:
 
 
 def cmd_augment(args) -> int:
+    if args.tier is not None and args.mode != "speed":
+        raise ConfigError("--tier fixes a speed tier; it needs --mode speed")
     items = _inputs(args)
     out = _out_dir(args.out)
 
@@ -214,7 +216,6 @@ def cmd_augment(args) -> int:
         else:
             augmented, report = corrupt(seq, MistakeConfig(seed=item_seed))
             detail = asdict(report)
-            del detail["pitch_flips"]  # report.json never held it
         (out / f"{path.stem}_{args.mode}.mid").write_bytes(write_midi(augmented))
         return detail
 
@@ -270,8 +271,8 @@ def cmd_manifest(args) -> int:
             pools[entry] += row.get("records", ())
         try:
             manifest = build_manifest(stage, args.seed, pools)
-        except ValueError as exc:  # no usable windows
-            raise ConfigError(str(exc)) from exc
+        except ValueError as exc:  # no usable windows, or a weight above its pool cap
+            raise ConfigError(f"{args.registry}: {exc}") from exc
         failed = {row["file"]: row["error"] for row in rows if row["status"] != "ok"}
         write_manifest(manifest, path, failed)
         print(f"{path}: {len(manifest.records)} records, budget {manifest.step_budget}")

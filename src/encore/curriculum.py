@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .notes import segment
+from .notes import WINDOW_SECONDS, segment
 from .prompts import PromptSpec, ratio_to_keyword, render_prompt
 from .seeds import derive_seed
 from .smf import parse_midi
@@ -128,8 +128,6 @@ class DatasetEntry:
         # manifest's pool cap (see _apply_weight)
         if not 0 < self.weight <= MERGED_BUDGET:
             raise ValueError(f"{self.name}: weight must be positive and at most {MERGED_BUDGET}")
-        object.__setattr__(self, "root_path", Path(self.root_path))
-        object.__setattr__(self, "pair_index", Path(self.pair_index))
 
     @property
     def needs_alignment(self) -> bool:
@@ -251,12 +249,15 @@ def _load_metadata(entry: DatasetEntry, pair: Pair) -> dict:
     return metadata
 
 
-def _alignment_for(metadata: dict, offset: float) -> tuple[float, float] | None:
-    for row in metadata.get("alignment", ()):
-        score_offset, perf_start, perf_end = row
-        if abs(score_offset - offset) <= _ALIGN_EPS:
-            return float(perf_start), float(perf_end)
-    return None
+def _alignment_index(metadata: dict) -> dict[int, tuple[float, float]]:
+    """Window index -> (perf_start, perf_end) of the first alignment row
+    whose score offset lies within _ALIGN_EPS of that window's offset."""
+    intervals = {}
+    for score_offset, perf_start, perf_end in metadata.get("alignment", ()):
+        k = round(score_offset / WINDOW_SECONDS)
+        if abs(score_offset - k * WINDOW_SECONDS) <= _ALIGN_EPS:
+            intervals.setdefault(k, (float(perf_start), float(perf_end)))
+    return intervals
 
 
 def _prompt_spec(
@@ -312,11 +313,12 @@ def window_records(
     stage = entry.stage
     metadata = _load_metadata(entry, pair)
     seq = parse_midi((entry.root_path / pair.midi).read_bytes(), source_id=pair.midi)
+    intervals = _alignment_index(metadata)
     records = []
     for k, window in enumerate(segment(seq)):
         ref = f"{entry.name}/{pair.midi}#{k}"
         if entry.needs_alignment:
-            interval = _alignment_for(metadata, window.offset)
+            interval = intervals.get(k)
             if interval is None:
                 log.warning("%s: no alignment for window %d, skipped", ref, k)
                 continue

@@ -84,7 +84,6 @@ class ChromaMatrix:
     """
 
     frames: np.ndarray
-    frame_rate: float
 
     def __post_init__(self):
         frames = np.asarray(self.frames, dtype=np.float64)
@@ -98,8 +97,6 @@ class ChromaMatrix:
         bad = ~((norms == 0.0) | (np.abs(norms - 1.0) <= 1e-6))
         if np.any(bad):
             raise ValueError("frames must be unit-norm or all-zero")
-        if self.frame_rate <= 0:
-            raise ValueError(f"frame_rate must be positive, got {self.frame_rate}")
         object.__setattr__(self, "frames", np.round(frames * 2.0**24) / 2.0**24)
 
     def __len__(self) -> int:
@@ -161,7 +158,7 @@ def chromagram(audio: np.ndarray | WavReader) -> ChromaMatrix:
     norms = np.linalg.norm(chroma, axis=1)
     sounding = norms > 0.0
     chroma[sounding] /= norms[sounding, None]
-    return ChromaMatrix(chroma, ANALYSIS_RATE / CHROMA_HOP)
+    return ChromaMatrix(chroma)
 
 
 def _cosine_distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -410,9 +407,10 @@ def write_embeddings(path, embeddings: EmbeddingSet) -> None:
         fh.write(payload)
 
 
-def read_embeddings(path, label: str = "") -> EmbeddingSet:
+def read_embeddings(path) -> EmbeddingSet:
     """Read a file written by ``write_embeddings``. A dimension above
-    ``MAX_EMBEDDING_DIM`` is refused before the body is read."""
+    ``MAX_EMBEDDING_DIM`` is refused before the body is read. The set's
+    label is the path."""
     with open(path, "rb") as fh:
         header = fh.read(_EMBEDDING_HEADER.size)
         if len(header) < _EMBEDDING_HEADER.size:
@@ -426,4 +424,4 @@ def read_embeddings(path, label: str = "") -> EmbeddingSet:
     if len(body) != 4 * n * d:
         raise ValueError(f"{path}: expected {4 * n * d} body bytes, got {len(body)}")
     vectors = np.frombuffer(body, dtype="<f4").reshape(n, d).astype(np.float64)
-    return EmbeddingSet(vectors, label=label or str(path))
+    return EmbeddingSet(vectors, label=str(path))

@@ -236,26 +236,24 @@ def _encode_varlen(value: int) -> bytes:
     return bytes(out)
 
 
-def write_midi(seq: NoteSequence, tempo_us: int = DEFAULT_TEMPO_US) -> bytes:
-    """Serialize a NoteSequence as a single-track format 0 SMF.
+def write_midi(seq: NoteSequence) -> bytes:
+    """Serialize a NoteSequence as a single-track format 0 SMF at
+    DEFAULT_TEMPO_US (120 BPM, so 960 ticks per second).
 
     Times quantize to the PPQ tick grid (round to nearest). Each program
     gets its own channel, drums channel 10; more than 15 distinct melodic
     programs is an error, as is a velocity-0 note (it would read back as a
     note off).
     """
-    if not 0 < tempo_us <= 0xFF_FFFF:
-        raise ValueError(f"tempo {tempo_us} outside 24-bit range")
-
     melodic = [c for c in range(16) if c != _DRUM_CHANNEL]
     channel_for: dict[int, int] = {}
     drum_program: int | None = None
-    events = [(0, _RANK_TEMPO, bytes([0xFF, 0x51, 0x03]) + tempo_us.to_bytes(3, "big"))]
+    events = [(0, _RANK_TEMPO, bytes([0xFF, 0x51, 0x03]) + DEFAULT_TEMPO_US.to_bytes(3, "big"))]
     for note in seq.notes:
         if note.velocity == 0:
             raise ValueError("velocity-0 note cannot be written as a note on")
-        start = round(note.start * PPQ * 1_000_000 / tempo_us)
-        end = round(note.end * PPQ * 1_000_000 / tempo_us)
+        start = round(note.start * PPQ * 1_000_000 / DEFAULT_TEMPO_US)
+        end = round(note.end * PPQ * 1_000_000 / DEFAULT_TEMPO_US)
         if note.is_drum:
             channel = _DRUM_CHANNEL
             if note.program != drum_program:

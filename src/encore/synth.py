@@ -170,12 +170,8 @@ def write_rendering(path: str | os.PathLike, rendering: Rendering) -> int:
 
 def _scaled(spill, samples: int, gain: float):
     """The spilled samples times gain, as float32 blocks of CHUNK samples;
-    ``(x * gain).astype("<f4")`` bit for bit, through two fixed buffers."""
-    buf = np.empty(min(CHUNK, samples))
-    block = np.empty(buf.shape[0], dtype="<f4")
-    for lo in range(0, samples, CHUNK):
-        n = min(CHUNK, samples - lo)
-        if spill.readinto(buf[:n]) != buf[:n].nbytes:
-            raise ValueError(f"spilled render holds fewer than its {samples} samples")
-        np.multiply(buf[:n], gain, out=block[:n], casting="unsafe")
-        yield block[:n]
+    a short spill gives fewer samples, which the WAV writer refuses."""
+    for _ in range(0, samples, CHUNK):
+        x = np.fromfile(spill, count=CHUNK)
+        x *= gain
+        yield x.astype("<f4")

@@ -353,6 +353,21 @@ class TestManifest:
         assert "Traceback" not in done.stderr
         assert not (tmp_path / "man").exists()
 
+    def test_weight_above_pool_cap_names_registry(self, tmp_path, capsys):
+        """A weight under MERGED_BUDGET may still break a stage's pool cap;
+        that is found once the pairs have run, and named like a load error."""
+        registry = _make_registry(tmp_path, n_pairs=1)
+        doc = json.loads(registry.read_text())
+        doc["datasets"][0]["weight"] = 50000
+        registry.write_text(json.dumps(doc))
+        out = tmp_path / "man"
+        code = _run("manifest", "--registry", registry, "--stage", "0", "--out", out)
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"{registry}: synth-a: weight 50000 pools 150000" in err
+        assert "Traceback" not in err
+        assert not (out / "stage0.jsonl").exists()
+
     def test_bad_midi_named_in_error(self, tmp_path, capsys):
         """A MIDI that cannot be read fails as an item: the other pairs
         still make the manifest, and the sidecar names the failed pair."""
@@ -1038,6 +1053,8 @@ class TestSynth:
         # a click track would drop the MIDI input; a MIDI render ignores --duration
         ["synth", "--clicks", "120", "a.mid"],
         ["synth", "--duration", "2"],
+        # only a speed augmentation has a tier
+        ["augment", "a.mid", "--mode", "mistakes", "--tier", "Slow"],
     ],
 )
 def test_unworkable_option_is_config_error(midi_dir, tmp_path, capsys, argv):

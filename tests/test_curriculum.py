@@ -1,15 +1,20 @@
 import json
 import logging
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from encore.augment import SPEED_TIERS
 from encore.curriculum import (
+    _ALIGN_EPS,
+    _alignment_index,
     MERGED_BUDGET,
     STAGE_BUDGETS,
     DatasetEntry,
     ManifestRecord,
+    Pair,
     StageManifest,
     atomic_write,
     build_manifest,
@@ -20,7 +25,7 @@ from encore.curriculum import (
     window_records,
     write_manifest,
 )
-from encore.notes import Note, NoteSequence
+from encore.notes import WINDOW_SECONDS, Note, NoteSequence
 from encore.seeds import derive_seed
 from encore.smf import write_midi
 from encore.tokenizer import TokenStream
@@ -224,6 +229,53 @@ def test_unaligned_windows_skipped_with_warning(corpus, tmp_path, caplog):
     assert len(manifest.records) == 4
     skipped = [r for r in caplog.records if "no alignment" in r.message]
     assert len(skipped) == 2
+
+
+def _alignment_by_scan(metadata, offset):
+    """The window lookup as it was: the first alignment row within
+    _ALIGN_EPS of the window's offset, found by scanning every row; kept
+    as the oracle of the one-pass _alignment_index."""
+    for score_offset, perf_start, perf_end in metadata.get("alignment", ()):
+        if abs(score_offset - offset) <= _ALIGN_EPS:
+            return float(perf_start), float(perf_end)
+    return None
+
+
+# score offsets on, near, exactly _ALIGN_EPS from, and far from window offsets
+_score_offsets = st.one_of(
+    st.builds(lambda k, d: k * WINDOW_SECONDS + d, st.integers(-2, 6),
+              st.sampled_from([0.0, _ALIGN_EPS, -_ALIGN_EPS, 0.5e-6, -2e-6, 3e-6])),
+    st.builds(lambda k, d: k * WINDOW_SECONDS + d, st.integers(-2, 6),
+              st.floats(-3e-6, 3e-6)),
+    st.integers(-30, 70),
+    st.floats(-100.0, 100.0),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_score_offsets, st.floats(0.0, 50.0), st.floats(0.1, 9.0)),
+                max_size=12))
+def test_alignment_index_matches_scan(rows):
+    metadata = {"alignment": [[offset, start, start + length] for offset, start, length in rows]}
+    intervals = _alignment_index(metadata)
+    for k in range(6):
+        assert intervals.get(k) == _alignment_by_scan(metadata, k * WINDOW_SECONDS)
+
+
+def test_alignment_lookup_is_one_pass(tmp_path):
+    """A 4 h score (1440 windows) whose 200,000 alignment rows match no
+    window: each window looks its row up in one index of the rows, so the
+    pair is not windows x rows."""
+    (tmp_path / "long.mid").write_bytes(write_midi(NoteSequence(
+        [Note(0.0, 60, 1.0), Note(14399.0, 62, 14400.0)])))
+    rows = [[10.0 * (i % 1440) + 5.0, float(i), i + 1.0] for i in range(200_000)]
+    (tmp_path / "long.json").write_text(json.dumps({"alignment": rows}))
+    entry = DatasetEntry("perf", 2, "performance", "perf_audio", "", tmp_path,
+                         tmp_path / "pairs.jsonl")
+    pair = Pair(midi="long.mid", audio="long.wav", metadata="long.json")
+    started = time.perf_counter()
+    assert window_records(entry, pair, 7, tmp_path / "o") == []
+    assert time.perf_counter() - started < 5
 
 
 def test_mistake_stage_prompt(corpus, tmp_path):

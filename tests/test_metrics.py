@@ -41,20 +41,17 @@ def _tone(freqs, seconds=2.0, rate=44100, amp=0.3):
 
 def test_chroma_matrix_validation():
     with pytest.raises(ValueError, match="T x 12"):
-        ChromaMatrix(np.ones((4, 7)), 21.5)
+        ChromaMatrix(np.ones((4, 7)))
     with pytest.raises(ValueError, match="non-negative"):
-        ChromaMatrix(np.full((2, 12), -0.1), 21.5)
+        ChromaMatrix(np.full((2, 12), -0.1))
     with pytest.raises(ValueError, match="unit-norm"):
-        ChromaMatrix(np.full((2, 12), 0.5), 21.5)
+        ChromaMatrix(np.full((2, 12), 0.5))
     with pytest.raises(ValueError, match="no frames"):
-        ChromaMatrix(np.empty((0, 12)), 21.5)
-    with pytest.raises(ValueError, match="frame_rate"):
-        ChromaMatrix(np.zeros((2, 12)), 0.0)
+        ChromaMatrix(np.empty((0, 12)))
 
 
 def test_sine_concentrates_on_pitch_class_a():
     cg = chromagram(_tone([440.0]))
-    assert cg.frame_rate == pytest.approx(44100 / 2048)
     sounding = cg.frames[cg.frames.any(axis=1)]
     assert len(sounding) > 30
     assert (sounding.argmax(axis=1) == PC_A).all()
@@ -264,7 +261,7 @@ def _grid_frames(rng, n, silent):
     x = rng.random((n, 12)) ** 4
     x /= np.linalg.norm(x, axis=1, keepdims=True)
     x[rng.random(n) < silent] = 0.0
-    return ChromaMatrix(x, 21.5).frames
+    return ChromaMatrix(x).frames
 
 
 @settings(max_examples=60, deadline=None)
@@ -351,7 +348,7 @@ def _one_hot_frames(classes):
 
 
 def test_dtw_self_alignment_is_diagonal():
-    cg = ChromaMatrix(_one_hot_frames([0, 4, 7, 2, 9, 11, 0, 3]), 21.5)
+    cg = ChromaMatrix(_one_hot_frames([0, 4, 7, 2, 9, 11, 0, 3]))
     cost, path = dtw_align(cg, cg)
     assert cost == 0.0
     assert path == [(i, i) for i in range(8)]
@@ -362,7 +359,7 @@ def test_dtw_self_alignment_with_float_noise():
     rng = np.random.default_rng(1)
     frames = rng.random((20, 12))
     frames /= np.linalg.norm(frames, axis=1, keepdims=True)
-    cg = ChromaMatrix(frames, 21.5)
+    cg = ChromaMatrix(frames)
     cost, path = dtw_align(cg, cg)
     assert 0.0 <= cost <= 1e-12
     assert path == [(i, i) for i in range(20)]
@@ -371,7 +368,7 @@ def test_dtw_self_alignment_with_float_noise():
 def test_dtw_absorbs_frame_duplication():
     frames = _one_hot_frames([0, 4, 7, 2, 9, 11, 0, 3, 5, 1])
     doubled = np.repeat(frames, 2, axis=0)
-    cost, _ = dtw_align(ChromaMatrix(frames, 21.5), ChromaMatrix(doubled, 21.5))
+    cost, _ = dtw_align(ChromaMatrix(frames), ChromaMatrix(doubled))
     assert cost == 0.0
 
 
@@ -399,7 +396,7 @@ def test_silence_conventions_in_alignment():
     a[1, 0] = 1.0
     b = np.zeros((4, 12))
     b[1, 0] = 1.0
-    cost, _ = dtw_align(ChromaMatrix(a, 21.5), ChromaMatrix(b, 21.5))
+    cost, _ = dtw_align(ChromaMatrix(a), ChromaMatrix(b))
     assert cost == 0.0  # silence aligns with silence for free
 
 
@@ -573,8 +570,8 @@ def test_embedding_file_round_trip(tmp_path):
     vectors = rng.normal(size=(17, 6)).astype(np.float32).astype(np.float64)
     path = tmp_path / "emb.bin"
     write_embeddings(path, EmbeddingSet(vectors, label="ref"))
-    back = read_embeddings(path, label="ref")
-    assert back.label == "ref"
+    back = read_embeddings(path)
+    assert back.label == str(path)
     assert np.array_equal(back.vectors, vectors)
 
 

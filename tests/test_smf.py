@@ -389,8 +389,8 @@ def test_write_rejects_too_many_programs():
 
 def test_write_parse_preserves_reference_tempo():
     seq = NoteSequence([Note(start=0.0, pitch=60, end=1.0)])
-    out = parse_midi(write_midi(seq, tempo_us=400_000))
-    assert out.reference_bpm == pytest.approx(150.0)
+    out = parse_midi(write_midi(seq))
+    assert out.reference_bpm == 120.0
 
 
 @st.composite
@@ -440,8 +440,7 @@ _FUZZ_SEED = write_midi(
             )
             for k in range(40)
         ]
-    ),
-    tempo_us=400_000,
+    )
 )
 
 
