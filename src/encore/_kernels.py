@@ -42,30 +42,18 @@ def dtw_fill(cost, band=None):
     steps = np.zeros((n, m), dtype=np.uint8)
     older, old = np.full((2, n + 2), np.inf)  # diagonals d-2 and d-1
     old[1] = flat[0]
-    best, offset = np.empty((2, min(n, m)))
-    pick = np.empty(min(n, m), dtype=bool)
-    step = np.empty(min(n, m), dtype=np.uint8)
     rows = np.arange(n, dtype=np.float64)
     center = rows * (m - 1) / (n - 1) if n > 1 else np.zeros(n)
     for d in range(1, n + m - 1):
         lo, hi = max(0, d - m + 1), min(n - 1, d)
-        k = hi - lo + 1
         cells = slice(lo * (m - 1) + d, hi * (m - 1) + d + 1, max(m - 1, 1))
-        b, p, s = best[:k], pick[:k], step[:k]
-        up, left = old[lo : hi + 1], old[lo + 1 : hi + 2]
-        np.less_equal(up, left, out=p)
-        np.subtract(2, p, out=s, casting="unsafe")  # 1 on a tie with left
-        np.minimum(up, left, out=b)
-        np.less_equal(older[lo : hi + 1], b, out=p)
-        np.copyto(s, 0, where=p)  # the diagonal wins every tie
-        np.minimum(older[lo : hi + 1], b, out=b)
-        np.add(flat[cells], b, out=b)
+        diag, up, left = older[lo : hi + 1], old[lo : hi + 1], old[lo + 1 : hi + 2]
+        best = np.minimum(up, left)
+        steps.ravel()[cells] = np.where(diag <= best, 0, np.where(up <= left, 1, 2))
+        best = np.minimum(diag, best) + flat[cells]
         if band is not None:
-            o = np.subtract(d, rows[lo : hi + 1], out=offset[:k])  # the columns
-            np.abs(np.subtract(o, center[lo : hi + 1], out=o), out=o)
-            np.copyto(b, np.inf, where=np.greater(o, band, out=p))
-        steps.ravel()[cells] = s
-        older[lo + 1 : hi + 2] = b  # diagonal d-2's buffer takes diagonal d
+            best[np.abs(d - rows[lo : hi + 1] - center[lo : hi + 1]) > band] = np.inf
+        older[lo + 1 : hi + 2] = best  # diagonal d-2's buffer takes diagonal d
         older, old = old, older
     return float(old[n]), steps
 

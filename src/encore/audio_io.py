@@ -58,8 +58,9 @@ _PCM_SCALE = {16: 2.0**15, 24: 2.0**31, 32: 2.0**31}
 # Bytes of a fmt chunk read, whatever size it claims: WAVE_FORMAT_EXTENSIBLE
 # needs 40
 _FMT_READ = 64
-# Frames decoded at a time by the finiteness check on opening
-_CHECK_FRAMES = 1 << 16
+# Bytes of a file decoded at a time (one frame at least), so the float64
+# samples held do not grow with the channel count
+_PIECE_BYTES = 1 << 18
 
 
 def _read_fmt(body: bytes, path) -> tuple[int, int, int, int]:
@@ -127,10 +128,11 @@ class WavReader:
 
     ``len(reader)`` is the sample count, and ``reader[lo:hi]`` reads and
     decodes those samples alone, with the operations a whole-file decode
-    applies: view, float64, PCM scale, channel mean.  Opening checks the
-    header and decodes the file once in fixed blocks, so a non-finite sample
-    anywhere is refused up front.  A file at another rate is decoded whole
-    and resampled on opening, the one case that holds a full buffer.
+    applies: view, float64, PCM scale, channel mean.  Decoding reads at
+    most _PIECE_BYTES of the file at a time.  Opening checks the header and
+    decodes the whole file once, so a non-finite sample anywhere is refused
+    up front.  A file at another rate is decoded to one mono buffer and
+    resampled on opening, the one case that holds a full buffer.
     """
 
     def __init__(self, path: str | os.PathLike):
@@ -155,12 +157,12 @@ class WavReader:
                 raise ValueError(f"{path}: unsupported sample rate {rate} Hz (ratio {up}/{down})")
             from scipy.signal import resample_poly
 
+            # checked as it comes out: finite input can overflow in the filter
             self._resampled = resample_poly(self._decode(0, frames), up, down)
-            blocks = [self._resampled]
+            pieces = [self._resampled]
         else:
-            blocks = (self._decode(lo, min(lo + _CHECK_FRAMES, frames))
-                      for lo in range(0, frames, _CHECK_FRAMES))
-        if not all(np.isfinite(block).all() for block in blocks):
+            pieces = self._pieces(0, frames)
+        if not all(np.isfinite(piece).all() for piece in pieces):
             raise ValueError(f"{path}: non-finite samples")
 
     def __len__(self) -> int:
@@ -176,19 +178,31 @@ class WavReader:
 
     def _decode(self, lo: int, hi: int) -> np.ndarray:
         """Frames lo..hi-1 as mono float64."""
+        out, at = np.empty(hi - lo), 0
+        for piece in self._pieces(lo, hi):
+            out[at : at + len(piece)] = piece
+            at += len(piece)
+        return out
+
+    def _pieces(self, lo: int, hi: int):
+        """Frames lo..hi-1 as mono float64 pieces, each decoded from at most
+        _PIECE_BYTES of the file."""
+        step = max(1, _PIECE_BYTES // self._frame_bytes)
         with open(self.path, "rb") as fh:
             fh.seek(self._offset + lo * self._frame_bytes)
-            raw = np.frombuffer(_read_exact(fh, (hi - lo) * self._frame_bytes, self.path), np.uint8)
-        if self._bits == 24:
-            wide = np.zeros((raw.shape[0] // 3, 4), np.uint8)
-            wide[:, 1:] = raw.reshape(-1, 3)
-            raw = wide.ravel()
-        samples = raw.view(_DTYPES[self._tag, self._bits]).astype(np.float64)
-        if self._tag == _PCM:
-            samples /= _PCM_SCALE[self._bits]
-        if self._channels > 1:
-            samples = samples.reshape(-1, self._channels).mean(axis=1)
-        return samples
+            for at in range(lo, hi, step):
+                size = min(step, hi - at) * self._frame_bytes
+                raw = np.frombuffer(_read_exact(fh, size, self.path), np.uint8)
+                if self._bits == 24:
+                    wide = np.zeros((raw.shape[0] // 3, 4), np.uint8)
+                    wide[:, 1:] = raw.reshape(-1, 3)
+                    raw = wide.ravel()
+                samples = raw.view(_DTYPES[self._tag, self._bits]).astype(np.float64)
+                if self._tag == _PCM:
+                    samples /= _PCM_SCALE[self._bits]
+                if self._channels > 1:
+                    samples = samples.reshape(-1, self._channels).mean(axis=1)
+                yield samples
 
 
 def read_wav(path: str | os.PathLike) -> np.ndarray:

@@ -65,14 +65,6 @@ class ConfigError(Exception):
     pass
 
 
-def _map_items(fn, items, workers: int):
-    """Apply fn over items, preserving input order in the results."""
-    if workers == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _json_text(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -127,7 +119,11 @@ def _run_batch(args, items, work, out: Path, write, *, key="file", report=_json_
             log.error("%s: %s", name, error)
             return {key: name, "status": "error", "error": error}
 
-    rows = _map_items(one, items, args.workers)
+    if args.workers == 1 or len(items) <= 1:
+        rows = [one(item) for item in items]
+    else:
+        with ThreadPoolExecutor(max_workers=args.workers) as pool:
+            rows = list(pool.map(one, items))
     for line in report(rows):
         print(line)
     write(rows)
@@ -160,15 +156,6 @@ def _out_dir(path) -> Path:
 # tokenize
 
 
-def _tokenize_line(row: dict) -> str:
-    if row["status"] != "ok":
-        return f"{row['file']}: FAILED ({row['error']})"
-    return (
-        f"{row['file']}: {row['windows']} windows, tokens "
-        f"min {row['tokens_min']} mean {row['tokens_mean']} max {row['tokens_max']}"
-    )
-
-
 def cmd_tokenize(args) -> int:
     items = _inputs(args)
     out = _out_dir(args.out)
@@ -188,10 +175,7 @@ def cmd_tokenize(args) -> int:
             "tokens_max": max(counts, default=0),
         }
 
-    return _run_batch(
-        args, items, work, out, _index(out / "index.json"),
-        report=lambda rows: map(_tokenize_line, rows),
-    )
+    return _run_batch(args, items, work, out, _index(out / "index.json"))
 
 
 # ---------------------------------------------------------------------------
@@ -301,12 +285,20 @@ def cmd_schedule_preview(args) -> int:
 # evaluate
 
 
+def _number(row: dict, column: str, default):
+    """row's column as a float, or default when it is empty or absent."""
+    text = row.get(column)
+    try:
+        return float(text) if text else default
+    except ValueError:
+        raise ValueError(f"{column} {text!r} is not a number") from None
+
+
 def _evaluate_pair(row: dict, metrics: list[str], base: Path) -> list[dict]:
     pair_id = row["pair_id"]
     for column in ("output", "reference"):
         if not row[column]:
             raise ValueError(f"no {column} path")
-    ratio = float(row.get("ratio") or 1.0)
     out_path = base / row["output"]
     ref_path = base / row["reference"]
     wav = functools.cache(WavReader)  # check each WAV once; metrics stream its samples
@@ -315,12 +307,10 @@ def _evaluate_pair(row: dict, metrics: list[str], base: Path) -> list[dict]:
     if "chroma" in metrics:
         values["chroma"] = chroma_similarity(wav(out_path), wav(ref_path)).score
     if "tempo" in metrics:
+        ratio = _number(row, "ratio", 1.0)
         estimated = tempo(out_path)
-        score_bpm = row.get("score_bpm")
-        if score_bpm:  # externally supplied score tempo
-            score_tempo = float(score_bpm)
-        else:
-            # the reference audio stands in for the score
+        score_tempo = _number(row, "score_bpm", None)
+        if score_tempo is None:  # the reference audio stands in for the score
             score_tempo = tempo(ref_path)
         values["tempo"] = deviation_from_expected(estimated, score_tempo, ratio)
     if "frechet" in metrics:

@@ -89,7 +89,7 @@ def _read_json(path: Path):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except ValueError as exc:  # bad JSON or not UTF-8
+    except (ValueError, RecursionError) as exc:  # bad JSON, not UTF-8, or nested too deep
         raise ValueError(f"{path}: {exc}") from None
 
 
@@ -100,7 +100,7 @@ def _json_lines(path: Path):
             if line.strip():
                 try:
                     yield number, json.loads(line)
-                except ValueError as exc:
+                except (ValueError, RecursionError) as exc:
                     raise ValueError(f"{path}:{number}: {exc}") from None
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import os
 from collections.abc import Iterator
-from typing import NamedTuple
 
 import numpy as np
 
@@ -45,14 +44,6 @@ def _pitch_hz(pitch: int) -> float:
     return 440.0 * 2.0 ** ((pitch - 69) / 12.0)
 
 
-class Rendering(NamedTuple):
-    """A render's length in samples and its unscaled float64 chunks of
-    CHUNK samples (the last may be shorter), made as they are iterated."""
-
-    samples: int
-    chunks: Iterator[np.ndarray]
-
-
 def _gain(peak: float) -> float:
     """The factor applied to every sample: a mix that would clip is rescaled
     to a 0.9 peak, any other is left as it is (times 1.0, exactly)."""
@@ -68,14 +59,16 @@ def _chunks(total: int, fill) -> Iterator[np.ndarray]:
         yield chunk
 
 
-def _whole(rendering: Rendering) -> np.ndarray:
-    out = np.concatenate([np.zeros(0), *rendering.chunks])
+def _whole(chunks: Iterator[np.ndarray]) -> np.ndarray:
+    out = np.concatenate([np.zeros(0), *chunks])
     out *= _gain(float(np.max(np.abs(out))) if out.size else 0.0)
     return out
 
 
-def note_chunks(seq: NoteSequence) -> Rendering:
-    """The rendering of ``seq`` at ANALYSIS_RATE, chunk by chunk; see render."""
+def note_chunks(seq: NoteSequence) -> Iterator[np.ndarray]:
+    """The unscaled float64 samples of ``seq`` at ANALYSIS_RATE, in chunks of
+    CHUNK samples (the last may be shorter), made as they are iterated; see
+    render."""
     sr = float(ANALYSIS_RATE)
     durs = np.array(
         [max(n.end - n.start, MIN_NOTE_SECONDS) for n in seq.notes], dtype=np.float64
@@ -86,7 +79,7 @@ def note_chunks(seq: NoteSequence) -> Rendering:
     freqs = np.array([_pitch_hz(n.pitch) for n in seq.notes], dtype=np.float64)
     amps = np.array([n.velocity / 127.0 * GAIN for n in seq.notes], dtype=np.float64)
     notes = NoteRenderer(starts, durs, freqs, amps, PARTIALS, ATTACK, RELEASE, sr)
-    return Rendering(total, _chunks(total, notes.render))
+    return _chunks(total, notes.render)
 
 
 def render(seq: NoteSequence) -> np.ndarray:
@@ -105,7 +98,7 @@ def render(seq: NoteSequence) -> np.ndarray:
     return _whole(note_chunks(seq))
 
 
-def click_chunks(bpm: float, duration: float) -> Rendering:
+def click_chunks(bpm: float, duration: float) -> Iterator[np.ndarray]:
     """A click track at ANALYSIS_RATE, chunk by chunk: one short noise burst
     per beat.  ``duration`` is in seconds, at most ``notes.MAX_SECONDS``;
     both arguments are checked here, before any chunk is made."""
@@ -135,7 +128,7 @@ def click_chunks(bpm: float, duration: float) -> Rendering:
                 beat += 1
             k += 1
 
-    return Rendering(total, _chunks(total, add_bursts))
+    return _chunks(total, add_bursts)
 
 
 def render_clicks(bpm: float, duration: float) -> np.ndarray:
@@ -146,9 +139,9 @@ def render_clicks(bpm: float, duration: float) -> np.ndarray:
     return _whole(click_chunks(bpm, duration))
 
 
-def write_rendering(path: str | os.PathLike, rendering: Rendering) -> int:
-    """Write ``rendering`` as a float32 WAV at ``path``, scaled as render
-    scales it, and return its sample count.
+def write_rendering(path: str | os.PathLike, chunks: Iterator[np.ndarray]) -> int:
+    """Write unscaled ``chunks`` as a float32 WAV at ``path``, scaled as
+    render scales them, and return the sample count.
 
     The peak scaling needs the whole file's peak, so the unscaled chunks
     go to an unlinked temporary file in ``path``'s directory (8 bytes per
@@ -158,14 +151,14 @@ def write_rendering(path: str | os.PathLike, rendering: Rendering) -> int:
     import tempfile  # kept off the start-up path
 
     with tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(path))) as spill:
-        peak = 0.0
-        for chunk in rendering.chunks:
+        peak, samples = 0.0, 0
+        for chunk in chunks:
             peak = max(peak, float(np.max(np.abs(chunk))))
+            samples += len(chunk)
             spill.write(chunk.data)
         spill.seek(0)
-        write_wav_blocks(path, rendering.samples,
-                         _scaled(spill, rendering.samples, _gain(peak)))
-    return rendering.samples
+        write_wav_blocks(path, samples, _scaled(spill, samples, _gain(peak)))
+    return samples
 
 
 def _scaled(spill, samples: int, gain: float):

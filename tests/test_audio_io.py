@@ -348,7 +348,7 @@ def _formats():
 
 @pytest.mark.parametrize("name, raw", _formats())
 def test_reader_slices_match_read_wav(tmp_path, monkeypatch, name, raw):
-    monkeypatch.setattr(audio_io, "_CHECK_FRAMES", 97)  # a finiteness check in many blocks
+    monkeypatch.setattr(audio_io, "_PIECE_BYTES", 97)  # decoded in many pieces
     path = tmp_path / f"{name}.wav"
     path.write_bytes(raw)
     with warnings.catch_warnings():
@@ -378,7 +378,7 @@ def test_reader_refuses_a_step(tmp_path):
 def test_nan_anywhere_refused_on_open(tmp_path, monkeypatch, where):
     """3 x 4096 + 100 samples: the last 100 lie past the last full chroma
     frame, so no STFT reads them; the check on opening still does."""
-    monkeypatch.setattr(audio_io, "_CHECK_FRAMES", 1000)
+    monkeypatch.setattr(audio_io, "_PIECE_BYTES", 1000)
     samples = np.zeros(3 * 4096 + 100)
     samples[where] = np.nan
     path = tmp_path / "nan.wav"

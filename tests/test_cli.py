@@ -11,6 +11,7 @@ import json
 import math
 import os
 import shutil
+import struct
 import subprocess
 import sys
 import time
@@ -111,9 +112,9 @@ class TestTokenize:
         out = tmp_path / "tok"
         code = _run("tokenize", midi_dir / "a.mid", midi_dir / "b.mid", "--out", out)
         assert code == EXIT_OK
-        stdout = capsys.readouterr().out
-        assert "a.mid: " in stdout and "windows" in stdout
+        printed = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         index = json.loads((out / "index.json").read_text())
+        assert printed == index  # one JSON row per file, as index.json holds it
         assert [row["status"] for row in index] == ["ok", "ok"]
         tok_files = sorted(out.glob("*.tok"))
         assert len(tok_files) == sum(row["windows"] for row in index)
@@ -125,9 +126,10 @@ class TestTokenize:
         out = tmp_path / "tok"
         code = _run("tokenize", midi_dir / "a.mid", midi_dir / "broken.mid", "--out", out)
         assert code == EXIT_OK
-        assert "FAILED" in capsys.readouterr().out
+        printed = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         index = json.loads((out / "index.json").read_text())
-        assert index[1]["status"] == "error"
+        assert printed == index
+        assert index[1]["status"] == "error" and index[1]["file"].endswith("broken.mid")
 
     def test_bad_file_strict(self, midi_dir, tmp_path):
         code = _run(
@@ -559,6 +561,9 @@ MALFORMED = {
     "budget not an integer": (
         "schedule-preview",
         lambda out: _write(out / "stage0.meta.json", '{"stage": 0, "step_budget": 2.5}')),
+    "registry nested too deep": ("manifest", lambda reg: _write(reg, "[" * 200_000)),
+    "record nested too deep": (
+        "schedule-preview", lambda out: _write(out / "stage0.jsonl", "[" * 200_000 + "\n")),
 }
 
 
@@ -620,6 +625,22 @@ def test_malformed_metadata_is_item_failure(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out.startswith(f"FAILED synth-a/p0.mid: {bad}: "), text
         assert "Traceback" not in captured.err
+
+
+def test_deeply_nested_metadata_fails_its_pair(tmp_path, capsys):
+    """JSON nested past the parser's recursion limit fails the one pair
+    whose sidecar it is; the other pair still gives records."""
+    registry = _make_registry(tmp_path, n_pairs=2)
+    _pairs(registry, '{"midi": "p0.mid", "audio": "p0.wav", "metadata": "m.json"}\n'
+                     '{"midi": "p1.mid", "audio": "p1.wav"}')
+    bad = _write(registry.parent / "synth-a" / "m.json", "[" * 200_000)
+    out = tmp_path / "man"
+    assert _run("manifest", "--registry", registry, "--stage", "0", "--out", out) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out.startswith(f"FAILED synth-a/p0.mid: {bad}: ")
+    assert "Traceback" not in captured.err
+    records = _records(out / "stage0.jsonl")
+    assert {r["window_ref"].split("#")[0] for r in records} == {"synth-a/p1.mid"}
 # ---------------------------------------------------------------------------
 # evaluate
 
@@ -873,6 +894,42 @@ class TestEvaluate:
         assert not any(pair_id == "p1" for pair_id, _ in values)
         assert _run(*argv, "--strict") == EXIT_FAILURES
 
+    def test_ratio_read_for_tempo_alone(self, eval_dir, tmp_path, capsys):
+        """A ratio that is not a number fails a tempo pair, naming its
+        column, and does not stop a chroma-only run from scoring the pair."""
+        with open(eval_dir / "pairs.csv", "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["pair_id", "output", "reference", "ratio", "score_bpm"])
+            w.writerow(["c", "same.wav", "ref.wav", "fast", ""])
+            w.writerow(["s", "same.wav", "ref.wav", "", "quick"])
+        out = tmp_path / "results.csv"
+        argv = ["evaluate", "--pairs", eval_dir / "pairs.csv", "--out", out]
+        assert _run(*argv, "--metrics", "chroma", "--strict") == EXIT_OK
+        assert set(_read_results(out)) == {("c", "chroma"), ("s", "chroma")}
+        capsys.readouterr()
+        assert _run(*argv, "--metrics", "tempo") == EXIT_OK
+        printed = capsys.readouterr().out
+        assert "FAILED c: ratio 'fast' is not a number" in printed
+        assert "FAILED s: score_bpm 'quick' is not a number" in printed
+
+    def test_wide_wav_decoded_in_bounded_memory(self, eval_dir, tmp_path):
+        """A 26 MB WAV of 32,767 16-bit channels is scored with 48 MB of
+        address space to spare: its float64 samples would take 105 MB."""
+        channels, frames = 32767, 400
+        tone = np.round(8000 * np.sin(2 * np.pi * 440 * np.arange(frames) / 44100))
+        data = np.repeat(tone.astype("<i2"), channels).tobytes()
+        fmt = struct.pack("<HHIIHH", 1, channels, 44100, 44100 * 2 * channels, 2 * channels, 16)
+        (eval_dir / "wide.wav").write_bytes(
+            b"RIFF" + struct.pack("<I", 4 + 8 + len(fmt) + 8 + len(data)) + b"WAVE"
+            + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+            + b"data" + struct.pack("<I", len(data)) + data)
+        (eval_dir / "pairs.csv").write_text("pair_id,output,reference\nw,wide.wav,ref.wav\n")
+        out = tmp_path / "results.csv"
+        done = _run_limited(48, "evaluate", "--pairs", eval_dir / "pairs.csv",
+                            "--metrics", "chroma", "--out", out, "--strict")
+        assert done.returncode == EXIT_OK, done.stderr
+        assert set(_read_results(out)) == {("w", "chroma")}
+
     def test_unknown_metric(self, eval_dir, tmp_path):
         code = _run(
             "evaluate", "--pairs", eval_dir / "pairs.csv",
@@ -988,21 +1045,24 @@ class TestSynth:
         WAV is written, leaves neither the WAV nor a temporary file."""
 
         def faulty(seq):
-            rendering = synth.note_chunks(seq)
-            if len(seq.notes) != 30:  # b.mid
-                return rendering
-            if fault == "write":  # the spill runs out mid-file
-                return synth.Rendering(rendering.samples + 1, rendering.chunks)
-
             def chunks():
-                for k, chunk in enumerate(rendering.chunks):
-                    if k == 2:
+                for k, chunk in enumerate(synth.note_chunks(seq)):
+                    if k == 2 and len(seq.notes) == 30:  # b.mid
                         raise ValueError("injected")
                     yield chunk
 
-            return synth.Rendering(rendering.samples, chunks())
+            return chunks()
 
-        monkeypatch.setattr(cli, "note_chunks", faulty)
+        def short(spill, samples, gain):  # the spill runs out mid-file
+            blocks = list(scaled(spill, samples, gain))
+            return blocks[:-1] if samples == b_samples else blocks
+
+        if fault == "render":
+            monkeypatch.setattr(cli, "note_chunks", faulty)
+        else:
+            b_samples = len(render(parse_midi((midi_dir / "b.mid").read_bytes())))
+            scaled = synth._scaled
+            monkeypatch.setattr(synth, "_scaled", short)
         out = tmp_path / "audio"
         argv = ["synth", midi_dir / "a.mid", midi_dir / "b.mid", "--out", out]
         assert _run(*argv) == EXIT_OK
