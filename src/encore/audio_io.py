@@ -5,8 +5,8 @@ files are written at it, and the metrics assume it.  Readers normalize
 everything to mono float64 at that rate.  Multi-channel input is
 averaged, integer PCM is scaled to [-1, 1), and other rates are resampled
 with a polyphase filter (scipy, imported only when a file needs it).
-A WavReader decodes a slice of a file at a time, so a 44.1 kHz file is
-never held whole; read_wav decodes all of it.
+A WavReader decodes and resamples a slice of a file at a time, so no
+file is held whole at any rate; read_wav decodes all of it.
 write_wav_blocks writes a 32-bit float file block by block, and write_wav
 writes one array through it.
 
@@ -61,6 +61,7 @@ _FMT_READ = 64
 # Bytes of a file decoded at a time (one frame at least), so the float64
 # samples held do not grow with the channel count
 _PIECE_BYTES = 1 << 18
+_SCAN = 1 << 16  # samples per slice of the scan on opening
 
 
 def _read_fmt(body: bytes, path) -> tuple[int, int, int, int]:
@@ -126,13 +127,12 @@ class WavReader:
     """A WAV file as mono float64 samples at ANALYSIS_RATE, decoded a slice
     at a time.
 
-    ``len(reader)`` is the sample count, and ``reader[lo:hi]`` reads and
-    decodes those samples alone, with the operations a whole-file decode
-    applies: view, float64, PCM scale, channel mean.  Decoding reads at
-    most _PIECE_BYTES of the file at a time.  Opening checks the header and
-    decodes the whole file once, so a non-finite sample anywhere is refused
-    up front.  A file at another rate is decoded to one mono buffer and
-    resampled on opening, the one case that holds a full buffer.
+    ``len(reader)`` is the sample count, and ``reader[lo:hi]`` decodes
+    the frames those samples need alone, with the operations a whole-file
+    decode applies: view, float64, PCM scale, channel mean and, at another
+    rate, the polyphase resample.  Decoding reads at most _PIECE_BYTES of
+    the file at a time.  Opening checks the header and every sample, a
+    slice of _SCAN at a time, so a non-finite sample is refused up front.
     """
 
     def __init__(self, path: str | os.PathLike):
@@ -148,45 +148,44 @@ class WavReader:
             raise ValueError(
                 f"{path}: {frames / rate:.6g} s exceeds the {MAX_SECONDS:g} s input limit"
             )
+        g = math.gcd(ANALYSIS_RATE, rate)
+        self._up, self._down = up, down = ANALYSIS_RATE // g, rate // g
+        if rate < _MIN_RATE or max(up, down) > _MAX_RATIO_TERM:
+            raise ValueError(f"{path}: unsupported sample rate {rate} Hz (ratio {up}/{down})")
         self._frames = frames
-        self._resampled = None
-        if rate != ANALYSIS_RATE:
-            g = math.gcd(ANALYSIS_RATE, rate)
-            up, down = ANALYSIS_RATE // g, rate // g
-            if rate < _MIN_RATE or max(up, down) > _MAX_RATIO_TERM:
-                raise ValueError(f"{path}: unsupported sample rate {rate} Hz (ratio {up}/{down})")
-            from scipy.signal import resample_poly
+        if up != down:  # resample_poly's own filter, designed once for every slice
+            from scipy.signal import firwin
 
-            # checked as it comes out: finite input can overflow in the filter
-            self._resampled = resample_poly(self._decode(0, frames), up, down)
-            pieces = [self._resampled]
-        else:
-            pieces = self._pieces(0, frames)
-        if not all(np.isfinite(piece).all() for piece in pieces):
-            raise ValueError(f"{path}: non-finite samples")
+            self._filter = firwin(20 * max(up, down) + 1, 1 / max(up, down), window=("kaiser", 5.0))
+        # the resampled output is checked: finite input can overflow in the filter
+        for at in range(0, len(self), _SCAN):
+            if not np.isfinite(self[at : at + _SCAN]).all():
+                raise ValueError(f"{path}: non-finite samples")
 
     def __len__(self) -> int:
-        return self._frames if self._resampled is None else len(self._resampled)
+        return -(-self._frames * self._up // self._down)  # resample_poly's length
 
     def __getitem__(self, key: slice) -> np.ndarray:
         lo, hi, step = key.indices(len(self))
         if step != 1:
             raise ValueError(f"{self.path}: a WAV reader slices without a step")
-        if self._resampled is not None:
-            return self._resampled[lo:hi]
-        return self._decode(lo, max(lo, hi))
+        up, down = self._up, self._down
+        if up == down:
+            return self._decode(lo, max(lo, hi))
+        from scipy.signal import resample_poly
+
+        # the input frames the filter reaches on either side, from a start on a
+        # multiple of down, which keeps a whole-file resample's output phase
+        reach = len(self._filter) // 2 // up + 2
+        first = max(0, lo * down // up - reach) // down * down
+        stop = min(self._frames, -(-hi * down // up) + reach)
+        at = first // down * up
+        x = resample_poly(self._decode(first, stop), up, down, window=self._filter)
+        return x[lo - at : max(lo, hi) - at]
 
     def _decode(self, lo: int, hi: int) -> np.ndarray:
-        """Frames lo..hi-1 as mono float64."""
-        out, at = np.empty(hi - lo), 0
-        for piece in self._pieces(lo, hi):
-            out[at : at + len(piece)] = piece
-            at += len(piece)
-        return out
-
-    def _pieces(self, lo: int, hi: int):
-        """Frames lo..hi-1 as mono float64 pieces, each decoded from at most
-        _PIECE_BYTES of the file."""
+        """Frames lo..hi-1 as mono float64, decoded _PIECE_BYTES of the file at a time."""
+        out = np.empty(hi - lo)
         step = max(1, _PIECE_BYTES // self._frame_bytes)
         with open(self.path, "rb") as fh:
             fh.seek(self._offset + lo * self._frame_bytes)
@@ -202,7 +201,8 @@ class WavReader:
                     samples /= _PCM_SCALE[self._bits]
                 if self._channels > 1:
                     samples = samples.reshape(-1, self._channels).mean(axis=1)
-                yield samples
+                out[at - lo : at - lo + len(samples)] = samples
+        return out
 
 
 def read_wav(path: str | os.PathLike) -> np.ndarray:

@@ -21,8 +21,10 @@ import functools
 import io
 import json
 import logging
+import resource
 import sys
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
@@ -69,13 +71,16 @@ def _json_text(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _write_run_record(out_dir: Path, args) -> None:
+def _write_run_record(out_dir: Path, args, failed: list[str | None]) -> None:
+    """failed holds, per item, None or the class name of the error it failed with."""
     import numpy  # loaded by now
     import scipy  # only for its version, so no command's work waits for it
 
     record = {
         "command": args.command,
         "config": {k: v for k, v in vars(args).items() if k != "func"},
+        "counts": {"ok": failed.count(None), "failed": Counter(filter(None, failed))},
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,  # KiB on Linux
         "versions": {
             "encore": __version__,
             "numpy": numpy.__version__,
@@ -107,29 +112,31 @@ def _run_batch(args, items, work, out: Path, write, *, key="file", report=_json_
     work raises OSError, ValueError (MetricError included) or MemoryError (an
     item too large for this machine fails alone). Prints report(rows),
     passes the rows to write, which stores the command's outputs, writes
-    the run record into out, and returns the --strict exit code.
+    the run record into out, and returns the --strict exit code.  The run
+    record alone counts the failures by error class.
     """
 
-    def one(named) -> dict:
+    def one(named) -> tuple[dict, str | None]:
         name, item = named
         try:
-            return {key: name, "status": "ok", **work(item)}
+            return {key: name, "status": "ok", **work(item)}, None
         except (OSError, ValueError, MemoryError) as exc:
             error = str(exc) or type(exc).__name__
             log.error("%s: %s", name, error)
-            return {key: name, "status": "error", "error": error}
+            return {key: name, "status": "error", "error": error}, type(exc).__name__
 
     if args.workers == 1 or len(items) <= 1:
-        rows = [one(item) for item in items]
+        done = [one(item) for item in items]
     else:
         with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            rows = list(pool.map(one, items))
+            done = list(pool.map(one, items))
+    rows = [row for row, _ in done]
     for line in report(rows):
         print(line)
     write(rows)
-    _write_run_record(out, args)
-    failed = any(row["status"] == "error" for row in rows)
-    return EXIT_FAILURES if failed and args.strict else EXIT_OK
+    failed = [kind for _, kind in done]
+    _write_run_record(out, args, failed)
+    return EXIT_FAILURES if any(failed) and args.strict else EXIT_OK
 
 
 def _inputs(args) -> list[tuple[str, Path]]:

@@ -266,12 +266,32 @@ def test_unbounded_resampling_refused(tmp_path, monkeypatch, rate, frames):
 
 
 @pytest.mark.parametrize(
-    "rate", [8000, 11025, 16000, 22050, 32000, 48000, 96000, 176400, 192000, 384000]
+    "rate",
+    [8000, 11025, 12000, 16000, 22050, 24000, 32000, 44100, 48000, 64000, 88200, 96000,
+     176400, 192000, 352800, 384000],
 )
 def test_standard_rates_resampled(tmp_path, rate):
-    path = tmp_path / "x.wav"
-    path.write_bytes(_riff(_fmt(3, 1, rate, 32), bytes(4 * rate // 100)))
-    assert abs(read_wav(path).shape[0] - 441) <= 1  # 10 ms at 44.1 kHz
+    """Every slice is bit-identical to the same samples of one resample_poly
+    call over the whole file: for files shorter than the filter's reach (1
+    and 50 frames), of 10 ms, and several scan slices long.  The slices take
+    the first and last sample, 7 samples (fewer than the filter reaches),
+    and spans that straddle a scan slice's edges."""
+    g = math.gcd(44100, rate)
+    up, down = 44100 // g, rate // g
+    scan = audio_io._SCAN
+    rng = np.random.default_rng(rate)
+    for frames in (1, 50, rate // 100, 3 * scan * down // up + 1234):
+        path = tmp_path / f"{frames}.wav"
+        wavfile.write(path, rate, rng.uniform(-1.0, 1.0, (frames, 2)).astype(np.float32))
+        whole = _scipy_read(path)
+        reader = WavReader(path)
+        n = len(whole)
+        assert len(reader) == n
+        assert np.array_equal(read_wav(path), whole)
+        for lo, hi in [(0, 1), (n - 1, n), (n // 2, n // 2 + 7), (scan - 3, scan + 4),
+                       (2 * scan - 900, 3 * scan + 900)]:
+            assert np.array_equal(reader[lo:hi], whole[lo:hi]), (frames, lo, hi)
+    assert abs(len(WavReader(tmp_path / f"{rate // 100}.wav")) - 441) <= 1  # 10 ms
 
 
 @pytest.fixture(scope="module")

@@ -930,6 +930,28 @@ class TestEvaluate:
         assert done.returncode == EXIT_OK, done.stderr
         assert set(_read_results(out)) == {("w", "chroma")}
 
+    def test_resampled_wav_streams(self, tmp_path):
+        """A 5-min 48 kHz mono self-pair is scored for tempo with 200 MB of
+        address space to spare, where resampling the file whole needs more
+        than 300 MB.  The spare covers importing scipy.signal, which adds
+        about 151 MB of address space after the child takes its base
+        (105 -> 256 MB); the slices resampled in flight need little more."""
+        rate, n = 48000, 300 * 48000
+        t = np.arange(n) / rate
+        clicks = np.round(16000 * (np.mod(t, 0.5) < 0.01) * np.sin(2 * np.pi * 1000 * t))
+        data = clicks.astype("<i2").tobytes()
+        fmt = struct.pack("<HHIIHH", 1, 1, rate, 2 * rate, 2, 16)
+        (tmp_path / "p.wav").write_bytes(
+            b"RIFF" + struct.pack("<I", 4 + 8 + len(fmt) + 8 + len(data)) + b"WAVE"
+            + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+            + b"data" + struct.pack("<I", len(data)) + data)
+        pairs = _write(tmp_path / "pairs.csv", "pair_id,output,reference\np,p.wav,p.wav\n")
+        out = tmp_path / "results.csv"
+        done = _run_limited(200, "evaluate", "--pairs", pairs, "--metrics", "tempo",
+                            "--out", out, "--strict")
+        assert done.returncode == EXIT_OK, done.stderr
+        assert _read_results(out) == {("p", "tempo"): 0.0}
+
     def test_unknown_metric(self, eval_dir, tmp_path):
         code = _run(
             "evaluate", "--pairs", eval_dir / "pairs.csv",
@@ -1325,14 +1347,20 @@ class TestOverlongInput:
 
 class TestConfigAndRecords:
     def test_run_record_written(self, midi_dir, tmp_path):
+        """The record counts the items that ran and those that failed, by
+        error class; the index keeps the rows it held before."""
         out = tmp_path / "tok"
-        _run("tokenize", midi_dir / "a.mid", "--out", out)
+        _run("tokenize", midi_dir / "a.mid", midi_dir / "broken.mid", "--out", out)
         record = json.loads((out / "run_record.json").read_text())
         assert record["command"] == "tokenize"
         assert record["config"]["strict"] is False
         assert "seed" not in record["config"]
         for key in ("encore", "numpy", "scipy", "python"):
             assert key in record["versions"]
+        assert record["counts"] == {"ok": 1, "failed": {"MidiParseError": 1}}
+        assert 1 < record["peak_rss_mb"] < 4096
+        failed = json.loads((out / "index.json").read_text())[1]
+        assert set(failed) == {"file", "status", "error"}
 
     def test_bad_workers(self, midi_dir, tmp_path):
         code = _run("tokenize", midi_dir / "a.mid", "--out", tmp_path / "tok",
