@@ -165,16 +165,7 @@ def corrupt(
             velocity = min(max(round(cfg.mistouch_velocity_scale * note.velocity), 1), 127)
             start = note.start + float(rng.uniform(*cfg.mistouch_onset_delay))
             end = start + float(rng.uniform(*cfg.mistouch_duration))
-            kept.append(
-                Note(
-                    start=start,
-                    pitch=pitch,
-                    end=end,
-                    velocity=velocity,
-                    program=note.program,
-                    is_drum=note.is_drum,
-                )
-            )
+            kept.append(replace(note, start=start, pitch=pitch, end=end, velocity=velocity))
             report.mistouch += 1
         current = note
         if rng.random() < cfg.p_async:

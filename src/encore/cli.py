@@ -72,10 +72,8 @@ def _json_text(payload) -> str:
 
 
 def _write_run_record(out_dir: Path, args, failed: list[str | None]) -> None:
-    """failed holds, per item, None or the class name of the error it failed with."""
-    import numpy  # loaded by now
-    import scipy  # only for its version, so no command's work waits for it
-
+    """failed holds, per item, None or the class name of the error it failed with.
+    versions names numpy and scipy only if the run loaded them."""
     record = {
         "command": args.command,
         "config": {k: v for k, v in vars(args).items() if k != "func"},
@@ -83,9 +81,9 @@ def _write_run_record(out_dir: Path, args, failed: list[str | None]) -> None:
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,  # KiB on Linux
         "versions": {
             "encore": __version__,
-            "numpy": numpy.__version__,
-            "scipy": scipy.__version__,
             "python": sys.version.split()[0],
+            **{name: sys.modules[name].__version__
+               for name in ("numpy", "scipy") if name in sys.modules},
         },
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }

@@ -78,7 +78,7 @@ def atomic_write(path: Path, text: str) -> None:
     no temporary file behind."""
     tmp = path.with_name(path.name + ".tmp")
     try:
-        tmp.write_text(text, newline="")
+        tmp.write_text(text, encoding="utf-8", newline="")
         os.replace(tmp, path)
     finally:
         if tmp.exists():
@@ -87,21 +87,23 @@ def atomic_write(path: Path, text: str) -> None:
 
 def _read_json(path: Path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except (ValueError, RecursionError) as exc:  # bad JSON, not UTF-8, or nested too deep
         raise ValueError(f"{path}: {exc}") from None
 
 
 def _json_lines(path: Path):
-    """(line number, value) for every non-blank line of a JSON-lines file."""
-    with open(path) as fh:
-        for number, line in enumerate(fh, 1):
-            if line.strip():
-                try:
+    """(line number, value) for every non-blank line of a JSON-lines file;
+    each line, ended by \\n, is decoded alone, so an error names its line."""
+    with open(path, "rb") as fh:
+        for number, raw in enumerate(fh, 1):
+            try:
+                line = raw.decode("utf-8")
+                if line.strip():
                     yield number, json.loads(line)
-                except (ValueError, RecursionError) as exc:
-                    raise ValueError(f"{path}:{number}: {exc}") from None
+            except (ValueError, RecursionError) as exc:
+                raise ValueError(f"{path}:{number}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -385,14 +387,12 @@ def schedule(manifests: list[StageManifest], seed: int = 0):
         if not manifest.records:
             raise ValueError(f"stage {manifest.stage}: empty manifest cannot cycle")
         rng = np.random.default_rng(derive_seed(seed, f"stage:{manifest.stage}"))
-        emitted = 0
-        while emitted < manifest.step_budget:
-            for i in rng.permutation(len(manifest.records)):
-                if emitted == manifest.step_budget:
-                    break
-                yield step, manifest.records[int(i)]
-                step += 1
-                emitted += 1
+        n = len(manifest.records)
+        for emitted in range(manifest.step_budget):
+            if emitted % n == 0:
+                order = rng.permutation(n)
+            yield step, manifest.records[int(order[emitted % n])]
+            step += 1
 
 
 def write_manifest(

@@ -201,13 +201,6 @@ def dtw_from_costs(
     return total, dtw_backtrack(steps)
 
 
-def dtw_align(
-    a: ChromaMatrix, b: ChromaMatrix, band: int | None = None
-) -> tuple[float, list[tuple[int, int]]]:
-    """Align two chromagrams; returns (accumulated cosine distance, path)."""
-    return dtw_from_costs(_cosine_distance_matrix(a.frames, b.frames), band=band)
-
-
 @dataclass(frozen=True)
 class ChromaSimilarityResult:
     mean_cosine: float
@@ -308,18 +301,17 @@ def tempo_estimate(audio: np.ndarray | WavReader) -> float:
     best = _parabolic_lag(acf, peak_lag)
     bpm = 60.0 * fps / best
     if bpm < _PREFERRED_LOW:
-        chosen = None
-        for divisor in (2, 3, 4):
+        # below 70 BPM best exceeds 73.8 frames (fps 44100/512), so the windows
+        # of its divided lags lie over 6 frames apart and never overlap: the first
+        # divisor, largest first, to score within 10% of the peak has the smallest lag
+        for divisor in (4, 3, 2):
             center = int(round(best / divisor))
             # one frame of slack either side of the divided lag
             cands = [k for k in (center - 1, center, center + 1) if lag_min <= k <= lag_max]
-            if not cands:
-                continue
-            cand = max(cands, key=lambda k: acf[k])
-            if acf[cand] >= 0.9 * peak_val and (chosen is None or cand < chosen):
-                chosen = cand
-        if chosen is not None:
-            bpm = 60.0 * fps / _parabolic_lag(acf, chosen)
+            cand = max(cands, key=lambda k: acf[k], default=None)
+            if cand is not None and acf[cand] >= 0.9 * peak_val:
+                bpm = 60.0 * fps / _parabolic_lag(acf, cand)
+                break
     return float(bpm)
 
 

@@ -167,13 +167,10 @@ def decode(
         if warnings is not None:
             warnings.append(message)
 
-    program = 0
-    time = 0.0
+    program = None
+    time = None
     onoff = None
     in_tie = True
-    saw_program = False
-    saw_time = False
-    ended = False
     # one queue of open starts per (program, pitch); tie-section starts (-res)
     # enter before any onset, so an Off closes a sustained note first
     open_notes: dict[tuple[int, int], deque] = {}
@@ -195,42 +192,37 @@ def decode(
             )
         )
 
-    for position, token in enumerate(stream.tokens):
+    tokens = stream.tokens
+    end = tokens.index(EOS_ID) if EOS_ID in tokens else len(tokens)
+    for position, token in enumerate(tokens[:end]):
         kind, value = describe(token)
-        if ended:
-            problem(f"token {position} follows EOS")
-            break
-        if kind == "eos":
-            ended = True
-        elif kind == "end_tie":
+        if kind == "end_tie":
             if not in_tie:
                 problem(f"second end-tie marker at token {position}")
             in_tie = False
         elif kind == "instrument":
             program = value
-            saw_program = True
         elif kind == "time":
             if in_tie:
                 problem(f"time token inside tie section at token {position}")
                 continue
             new_time = value * res
-            if saw_time and new_time < time:
+            if time is not None and new_time < time:
                 problem(f"time decreases at token {position}")
             time = new_time
-            saw_time = True
         elif kind == "onoff":
             if in_tie:
                 problem(f"on/off token inside tie section at token {position}")
                 continue
             onoff = value
         else:  # note
-            if not saw_program:
+            if program is None:
                 problem(f"note before any instrument token at token {position}")
-            key = (program, value)
+            key = (program or 0, value)  # leniently, such a note is program 0's
             if in_tie:
                 open_notes.setdefault(key, deque()).append(-res)
             else:
-                if not saw_time:
+                if time is None:
                     problem(f"note before any time token at token {position}")
                     continue
                 if onoff is None:
@@ -242,9 +234,12 @@ def decode(
                     close(key, time)
                 else:
                     problem(f"off for a silent note at token {position}")
+    if end + 1 < len(tokens):
+        describe(tokens[end + 1])  # an ID outside the vocabulary raises here too
+        problem(f"token {end + 1} follows EOS")
     if in_tie:
         problem("stream has no end-tie marker")
-    if not ended:
+    if end == len(tokens):
         problem("stream does not end with EOS")
 
     for key, queue in open_notes.items():

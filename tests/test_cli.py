@@ -542,8 +542,15 @@ def _record_line(out, **extra):
     return _write(out / "stage0.jsonl", json.dumps({**record, **extra}) + "\n")
 
 
-# each edit breaks one file and returns its path; manifest cases edit the
-# registry's files, schedule-preview cases a built stage-0 manifest
+def _second_line(path, line: bytes) -> str:
+    """Keep path's first line and make line its second; the error names path:2."""
+    path.write_bytes(path.read_bytes().splitlines()[0] + b"\n" + line + b"\n")
+    return f"{path}:2"
+
+
+# each edit breaks one file and returns its path, with the line for a JSON-lines
+# file; manifest cases edit the registry's files, schedule-preview cases a built
+# stage-0 manifest
 MALFORMED = {
     "registry is a list": ("manifest", lambda reg: _write(reg, "[]")),
     "registry row is a number": ("manifest", lambda reg: _write(reg, '{"datasets": [1]}')),
@@ -564,6 +571,15 @@ MALFORMED = {
     "registry nested too deep": ("manifest", lambda reg: _write(reg, "[" * 200_000)),
     "record nested too deep": (
         "schedule-preview", lambda out: _write(out / "stage0.jsonl", "[" * 200_000 + "\n")),
+    "pair line 2 not JSON": (
+        "manifest", lambda reg: _second_line(reg.parent / "synth-a" / "pairs.jsonl", b"{")),
+    "pair line 2 not UTF-8": (
+        "manifest",
+        lambda reg: _second_line(reg.parent / "synth-a" / "pairs.jsonl", b'{"midi": "\xff"}')),
+    "record line 2 not JSON": (
+        "schedule-preview", lambda out: _second_line(out / "stage0.jsonl", b"{")),
+    "record line 2 not UTF-8": (
+        "schedule-preview", lambda out: _second_line(out / "stage0.jsonl", b"\xff")),
 }
 
 
@@ -660,6 +676,16 @@ def eval_dir(tmp_path):
         w.writerow(["same", "same.wav", "ref.wav", ""])
         w.writerow(["slow", "slow.wav", "ref.wav", "1.5"])
     return d
+
+
+def _write_pcm16(path, samples, rate):
+    """A mono 16-bit PCM WAV of samples at rate."""
+    data = samples.astype("<i2").tobytes()
+    fmt = struct.pack("<HHIIHH", 1, 1, rate, 2 * rate, 2, 16)
+    path.write_bytes(
+        b"RIFF" + struct.pack("<I", 4 + 8 + len(fmt) + 8 + len(data)) + b"WAVE"
+        + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+        + b"data" + struct.pack("<I", len(data)) + data)
 
 
 def _read_results(path):
@@ -936,15 +962,9 @@ class TestEvaluate:
         than 300 MB.  The spare covers importing scipy.signal, which adds
         about 151 MB of address space after the child takes its base
         (105 -> 256 MB); the slices resampled in flight need little more."""
-        rate, n = 48000, 300 * 48000
-        t = np.arange(n) / rate
+        t = np.arange(300 * 48000) / 48000
         clicks = np.round(16000 * (np.mod(t, 0.5) < 0.01) * np.sin(2 * np.pi * 1000 * t))
-        data = clicks.astype("<i2").tobytes()
-        fmt = struct.pack("<HHIIHH", 1, 1, rate, 2 * rate, 2, 16)
-        (tmp_path / "p.wav").write_bytes(
-            b"RIFF" + struct.pack("<I", 4 + 8 + len(fmt) + 8 + len(data)) + b"WAVE"
-            + b"fmt " + struct.pack("<I", len(fmt)) + fmt
-            + b"data" + struct.pack("<I", len(data)) + data)
+        _write_pcm16(tmp_path / "p.wav", clicks, 48000)
         pairs = _write(tmp_path / "pairs.csv", "pair_id,output,reference\np,p.wav,p.wav\n")
         out = tmp_path / "results.csv"
         done = _run_limited(200, "evaluate", "--pairs", pairs, "--metrics", "tempo",
@@ -1355,12 +1375,37 @@ class TestConfigAndRecords:
         assert record["command"] == "tokenize"
         assert record["config"]["strict"] is False
         assert "seed" not in record["config"]
-        for key in ("encore", "numpy", "scipy", "python"):
+        for key in ("encore", "numpy", "python"):
             assert key in record["versions"]
         assert record["counts"] == {"ok": 1, "failed": {"MidiParseError": 1}}
         assert 1 < record["peak_rss_mb"] < 4096
         failed = json.loads((out / "index.json").read_text())[1]
         assert set(failed) == {"file", "status", "error"}
+
+    def test_run_record_versions_name_loaded_packages(self, midi_dir, eval_dir, tmp_path):
+        """versions names numpy and scipy only when the run loaded them, so
+        writing the record imports neither: scipy is loaded only to resample
+        a WAV that is not at 44.1 kHz. Each run is a fresh child, since this
+        process may have loaded scipy already."""
+        t = np.arange(2 * 48000) / 48000
+        _write_pcm16(eval_dir / "r48.wav", np.round(8000 * np.sin(2 * np.pi * 440 * t)), 48000)
+        _write(eval_dir / "p44.csv", "pair_id,output,reference\np,ref.wav,ref.wav\n")
+        _write(eval_dir / "p48.csv", "pair_id,output,reference\np,r48.wav,r48.wav\n")
+        runs = {"tok": ["tokenize", midi_dir / "a.mid", "--out", tmp_path / "tok"]}
+        for khz in ("44", "48"):
+            runs[f"e{khz}"] = ["evaluate", "--pairs", eval_dir / f"p{khz}.csv", "--metrics",
+                               "chroma", "--out", tmp_path / f"e{khz}" / "r.csv"]
+        seen = {}
+        for name, argv in runs.items():
+            done = _run_child(*argv)
+            assert done.returncode == EXIT_OK, done.stderr
+            record = json.loads((tmp_path / name / "run_record.json").read_text())
+            seen[name] = sorted(record["versions"])
+        assert seen == {
+            "tok": ["encore", "numpy", "python"],
+            "e44": ["encore", "numpy", "python"],
+            "e48": ["encore", "numpy", "python", "scipy"],
+        }
 
     def test_bad_workers(self, midi_dir, tmp_path):
         code = _run("tokenize", midi_dir / "a.mid", "--out", tmp_path / "tok",
@@ -1418,6 +1463,56 @@ class TestConfigAndRecords:
     def test_version_flag(self, capsys):
         assert _run("--version") == EXIT_OK
         assert capsys.readouterr().out.strip()
+
+
+_MAIN = "import sys\nfrom encore.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+
+
+def _run_child(*argv, **env):
+    """Run the CLI in a fresh child process, with env added to its environment."""
+    src = str(Path(encore.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-c", _MAIN, *map(str, argv)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src, **env},
+    )
+
+
+# ---------------------------------------------------------------------------
+# text files are UTF-8 whatever the locale: under LC_ALL=C with UTF-8 mode
+# off, Python's default text encoding is ASCII
+
+C_LOCALE = {"LC_ALL": "C", "PYTHONUTF8": "0"}
+
+
+class TestUtf8Files:
+    def test_evaluate_writes_utf8_under_c_locale(self, eval_dir, tmp_path):
+        pairs = eval_dir / "pairs.csv"
+        pairs.write_text("pair_id,output,reference\ncafé,ref.wav,ref.wav\n", encoding="utf-8")
+        out = tmp_path / "r.csv"
+        done = _run_child("evaluate", "--pairs", pairs, "--metrics", "chroma", "--out", out,
+                          **C_LOCALE)
+        assert done.returncode == EXIT_OK and "Traceback" not in done.stderr, done.stderr
+        assert out.read_bytes() == "pair_id,metric,value\r\ncafé,chroma,1.0\r\n".encode()
+
+    def test_utf8_registry_under_c_locale(self, tmp_path):
+        """A registry and a metadata file holding non-ASCII text build the
+        same manifest under the C locale as under a UTF-8 one."""
+        registry = _make_registry(tmp_path, n_pairs=1)
+        _list_metadata(registry)
+        (registry.parent / "synth-a" / "m.json").write_text(
+            json.dumps({"title": "Rêverie", "composer": "Fauré"}, ensure_ascii=False),
+            encoding="utf-8")
+        doc = json.loads(registry.read_text())
+        doc["datasets"][0].update(stage=1, instrumentation="piano à quatre mains")
+        registry.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+        argv = ["manifest", "--registry", registry, "--stage", "1", "--strict"]
+        done = _run_child(*argv, "--out", tmp_path / "c", **C_LOCALE)
+        assert done.returncode == EXIT_OK and "Traceback" not in done.stderr, done.stderr
+        assert _run(*argv, "--out", tmp_path / "utf8") == EXIT_OK
+        manifest = (tmp_path / "c" / "stage1.jsonl").read_bytes()
+        assert manifest == (tmp_path / "utf8" / "stage1.jsonl").read_bytes()
+        assert "Fauré" in "".join(r["prompt"] for r in _records(tmp_path / "c" / "stage1.jsonl"))
 
 
 # ---------------------------------------------------------------------------

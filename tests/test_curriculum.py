@@ -414,6 +414,19 @@ def test_epochs_cover_all_records():
     assert sorted(refs[3:]) == ["a#0", "b#0", "c#0"]
 
 
+def test_schedule_golden():
+    """Two stages of 2.5 epochs over four records each, at one seed: every
+    epoch is a fresh permutation, and the last one stops at the budget."""
+    manifests = [
+        StageManifest(stage=s, step_budget=10, records=tuple(_record(t, s) for t in "abcd"))
+        for s in (0, 1)
+    ]
+    steps = list(schedule(manifests, seed=5))
+    assert [s for s, _ in steps] == list(range(20))
+    assert [r.stage for _, r in steps] == [0] * 10 + [1] * 10
+    assert "".join(r.window_ref[0] for _, r in steps) == "cbadcdbadc" + "bdcacbdacb"
+
+
 def test_paper_budgets_sum_and_order(corpus, tmp_path):
     assert STAGE_BUDGETS == {0: 20_000, 1: 10_000, 2: 15_000, 3: 4_000, 4: 10_000}
     registry = load_registry(corpus)

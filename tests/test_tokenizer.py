@@ -159,17 +159,35 @@ def test_encode_order_insensitive():
 
 def test_strict_decode_errors():
     cases = [
-        (END_TIE_ID, 258, 0, OFF_ID, 188, EOS_ID),           # off for silent note
-        (END_TIE_ID, EOS_ID, 258),                           # data after EOS
-        (END_TIE_ID,),                                       # missing EOS
-        (EOS_ID,),                                           # missing end tie
-        (END_TIE_ID, 0, 258 + 51, ON_ID, 188, 258, EOS_ID),  # time decreases
-        (END_TIE_ID, 258, 0, 188, EOS_ID),                   # note before on/off
-        (END_TIE_ID, 0, ON_ID, 188, EOS_ID),                 # note before time
+        ((END_TIE_ID, 258, 0, OFF_ID, 188, EOS_ID), "off for a silent note at token 4"),
+        ((END_TIE_ID, EOS_ID, 258), "token 2 follows EOS"),
+        ((END_TIE_ID,), "stream does not end with EOS"),
+        ((EOS_ID,), "stream has no end-tie marker"),
+        ((END_TIE_ID, 0, 258 + 51, ON_ID, 188, 258, EOS_ID), "time decreases at token 5"),
+        ((END_TIE_ID, 258, 0, 188, EOS_ID), "note before any on/off token at token 3"),
+        ((END_TIE_ID, 0, ON_ID, 188, EOS_ID), "note before any time token at token 3"),
+        ((258, END_TIE_ID, EOS_ID), "time token inside tie section at token 0"),
+        ((ON_ID, END_TIE_ID, EOS_ID), "on/off token inside tie section at token 0"),
+        ((END_TIE_ID, 258, ON_ID, 188, EOS_ID), "note before any instrument token at token 3"),
+        ((END_TIE_ID, END_TIE_ID, EOS_ID), "second end-tie marker at token 1"),
+        ((0, 188, END_TIE_ID, 258, OFF_ID, 188, EOS_ID),
+         "sustained note closed at the window start"),
+        # several problems: the first one in stream order is raised
+        ((258, ON_ID, 188, EOS_ID, 5), "time token inside tie section at token 0"),
+        ((EOS_ID, 0, 5), "token 1 follows EOS"),
     ]
-    for tokens in cases:
-        with pytest.raises(DecodeError):
+    for tokens, message in cases:
+        with pytest.raises(DecodeError, match=f"^{message}$"):
             decode(TokenStream(tokens=tokens, window_length=10.0))
+
+
+@pytest.mark.parametrize("strict", [True, False])
+def test_out_of_vocabulary_after_eos_raises(strict):
+    """An ID past the vocabulary raises even in lenient mode, also after EOS,
+    where it would otherwise be reported as following EOS."""
+    stream = TokenStream(tokens=(END_TIE_ID, EOS_ID, VOCAB_SIZE, 0), window_length=10.0)
+    with pytest.raises(DecodeError, match=f"^token {VOCAB_SIZE} outside vocabulary$"):
+        decode(stream, strict=strict, warnings=[])
 
 
 def test_lenient_decode_collects_warnings():
@@ -179,7 +197,43 @@ def test_lenient_decode_collects_warnings():
         TokenStream(tokens=tokens, window_length=10.0), strict=False, warnings=warnings
     )
     assert win.notes == ()
-    assert len(warnings) == 1
+    assert warnings == ["off for a silent note at token 4"]
+
+
+@pytest.mark.parametrize("tokens, expected, notes, sustained", [
+    (
+        (258 + 5, ON_ID, 188, END_TIE_ID, 0, 189, 258 + 10, 190, END_TIE_ID, 258 + 5,
+         OFF_ID, 191, ON_ID, 192, 258 + 20, OFF_ID, 188),
+        ["time token inside tie section at token 0",
+         "on/off token inside tie section at token 1",
+         "note before any instrument token at token 2",
+         "note before any time token at token 5",
+         "note before any on/off token at token 7",
+         "second end-tie marker at token 8",
+         "time decreases at token 9",
+         "off for a silent note at token 11",
+         "stream does not end with EOS"],
+        [Note(start=5 * RES, pitch=64, end=10.0, velocity=DECODE_VELOCITY)],
+        [Note(start=-RES, pitch=60, end=20 * RES, velocity=DECODE_VELOCITY)],
+    ),
+    (   # a note before any instrument token decodes as program 0, each time
+        (188, END_TIE_ID, 258, OFF_ID, 188, ON_ID, 190, EOS_ID, 5, 6),
+        ["note before any instrument token at token 0",
+         "note before any instrument token at token 4",
+         "sustained note closed at the window start",
+         "note before any instrument token at token 6",
+         "token 8 follows EOS"],
+        [Note(start=0.0, pitch=62, end=10.0, velocity=DECODE_VELOCITY)],
+        [Note(start=-RES, pitch=60, end=RES / 2, velocity=DECODE_VELOCITY)],
+    ),
+    ((EOS_ID, 0, 5), ["token 1 follows EOS", "stream has no end-tie marker"], [], []),
+], ids=["every check", "no instrument", "only EOS"])
+def test_lenient_decode_reports_every_problem_in_order(tokens, expected, notes, sustained):
+    warnings = []
+    win = decode(TokenStream(tokens=tokens, window_length=10.0), strict=False,
+                 warnings=warnings)
+    assert warnings == expected
+    assert win.notes == tuple(notes) and win.sustained == tuple(sustained)
 
 
 def test_binary_round_trip():
