@@ -8,9 +8,10 @@ name are refused. The batch commands (tokenize, augment, manifest,
 evaluate, synth) run on one runner: a bad item becomes a failed row, not
 an aborted run, and --workers N (default 1) never changes the outputs.
 manifest renders prompts with a fixed 50% field dropout and synth renders
-at gain 0.5. Each run writes a run_record.json next to its outputs. Exit
-codes: 0 success, 1 any per-item failure under --strict, 2 configuration
-error.
+at gain 0.5. Each run writes a run_record.json next to its outputs.
+Reports go to stdout in UTF-8; a reader that closes it early loses only
+the rest of the report. Exit codes: 0 success, 1 any per-item failure
+under --strict, 2 configuration error.
 """
 
 from __future__ import annotations
@@ -19,8 +20,10 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
 import logging
+import os
 import resource
 import sys
 import time
@@ -36,7 +39,6 @@ from .augment import (SPEED_TIERS, TIER_BY_NAME, MistakeConfig, corrupt, draw_ti
 from .curriculum import (
     atomic_write,
     build_manifest,
-    load_pairs,
     load_registry,
     read_manifest,
     schedule,
@@ -94,6 +96,20 @@ def _json_lines(rows):
     return map(json.dumps, rows)
 
 
+def _print_lines(lines) -> None:
+    """Print lines to stdout as they come. A reader that closes stdout
+    loses the rest of them, not the run: stdout then goes to the null
+    device, so the command still writes its outputs and exits as it would
+    have, and the flush at exit meets no closed pipe."""
+    try:
+        for line in lines:
+            print(line, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _failed_lines(rows, key="file") -> list[str]:
     return [f"FAILED {row[key]}: {row['error']}" for row in rows if row["status"] != "ok"]
 
@@ -129,8 +145,7 @@ def _run_batch(args, items, work, out: Path, write, *, key="file", report=_json_
         with ThreadPoolExecutor(max_workers=args.workers) as pool:
             done = list(pool.map(one, items))
     rows = [row for row, _ in done]
-    for line in report(rows):
-        print(line)
+    _print_lines(report(rows))
     write(rows)
     failed = [kind for _, kind in done]
     _write_run_record(out, args, failed)
@@ -231,7 +246,7 @@ def cmd_prompt(args) -> int:
         text = render_prompt(spec, dropout=args.dropout, rng_seed=args.seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    print(text)
+    _print_lines([text])
     return EXIT_OK
 
 
@@ -243,7 +258,7 @@ def cmd_manifest(args) -> int:
     stage = None if args.stage == "merged" else int(args.stage)
     try:
         entries = [e for e in load_registry(args.registry) if stage in (None, e.stage)]
-        items = [(f"{e.name}/{p.midi}", (e, p)) for e in entries for p in load_pairs(e)]
+        items = [(f"{e.name}/{p.midi}", (e, p)) for e in entries for p in e.pairs]
     except (OSError, ValueError) as exc:
         raise ConfigError(f"registry: {exc}") from exc
     if not entries:
@@ -264,25 +279,22 @@ def cmd_manifest(args) -> int:
             raise ConfigError(f"{args.registry}: {exc}") from exc
         failed = {row["file"]: row["error"] for row in rows if row["status"] != "ok"}
         write_manifest(manifest, path, failed)
-        print(f"{path}: {len(manifest.records)} records, budget {manifest.step_budget}")
+        _print_lines([f"{path}: {len(manifest.records)} records, budget {manifest.step_budget}"])
 
     return _run_batch(args, items, work, out, write, report=_failed_lines)
 
 
 def cmd_schedule_preview(args) -> int:
+    if args.steps < 0:
+        raise ConfigError(f"--steps must be >= 0, got {args.steps}")
     try:
         manifests = [read_manifest(p) for p in args.manifests]
-        total = sum(m.step_budget for m in manifests)
-        shown = 0
-        for step, record in schedule(manifests, seed=args.seed):
-            if shown < args.steps:
-                print(f"step {step:>6}  stage {record.stage}  {record.window_ref}")
-                shown += 1
-            else:
-                break
+        shown = itertools.islice(schedule(manifests, seed=args.seed), args.steps)
+        _print_lines(f"step {step:>6}  stage {record.stage}  {record.window_ref}"
+                     for step, record in shown)
     except (OSError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    print(f"total steps: {total}")
+    _print_lines([f"total steps: {sum(m.step_budget for m in manifests)}"])
     return EXIT_OK
 
 
@@ -482,6 +494,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
+    if sys.stdout is not None:  # None when started with stdout closed
+        # UTF-8 like every text file written; surrogateescape gives back the
+        # bytes of an argument that the locale could not decode
+        sys.stdout.reconfigure(encoding="utf-8", errors="surrogateescape")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -17,7 +17,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -118,6 +118,9 @@ class DatasetEntry:
     root_path: Path
     pair_index: Path
     weight: float = 1.0
+    # the pairs load_registry read and checked; entries key the pools of
+    # build_manifest, so the pairs take no part in equality or hashing
+    pairs: tuple[Pair, ...] = field(default=(), compare=False)
 
     def __post_init__(self):
         if self.stage not in STAGE_BUDGETS:
@@ -167,7 +170,8 @@ class StageManifest:
 
 
 def load_registry(path: str | os.PathLike) -> list[DatasetEntry]:
-    """Read a registry JSON file and validate every pair index it names.
+    """Read a registry JSON file and validate every pair index it names;
+    each entry carries its pairs.
 
     Relative dataset paths resolve against the registry file's directory.
     Dataset names become token directories, so each must be one plain path
@@ -200,13 +204,14 @@ def load_registry(path: str | os.PathLike) -> list[DatasetEntry]:
             )
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
-        for pair in load_pairs(entry):
+        pairs = load_pairs(entry)
+        for pair in pairs:
             # a MIDI is read per item, so one that is a directory fails alone
             for ref, usable in ((pair.midi, Path.exists), (pair.audio, Path.is_file),
                                 (pair.metadata, Path.is_file)):
                 if ref is not None and not usable(entry.root_path / ref):
                     raise ValueError(f"{path}: {entry.name}: missing file {ref}")
-        entries.append(entry)
+        entries.append(replace(entry, pairs=tuple(pairs)))
     return entries
 
 

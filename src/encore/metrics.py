@@ -118,20 +118,21 @@ def _signal(audio):
     return x
 
 
-def _frame_count(n: int, window: int, hop: int) -> int:
-    """STFT frames of n samples; a signal shorter than a window is
-    zero-padded to one."""
-    return 1 + (max(n, window) - window) // hop
-
-
-def _frames(x, window: int, hop: int, first: int, stop: int) -> np.ndarray:
-    """STFT frames first..stop-1 of x, from a slice of the samples they
-    span, zero-padded at the end when x is shorter than a window."""
-    span = (stop - 1 - first) * hop + window
-    seg = x[first * hop : first * hop + span]
-    if seg.shape[0] < span:
-        seg = np.pad(seg, (0, span - seg.shape[0]))
-    return np.lib.stride_tricks.sliding_window_view(seg, window)[::hop]
+def _spectra(x, hann: np.ndarray, hop: int, overlap: int = 0):
+    """|rfft| of x's Hann-windowed STFT frames, a block of _BLOCK frames
+    plus the next overlap frames at a time, each block cut from a slice of
+    the samples its frames span. A signal shorter than a window is
+    zero-padded to one frame."""
+    window = hann.shape[0]
+    n_frames = 1 + (max(len(x), window) - window) // hop
+    for first in range(0, n_frames, _BLOCK):
+        stop = min(first + _BLOCK + overlap, n_frames)
+        span = (stop - 1 - first) * hop + window
+        seg = x[first * hop : first * hop + span]
+        if seg.shape[0] < span:
+            seg = np.pad(seg, (0, span - seg.shape[0]))
+        frames = np.lib.stride_tricks.sliding_window_view(seg, window)[::hop]
+        yield np.abs(np.fft.rfft(frames * hann, axis=1))
 
 
 def chromagram(audio: np.ndarray | WavReader) -> ChromaMatrix:
@@ -146,15 +147,12 @@ def chromagram(audio: np.ndarray | WavReader) -> ChromaMatrix:
     x = _signal(audio)
     if len(x) == 0:
         raise ValueError("audio buffer is empty")
-    n_frames = _frame_count(len(x), CHROMA_WINDOW, CHROMA_HOP)
-    chroma = np.empty((n_frames, 12), dtype=np.float64)
-    for start in range(0, n_frames, _BLOCK):
-        stop = min(start + _BLOCK, n_frames)
-        frames = _frames(x, CHROMA_WINDOW, CHROMA_HOP, start, stop)
-        spec = np.abs(np.fft.rfft(frames * _CHROMA_HANN, axis=1))
+    rows = []
+    for spec in _spectra(x, _CHROMA_HANN, CHROMA_HOP):
         spec = np.take(spec, _CHROMA_BINS, axis=1)
         spec *= spec  # energies, squared after the gather, which keeps a third of the bins
-        chroma[start:stop] = np.add.reduceat(spec, _CHROMA_STARTS, axis=1)
+        rows.append(np.add.reduceat(spec, _CHROMA_STARTS, axis=1))
+    chroma = np.concatenate(rows)
     norms = np.linalg.norm(chroma, axis=1)
     sounding = norms > 0.0
     chroma[sounding] /= norms[sounding, None]
@@ -242,15 +240,12 @@ def chroma_similarity(
 # tempo
 
 
-def _onset_envelope(x: np.ndarray | WavReader) -> tuple[np.ndarray, float]:
-    n_frames = _frame_count(len(x), _TEMPO_WINDOW, _TEMPO_HOP)
-    flux = np.empty(n_frames - 1, dtype=np.float64)
-    for start in range(0, flux.shape[0], _BLOCK):
-        # one frame of overlap, so row i still differences frames i and i+1
-        frames = _frames(x, _TEMPO_WINDOW, _TEMPO_HOP, start, min(start + _BLOCK + 1, n_frames))
-        spec = np.abs(np.fft.rfft(frames * _TEMPO_HANN, axis=1))
-        flux[start : start + _BLOCK] = np.maximum(spec[1:] - spec[:-1], 0.0).sum(axis=1)
-    return flux, ANALYSIS_RATE / _TEMPO_HOP
+def _onset_envelope(x: np.ndarray | WavReader) -> np.ndarray:
+    """Half-wave-rectified flux from each tempo frame to the next, at
+    ANALYSIS_RATE / _TEMPO_HOP rows a second. Blocks overlap by one frame,
+    so every pair of neighbours is differenced once."""
+    return np.concatenate([np.maximum(spec[1:] - spec[:-1], 0.0).sum(axis=1)
+                           for spec in _spectra(x, _TEMPO_HANN, _TEMPO_HOP, overlap=1)])
 
 
 def _autocorrelate(x: np.ndarray) -> np.ndarray:
@@ -284,7 +279,8 @@ def tempo_estimate(audio: np.ndarray | WavReader) -> float:
     x = _signal(audio)
     if len(x) < 5 * ANALYSIS_RATE:
         raise ValueError("tempo estimation needs at least 5 s of audio")
-    flux, fps = _onset_envelope(x)
+    fps = ANALYSIS_RATE / _TEMPO_HOP
+    flux = _onset_envelope(x)
     flux = flux - flux.mean()
     if not np.any(flux):
         raise MetricError("no detectable periodicity: flat onset envelope")

@@ -114,18 +114,14 @@ def click_chunks(bpm: float, duration: float) -> Iterator[np.ndarray]:
     burst = rng.uniform(-1.0, 1.0, burst_len)
     burst *= np.linspace(1.0, 0.0, burst_len)  # decaying click
     period = 60.0 / bpm
-    beat = 0  # the first beat whose burst may reach the next chunk
 
     def add_bursts(out, lo):
-        nonlocal beat
         hi = lo + out.shape[0]
-        k = beat
+        k = max(0, int((lo - burst_len) / (period * sr)))  # no earlier burst reaches lo
         while (i0 := int(round(k * period * sr))) < hi:
             i1 = min(i0 + burst_len, hi)
             if i1 > lo:
                 out[max(i0, lo) - lo : i1 - lo] += burst[max(i0, lo) - i0 : i1 - i0]
-            if k == beat and i0 + burst_len <= hi:
-                beat += 1
             k += 1
 
     return _chunks(total, add_bursts)

@@ -1157,6 +1157,7 @@ class TestSynth:
         ["synth", "--duration", "2"],
         # only a speed augmentation has a tier
         ["augment", "a.mid", "--mode", "mistakes", "--tier", "Slow"],
+        ["schedule-preview", "--steps", "-1"],
     ],
 )
 def test_unworkable_option_is_config_error(midi_dir, tmp_path, capsys, argv):
@@ -1170,6 +1171,12 @@ def test_unworkable_option_is_config_error(midi_dir, tmp_path, capsys, argv):
         inputs, out_flag = ["--pairs", pairs], ["--out", out / "results.csv"]
     if argv[0] == "manifest":
         inputs = ["--registry", _make_registry(tmp_path, n_pairs=1), "--stage", "0"]
+    if argv[0] == "schedule-preview":
+        man = tmp_path / "man"
+        _run("manifest", "--registry", _make_registry(tmp_path, n_pairs=1), "--stage", "0",
+             "--out", man)
+        capsys.readouterr()
+        inputs, out_flag = [man / "stage0.jsonl"], []
     assert _run(*argv, *inputs, *out_flag) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "Traceback" not in err
@@ -1513,6 +1520,75 @@ class TestUtf8Files:
         manifest = (tmp_path / "c" / "stage1.jsonl").read_bytes()
         assert manifest == (tmp_path / "utf8" / "stage1.jsonl").read_bytes()
         assert "Fauré" in "".join(r["prompt"] for r in _records(tmp_path / "c" / "stage1.jsonl"))
+
+
+# ---------------------------------------------------------------------------
+# stdout is UTF-8 whatever the locale, and a reader that closes it loses
+# only the report: the outputs, the run record and the exit code stand
+
+
+def _run_child_bytes(*argv, stdout=subprocess.PIPE, **env):
+    """_run_child with stdout as given, and the output streams as bytes."""
+    src = str(Path(encore.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-c", _MAIN, *map(str, argv)],
+        stdout=stdout, stderr=subprocess.PIPE, timeout=120,
+        env={**os.environ, "PYTHONPATH": src, **env},
+    )
+
+
+def _run_child_closed_stdout(*argv):
+    """Run the CLI in a child whose stdout is a pipe nobody reads: every
+    write to it fails with a broken pipe."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        return _run_child_bytes(*argv, stdout=write)
+    finally:
+        os.close(write)
+
+
+class TestStdout:
+    def test_failed_pair_reported_under_c_locale(self, eval_dir, tmp_path):
+        pairs = eval_dir / "pairs.csv"
+        pairs.write_text("pair_id,output,reference\ncafé,missing.wav,ref.wav\n",
+                         encoding="utf-8")
+        out = tmp_path / "r" / "r.csv"
+        done = _run_child_bytes("evaluate", "--pairs", pairs, "--metrics", "chroma",
+                                "--out", out, **C_LOCALE)
+        assert done.returncode == EXIT_OK and b"Traceback" not in done.stderr, done.stderr
+        assert done.stdout.startswith("FAILED café: ".encode())
+        assert out.read_bytes() == b"pair_id,metric,value\r\n"
+        assert json.loads((out.parent / "run_record.json").read_text())["counts"]["failed"] == {
+            "FileNotFoundError": 1}
+
+    def test_prompt_argument_bytes_kept_under_c_locale(self):
+        done = _run_child_bytes("prompt", "--stage", "1", "--title", "Étude", "--dropout", "0",
+                                **C_LOCALE)
+        assert done.returncode == EXIT_OK, done.stderr
+        assert done.stdout == "synthesis, Étude\n".encode()
+
+    def test_closed_stdout_keeps_tokenize_outputs(self, tmp_path):
+        """A report of 100 lines outgrows stdout's buffer, so it meets the
+        closed pipe before the outputs are written."""
+        data = write_midi(_sequence(n_notes=8))
+        (tmp_path / "in").mkdir()
+        midis = [tmp_path / "in" / f"m{k:03d}.mid" for k in range(100)]
+        for midi in midis:
+            midi.write_bytes(data)
+        out = tmp_path / "tok"
+        done = _run_child_closed_stdout("tokenize", *midis, "--out", out)
+        assert done.returncode == EXIT_OK and b"Traceback" not in done.stderr, done.stderr
+        assert len(json.loads((out / "index.json").read_text())) == 100
+        assert json.loads((out / "run_record.json").read_text())["counts"]["ok"] == 100
+
+    def test_closed_stdout_ends_schedule_preview(self, tmp_path):
+        registry = _make_registry(tmp_path)
+        assert _run("manifest", "--registry", registry, "--stage", "0",
+                    "--out", tmp_path / "man") == EXIT_OK
+        done = _run_child_closed_stdout("schedule-preview", tmp_path / "man" / "stage0.jsonl",
+                                        "--steps", "20000")
+        assert done.returncode == EXIT_OK and done.stderr == b"", done.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import json
 import logging
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -134,6 +135,15 @@ def test_load_registry(corpus):
     assert entries[0].name == "synth-a"
     assert not entries[0].needs_alignment
     assert entries[2].needs_alignment
+
+
+def test_registry_entries_carry_their_pairs(corpus):
+    """Each entry holds the pairs load_registry checked, which leave it
+    equal to, and hashed like, the same entry without them."""
+    for entry in load_registry(corpus):
+        assert entry.pairs and entry.pairs == tuple(load_pairs(entry))
+        bare = replace(entry, pairs=())
+        assert bare == entry and hash(bare) == hash(entry)
 
 
 def test_registry_missing_file_rejected(corpus, tmp_path):
