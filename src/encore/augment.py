@@ -2,7 +2,8 @@
 
 Speed tiers carry the prompt keyword table; mistake corruption follows the
 per-note pipeline mistouch -> asynchrony -> substitution -> ghost, then
-removes one short time block per five-second span.
+removes one short time block per five-second span. numpy is imported by
+the functions that draw, so importing this module does not load it.
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
 from typing import ClassVar
-
-import numpy as np
 
 from .notes import Note, NoteSequence
 
@@ -78,6 +77,8 @@ def stretch(seq: NoteSequence, ratio: float) -> NoteSequence:
 
 def draw_tier(rng_seed: int) -> SpeedTier:
     """A speed tier drawn uniformly from SPEED_TIERS."""
+    import numpy as np
+
     return SPEED_TIERS[int(np.random.default_rng(rng_seed).integers(len(SPEED_TIERS)))]
 
 
@@ -85,6 +86,8 @@ def sample_speed_augmentation(
     seq: NoteSequence, tier: SpeedTier, rng_seed: int
 ) -> tuple[NoteSequence, float, str]:
     """Stretch by a ratio drawn from the tier; also pick one of its keywords."""
+    import numpy as np
+
     rng = np.random.default_rng(rng_seed)
     low, high = tier.ratio_range
     ratio = float(rng.uniform(low, high))
@@ -155,6 +158,8 @@ def corrupt(
     block_period span of the original duration and every note whose current
     start falls inside it is dropped.
     """
+    import numpy as np
+
     rng = np.random.default_rng(cfg.seed)
     report = MistakeReport()
     kept = []

@@ -9,9 +9,15 @@ evaluate, synth) run on one runner: a bad item becomes a failed row, not
 an aborted run, and --workers N (default 1) never changes the outputs.
 manifest renders prompts with a fixed 50% field dropout and synth renders
 at gain 0.5. Each run writes a run_record.json next to its outputs.
-Reports go to stdout in UTF-8; a reader that closes it early loses only
-the rest of the report. Exit codes: 0 success, 1 any per-item failure
-under --strict, 2 configuration error.
+Reports go to stdout and log lines to stderr, both in UTF-8; a reader
+that closes stdout early loses only the rest of the report. Exit codes:
+0 success, 1 any per-item failure under --strict, 2 configuration error.
+
+Each command imports only what it runs. --version, tokenize and a stage 0
+prompt load no numpy; augment, manifest, schedule-preview and prompt load
+it only when they draw. Only evaluate and synth load the audio modules
+(audio_io, metrics, synth), and only evaluate on a WAV not at 44.1 kHz
+loads scipy.
 """
 
 from __future__ import annotations
@@ -33,7 +39,6 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
-from .audio_io import WavReader
 from .augment import (SPEED_TIERS, TIER_BY_NAME, MistakeConfig, corrupt, draw_tier,
                       sample_speed_augmentation)
 from .curriculum import (
@@ -45,21 +50,13 @@ from .curriculum import (
     window_records,
     write_manifest,
 )
-from .metrics import (
-    chroma_similarity,
-    deviation_from_expected,
-    frechet_distance,
-    read_embeddings,
-    tempo_estimate,
-)
 from .notes import segment
 from .prompts import PromptSpec, render_prompt
 from .seeds import derive_seed
 from .smf import parse_midi, write_midi
-from .synth import click_chunks, note_chunks, write_rendering
 from .tokenizer import encode
 
-log = logging.getLogger(__name__)
+log = logging.getLogger("encore.cli")  # not __name__: that is __main__ under python -m
 
 EXIT_OK = 0
 EXIT_FAILURES = 1
@@ -84,8 +81,8 @@ def _write_run_record(out_dir: Path, args, failed: list[str | None]) -> None:
         "versions": {
             "encore": __version__,
             "python": sys.version.split()[0],
-            **{name: sys.modules[name].__version__
-               for name in ("numpy", "scipy") if name in sys.modules},
+            **{name: module.__version__ for name in ("numpy", "scipy")
+               if (module := sys.modules.get(name)) is not None},  # None: import blocked
         },
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
@@ -311,28 +308,31 @@ def _number(row: dict, column: str, default):
         raise ValueError(f"{column} {text!r} is not a number") from None
 
 
-def _evaluate_pair(row: dict, metrics: list[str], base: Path) -> list[dict]:
+def _evaluate_pair(row: dict, names: list[str], base: Path) -> list[dict]:
+    """One result row per metric in names for one pair."""
+    from . import audio_io, metrics  # loaded by the first pair; then a lookup, no lock
+
     pair_id = row["pair_id"]
     for column in ("output", "reference"):
         if not row[column]:
             raise ValueError(f"no {column} path")
     out_path = base / row["output"]
     ref_path = base / row["reference"]
-    wav = functools.cache(WavReader)  # check each WAV once; metrics stream its samples
-    tempo = functools.cache(lambda path: tempo_estimate(wav(path)))
+    wav = functools.cache(audio_io.WavReader)  # check each WAV once; metrics stream its samples
+    tempo = functools.cache(lambda path: metrics.tempo_estimate(wav(path)))
     values = {}
-    if "chroma" in metrics:
-        values["chroma"] = chroma_similarity(wav(out_path), wav(ref_path)).score
-    if "tempo" in metrics:
+    if "chroma" in names:
+        values["chroma"] = metrics.chroma_similarity(wav(out_path), wav(ref_path)).score
+    if "tempo" in names:
         ratio = _number(row, "ratio", 1.0)
         estimated = tempo(out_path)
         score_tempo = _number(row, "score_bpm", None)
         if score_tempo is None:  # the reference audio stands in for the score
             score_tempo = tempo(ref_path)
-        values["tempo"] = deviation_from_expected(estimated, score_tempo, ratio)
-    if "frechet" in metrics:
-        values["frechet"] = frechet_distance(
-            read_embeddings(out_path), read_embeddings(ref_path)
+        values["tempo"] = metrics.deviation_from_expected(estimated, score_tempo, ratio)
+    if "frechet" in names:
+        values["frechet"] = metrics.frechet_distance(
+            metrics.read_embeddings(out_path), metrics.read_embeddings(ref_path)
         )
     return [{"pair_id": pair_id, "metric": m, "value": v} for m, v in values.items()]
 
@@ -347,10 +347,10 @@ def _results_csv(rows: list[dict]) -> str:
 
 
 def cmd_evaluate(args) -> int:
-    metrics = [m.strip() for m in args.metrics.split(",") if m.strip()]
-    if not metrics:
+    names = [m.strip() for m in args.metrics.split(",") if m.strip()]
+    if not names:
         raise ConfigError("no metrics selected")
-    unknown = set(metrics) - {"chroma", "tempo", "frechet"}
+    unknown = set(names) - {"chroma", "tempo", "frechet"}
     if unknown:
         raise ConfigError(f"unknown metrics {sorted(unknown)}")
     pairs_path = Path(args.pairs)
@@ -383,7 +383,7 @@ def cmd_evaluate(args) -> int:
     return _run_batch(
         args,
         list(by_id.items()),
-        lambda row: {"results": _evaluate_pair(row, metrics, pairs_path.parent)},
+        lambda row: {"results": _evaluate_pair(row, names, pairs_path.parent)},
         out_path.parent,
         _index(out_path, _results_csv),
         key="pair_id",
@@ -396,6 +396,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    from . import synth
+
     if (args.clicks is None) == (not args.inputs):
         raise ConfigError("need MIDI inputs or --clicks, not both")
     if args.clicks is None:
@@ -405,7 +407,7 @@ def cmd_synth(args) -> int:
         if args.duration is None:
             args.duration = 10.0  # so the run record shows the length rendered
         try:
-            clicks = click_chunks(args.clicks, args.duration)
+            clicks = synth.click_chunks(args.clicks, args.duration)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
     items = _inputs(args)
@@ -416,9 +418,9 @@ def cmd_synth(args) -> int:
 
     def work(path: Path) -> dict:
         if args.clicks is not None:
-            return {"samples": write_rendering(path, clicks)}
-        seq = parse_midi(path.read_bytes(), source_id=path.name)
-        return {"samples": write_rendering(out / f"{path.stem}.wav", note_chunks(seq))}
+            return {"samples": synth.write_rendering(path, clicks)}
+        chunks = synth.note_chunks(parse_midi(path.read_bytes(), source_id=path.name))
+        return {"samples": synth.write_rendering(out / f"{path.stem}.wav", chunks)}
 
     return _run_batch(args, items, work, out, _index(out / "index.json"))
 
@@ -498,6 +500,8 @@ def main(argv=None) -> int:
         # UTF-8 like every text file written; surrogateescape gives back the
         # bytes of an argument that the locale could not decode
         sys.stdout.reconfigure(encoding="utf-8", errors="surrogateescape")
+    if sys.stderr is not None:  # log lines in UTF-8 too, with stderr's usual errors
+        sys.stderr.reconfigure(encoding="utf-8", errors="backslashreplace")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -8,7 +8,8 @@ prompt per window, and pairs every record with its target audio interval.
 stage manifest or the merged no-curriculum pool, in canonical order:
 stage, dataset, MIDI path, window. The schedule then walks manifests stage
 by stage, cycling within a stage in a fresh seeded permutation every
-epoch, the first included, until its step budget runs out.
+epoch, the first included, until its step budget runs out. numpy is loaded
+only by what draws: prompts past stage 0, and the schedule.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ import os
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-
-import numpy as np
 
 from .notes import WINDOW_SECONDS, segment
 from .prompts import PromptSpec, ratio_to_keyword, render_prompt
@@ -382,6 +381,8 @@ def schedule(manifests: list[StageManifest], seed: int = 0):
     each epoch, until the stage's step budget is exhausted; stages never
     interleave. Total steps = sum of budgets.
     """
+    import numpy as np
+
     stages = [m.stage for m in manifests if m.stage is not None]
     if stages != sorted(stages):
         raise ValueError("manifests must be ordered by stage")

@@ -1,11 +1,13 @@
-"""Prompt assembly: ratio-to-keyword mapping and field rendering with dropout."""
+"""Prompt assembly: ratio-to-keyword mapping and field rendering with dropout.
+
+numpy is imported by the functions that draw, so importing this module, or
+rendering a stage 0 prompt, does not load it.
+"""
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-
-import numpy as np
 
 from .augment import RATIO_CEILING, RATIO_FLOOR, SPEED_TIERS, SpeedTier
 
@@ -73,6 +75,8 @@ def tier_for_ratio(ratio: float) -> SpeedTier:
 
 def ratio_to_keyword(ratio: float, rng_seed: int) -> str:
     """Pick a keyword, uniformly seeded, from the tier containing `ratio`."""
+    import numpy as np
+
     tier = tier_for_ratio(ratio)
     rng = np.random.default_rng(rng_seed)
     return tier.keywords[int(rng.integers(len(tier.keywords)))]
@@ -90,6 +94,8 @@ def render_prompt(spec: PromptSpec, dropout: float = 0.5, rng_seed: int = 0) -> 
         raise ValueError(f"dropout must be a probability, got {dropout}")
     if spec.stage == 0:
         return STAGE0_PROMPT
+    import numpy as np
+
     rng = np.random.default_rng(rng_seed)
     if spec.mistake:
         descriptor = MISTAKE_DESCRIPTOR

@@ -47,6 +47,7 @@ def _dense_sequence(seconds):
 
 _LIMITED_MAIN = (
     "import resource, sys\n"
+    "import encore.metrics, encore.synth\n"
     "from encore.cli import main\n"
     "with open('/proc/self/statm') as fh:\n"
     "    size = int(fh.read().split()[0]) * resource.getpagesize()\n"
@@ -57,7 +58,7 @@ _LIMITED_MAIN = (
 
 def _run_limited(headroom_mb, *argv):
     """Run the CLI in a child whose address space is capped at its size after
-    importing encore.cli plus headroom_mb."""
+    importing encore.cli and the audio modules plus headroom_mb."""
     src = str(Path(encore.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
     return subprocess.run(
@@ -716,7 +717,7 @@ class TestEvaluate:
             calls.append(len(audio))
             return tempo_estimate(audio)
 
-        monkeypatch.setattr(cli, "tempo_estimate", counting)
+        monkeypatch.setattr(metrics, "tempo_estimate", counting)
         pairs = _write(eval_dir / "self.csv", "pair_id,output,reference\nself,ref.wav,ref.wav\n")
         out = tmp_path / "results.csv"
         code = _run("evaluate", "--pairs", pairs, "--metrics", "tempo", "--out", out)
@@ -751,7 +752,7 @@ class TestEvaluate:
                 raise MemoryError  # numpy's message-less form
             return real(out_audio, ref_audio)
 
-        monkeypatch.setattr(cli, "chroma_similarity", tight)
+        monkeypatch.setattr(metrics, "chroma_similarity", tight)
         out = tmp_path / "results.csv"
         argv = ["evaluate", "--pairs", eval_dir / "pairs.csv", "--metrics", "chroma",
                 "--out", out]
@@ -1088,7 +1089,7 @@ class TestSynth:
 
         def faulty(seq):
             def chunks():
-                for k, chunk in enumerate(synth.note_chunks(seq)):
+                for k, chunk in enumerate(note_chunks(seq)):
                     if k == 2 and len(seq.notes) == 30:  # b.mid
                         raise ValueError("injected")
                     yield chunk
@@ -1100,7 +1101,8 @@ class TestSynth:
             return blocks[:-1] if samples == b_samples else blocks
 
         if fault == "render":
-            monkeypatch.setattr(cli, "note_chunks", faulty)
+            note_chunks = synth.note_chunks
+            monkeypatch.setattr(synth, "note_chunks", faulty)
         else:
             b_samples = len(render(parse_midi((midi_dir / "b.mid").read_bytes())))
             scaled = synth._scaled
@@ -1409,7 +1411,7 @@ class TestConfigAndRecords:
             record = json.loads((tmp_path / name / "run_record.json").read_text())
             seen[name] = sorted(record["versions"])
         assert seen == {
-            "tok": ["encore", "numpy", "python"],
+            "tok": ["encore", "python"],
             "e44": ["encore", "numpy", "python"],
             "e48": ["encore", "numpy", "python", "scipy"],
         }
@@ -1562,6 +1564,22 @@ class TestStdout:
         assert json.loads((out.parent / "run_record.json").read_text())["counts"]["failed"] == {
             "FileNotFoundError": 1}
 
+    def test_log_line_names_the_cli_in_utf8_under_c_locale(self, eval_dir, tmp_path):
+        """Run as python -m, the way the benchmark runs it, a log line still
+        names encore.cli, and stderr is UTF-8 like stdout."""
+        pairs = eval_dir / "pairs.csv"
+        pairs.write_text("pair_id,output,reference\ncafé,missing.wav,ref.wav\n",
+                         encoding="utf-8")
+        src = str(Path(encore.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "encore.cli", "evaluate", "--pairs", str(pairs),
+             "--metrics", "chroma", "--out", str(tmp_path / "r.csv")],
+            capture_output=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src, **C_LOCALE},
+        )
+        assert done.returncode == EXIT_OK, done.stderr
+        assert done.stderr.startswith("ERROR encore.cli: café: ".encode()), done.stderr
+
     def test_prompt_argument_bytes_kept_under_c_locale(self):
         done = _run_child_bytes("prompt", "--stage", "1", "--title", "Étude", "--dropout", "0",
                                 **C_LOCALE)
@@ -1652,3 +1670,96 @@ def test_token_codec_imports_no_numpy_and_cli_no_scipy():
     )
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == {"numpy": False, "scipy": False}
+
+
+# ---------------------------------------------------------------------------
+# each command imports only what it runs
+
+_SCOPE_PROBE = """
+import json, sys
+if sys.argv[1] == "blocked":
+    sys.modules["numpy"] = None  # any import of numpy now fails
+from encore.cli import main
+code = main(sys.argv[2:])
+watched = ("numpy", "scipy", "encore.audio_io", "encore.metrics", "encore.synth",
+           "encore._kernels")
+print(json.dumps({"code": code, "loaded": [m for m in watched if sys.modules.get(m)]}))
+"""
+
+
+def _run_scoped(mode, *argv):
+    """Run the CLI in a fresh child; returns its exit code, the watched
+    modules it loaded and the report lines it printed before them."""
+    src = str(Path(encore.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", _SCOPE_PROBE, mode, *map(str, argv)],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0 and done.stdout, done.stderr
+    *printed, last = done.stdout.splitlines()
+    probe = json.loads(last)
+    return probe["code"], probe["loaded"], printed
+
+
+def test_commands_load_only_what_they_run(midi_dir, eval_dir, tmp_path):
+    """A symbolic command loads no audio module, numpy only when it draws,
+    and no command but evaluate on a WAV not at 44.1 kHz loads scipy."""
+    registry = _make_registry(tmp_path)
+    t = np.arange(2 * 48000) / 48000
+    _write_pcm16(eval_dir / "r48.wav", np.round(8000 * np.sin(2 * np.pi * 440 * t)), 48000)
+    _write(eval_dir / "p44.csv", "pair_id,output,reference\np,ref.wav,ref.wav\n")
+    _write(eval_dir / "p48.csv", "pair_id,output,reference\np,r48.wav,r48.wav\n")
+    a = midi_dir / "a.mid"
+    runs = {
+        "--version": ["--version"],
+        "tokenize": ["tokenize", a, "--out", tmp_path / "tok"],
+        "prompt 0": ["prompt", "--stage", "0"],
+        "prompt 1": ["prompt", "--stage", "1", "--title", "T"],
+        "augment mistakes": ["augment", a, "--mode", "mistakes", "--out", tmp_path / "am"],
+        "augment speed": ["augment", a, "--mode", "speed", "--out", tmp_path / "as"],
+        "manifest": ["manifest", "--registry", registry, "--stage", "0",
+                     "--out", tmp_path / "man"],
+        "schedule-preview": ["schedule-preview", tmp_path / "man" / "stage0.jsonl"],
+        "synth": ["synth", a, "--out", tmp_path / "wav"],
+        "evaluate 44.1 kHz": ["evaluate", "--pairs", eval_dir / "p44.csv",
+                              "--out", tmp_path / "e44.csv"],
+        "evaluate 48 kHz": ["evaluate", "--pairs", eval_dir / "p48.csv",
+                            "--out", tmp_path / "e48.csv"],
+    }
+    seen = {}
+    for name, argv in runs.items():
+        code, loaded, _ = _run_scoped("watched", *argv)
+        assert code == EXIT_OK, name
+        seen[name] = loaded
+    audio = ["numpy", "encore.audio_io", "encore.metrics", "encore._kernels"]
+    assert seen == {
+        "--version": [],
+        "tokenize": [],
+        "prompt 0": [],
+        "prompt 1": ["numpy"],
+        "augment mistakes": ["numpy"],
+        "augment speed": ["numpy"],
+        "manifest": [],
+        "schedule-preview": ["numpy"],
+        "synth": ["numpy", "encore.audio_io", "encore.synth", "encore._kernels"],
+        "evaluate 44.1 kHz": audio,
+        "evaluate 48 kHz": ["numpy", "scipy", *audio[1:]],
+    }
+
+
+def test_commands_run_without_numpy(midi_dir, tmp_path, capsys):
+    """With numpy unimportable, --version, tokenize and a stage 0 prompt
+    print and write what they do with it."""
+    for argv, want in ((["--version"], encore.__version__),
+                       (["prompt", "--stage", "0"], "Synthesis")):
+        code, _, printed = _run_scoped("blocked", *argv)
+        assert (code, printed) == (EXIT_OK, [want])
+    mids = [midi_dir / "a.mid", midi_dir / "b.mid"]
+    code, _, printed = _run_scoped("blocked", "tokenize", *mids, "--out", tmp_path / "bare")
+    assert code == EXIT_OK
+    assert _run("tokenize", *mids, "--out", tmp_path / "numpy") == EXIT_OK
+    assert printed == capsys.readouterr().out.splitlines()
+    bare, with_numpy = ({p.name: p.read_bytes() for p in out.iterdir()
+                         if p.name != "run_record.json"}
+                        for out in (tmp_path / "bare", tmp_path / "numpy"))
+    assert len(bare) == 6 and bare == with_numpy  # 5 .tok files and the index
