@@ -12,7 +12,7 @@ Modules:
     metrics     chroma/DTW similarity, tempo estimation, Frechet distance
     diffusion   VP schedule, v-objective, and CFG reference math
     cli         `encore` command line front end
-    seeds       stable derived seeding
+    seeds       stable derived seeding and the generator every draw uses
 
 The numeric hot spots (DTW fill/backtrack, note rendering) live in
 _kernels, one numpy implementation each; note rendering takes sin/cos once

@@ -2,8 +2,8 @@
 
 Speed tiers carry the prompt keyword table; mistake corruption follows the
 per-note pipeline mistouch -> asynchrony -> substitution -> ghost, then
-removes one short time block per five-second span. numpy is imported by
-the functions that draw, so importing this module does not load it.
+removes one short time block per five-second span. Every draw comes from
+``seeds.Rng``, numpy's PCG64 stream in pure Python, so no numpy is loaded.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from itertools import accumulate
 from typing import ClassVar
 
 from .notes import Note, NoteSequence
+from .seeds import Rng
 
 
 @dataclass(frozen=True)
@@ -77,21 +78,17 @@ def stretch(seq: NoteSequence, ratio: float) -> NoteSequence:
 
 def draw_tier(rng_seed: int) -> SpeedTier:
     """A speed tier drawn uniformly from SPEED_TIERS."""
-    import numpy as np
-
-    return SPEED_TIERS[int(np.random.default_rng(rng_seed).integers(len(SPEED_TIERS)))]
+    return SPEED_TIERS[Rng(rng_seed).integers(len(SPEED_TIERS))]
 
 
 def sample_speed_augmentation(
     seq: NoteSequence, tier: SpeedTier, rng_seed: int
 ) -> tuple[NoteSequence, float, str]:
     """Stretch by a ratio drawn from the tier; also pick one of its keywords."""
-    import numpy as np
-
-    rng = np.random.default_rng(rng_seed)
+    rng = Rng(rng_seed)
     low, high = tier.ratio_range
-    ratio = float(rng.uniform(low, high))
-    keyword = tier.keywords[int(rng.integers(len(tier.keywords)))]
+    ratio = rng.uniform(low, high)
+    keyword = tier.keywords[rng.integers(len(tier.keywords))]
     return stretch(seq, ratio), ratio, keyword
 
 
@@ -158,9 +155,7 @@ def corrupt(
     block_period span of the original duration and every note whose current
     start falls inside it is dropped.
     """
-    import numpy as np
-
-    rng = np.random.default_rng(cfg.seed)
+    rng = Rng(cfg.seed)
     report = MistakeReport()
     kept = []
     for note in seq.notes:
@@ -168,13 +163,13 @@ def corrupt(
             direction = 1 if rng.random() < 0.5 else -1
             pitch = _neighbor_pitch(note.pitch, direction)
             velocity = min(max(round(cfg.mistouch_velocity_scale * note.velocity), 1), 127)
-            start = note.start + float(rng.uniform(*cfg.mistouch_onset_delay))
-            end = start + float(rng.uniform(*cfg.mistouch_duration))
+            start = note.start + rng.uniform(*cfg.mistouch_onset_delay)
+            end = start + rng.uniform(*cfg.mistouch_duration)
             kept.append(replace(note, start=start, pitch=pitch, end=end, velocity=velocity))
             report.mistouch += 1
         current = note
         if rng.random() < cfg.p_async:
-            shift = float(rng.uniform(*cfg.async_shift))
+            shift = rng.uniform(*cfg.async_shift)
             start = max(current.start + shift, 0.0)
             end = max(current.end + shift, start)
             current = replace(current, start=start, end=end)
@@ -190,8 +185,8 @@ def corrupt(
 
     blocks = math.floor(seq.total_duration / cfg.block_period)
     for k in range(blocks + 1):
-        t_start = k * cfg.block_period + float(rng.uniform(0.0, cfg.block_period))
-        t_end = t_start + float(rng.uniform(*cfg.block_length))
+        t_start = k * cfg.block_period + rng.uniform(0.0, cfg.block_period)
+        t_end = t_start + rng.uniform(*cfg.block_length)
         report.removed_intervals.append((t_start, t_end))
     survivors = _drop_blocks(kept, report.removed_intervals)
     report.block_removed = len(kept) - len(survivors)

@@ -13,11 +13,11 @@ Reports go to stdout and log lines to stderr, both in UTF-8; a reader
 that closes stdout early loses only the rest of the report. Exit codes:
 0 success, 1 any per-item failure under --strict, 2 configuration error.
 
-Each command imports only what it runs. --version, tokenize and a stage 0
-prompt load no numpy; augment, manifest, schedule-preview and prompt load
-it only when they draw. Only evaluate and synth load the audio modules
-(audio_io, metrics, synth), and only evaluate on a WAV not at 44.1 kHz
-loads scipy.
+Each command imports only what it runs. The symbolic commands (--version,
+tokenize, augment, prompt, manifest, schedule-preview) load no numpy: they
+draw from seeds.Rng. Only evaluate and synth load numpy and the audio
+modules (audio_io, metrics, synth), and only evaluate on a WAV not at
+44.1 kHz loads scipy.
 """
 
 from __future__ import annotations

@@ -8,8 +8,8 @@ prompt per window, and pairs every record with its target audio interval.
 stage manifest or the merged no-curriculum pool, in canonical order:
 stage, dataset, MIDI path, window. The schedule then walks manifests stage
 by stage, cycling within a stage in a fresh seeded permutation every
-epoch, the first included, until its step budget runs out. numpy is loaded
-only by what draws: prompts past stage 0, and the schedule.
+epoch, the first included, until its step budget runs out. Prompts and
+the schedule draw from ``seeds.Rng``, so building a manifest loads no numpy.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from pathlib import Path
 
 from .notes import WINDOW_SECONDS, segment
 from .prompts import PromptSpec, ratio_to_keyword, render_prompt
-from .seeds import derive_seed
+from .seeds import Rng, derive_seed
 from .smf import parse_midi
 from .tokenizer import encode
 
@@ -381,8 +381,6 @@ def schedule(manifests: list[StageManifest], seed: int = 0):
     each epoch, until the stage's step budget is exhausted; stages never
     interleave. Total steps = sum of budgets.
     """
-    import numpy as np
-
     stages = [m.stage for m in manifests if m.stage is not None]
     if stages != sorted(stages):
         raise ValueError("manifests must be ordered by stage")
@@ -392,12 +390,12 @@ def schedule(manifests: list[StageManifest], seed: int = 0):
     for manifest in manifests:
         if not manifest.records:
             raise ValueError(f"stage {manifest.stage}: empty manifest cannot cycle")
-        rng = np.random.default_rng(derive_seed(seed, f"stage:{manifest.stage}"))
+        rng = Rng(derive_seed(seed, f"stage:{manifest.stage}"))
         n = len(manifest.records)
         for emitted in range(manifest.step_budget):
             if emitted % n == 0:
                 order = rng.permutation(n)
-            yield step, manifest.records[int(order[emitted % n])]
+            yield step, manifest.records[order[emitted % n]]
             step += 1
 
 

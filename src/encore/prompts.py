@@ -1,7 +1,7 @@
 """Prompt assembly: ratio-to-keyword mapping and field rendering with dropout.
 
-numpy is imported by the functions that draw, so importing this module, or
-rendering a stage 0 prompt, does not load it.
+Dropout and field order are drawn from ``seeds.Rng``, numpy's PCG64 stream
+in pure Python, so rendering a prompt loads no numpy.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ import warnings
 from dataclasses import dataclass
 
 from .augment import RATIO_CEILING, RATIO_FLOOR, SPEED_TIERS, SpeedTier
+from .seeds import Rng
 
 STAGE0_PROMPT = "Synthesis"
 SYNTHESIS_DESCRIPTOR = "synthesis"
@@ -75,11 +76,8 @@ def tier_for_ratio(ratio: float) -> SpeedTier:
 
 def ratio_to_keyword(ratio: float, rng_seed: int) -> str:
     """Pick a keyword, uniformly seeded, from the tier containing `ratio`."""
-    import numpy as np
-
     tier = tier_for_ratio(ratio)
-    rng = np.random.default_rng(rng_seed)
-    return tier.keywords[int(rng.integers(len(tier.keywords)))]
+    return tier.keywords[Rng(rng_seed).integers(len(tier.keywords))]
 
 
 def render_prompt(spec: PromptSpec, dropout: float = 0.5, rng_seed: int = 0) -> str:
@@ -94,9 +92,7 @@ def render_prompt(spec: PromptSpec, dropout: float = 0.5, rng_seed: int = 0) -> 
         raise ValueError(f"dropout must be a probability, got {dropout}")
     if spec.stage == 0:
         return STAGE0_PROMPT
-    import numpy as np
-
-    rng = np.random.default_rng(rng_seed)
+    rng = Rng(rng_seed)
     if spec.mistake:
         descriptor = MISTAKE_DESCRIPTOR
     elif spec.sonification == "performance":

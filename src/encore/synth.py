@@ -21,6 +21,7 @@ import numpy as np
 from ._kernels import NoteRenderer
 from .audio_io import ANALYSIS_RATE, write_wav_blocks
 from .notes import MAX_SECONDS, NoteSequence
+from .seeds import Rng
 
 # Notes shorter than this are rendered at this length so they remain
 # audible; the envelope is shrunk proportionally to fit short notes.
@@ -110,8 +111,8 @@ def click_chunks(bpm: float, duration: float) -> Iterator[np.ndarray]:
     total = int(np.ceil(duration * sr))
     burst_len = int(_CLICK_SECONDS * sr)
     # one fixed burst reused for every click keeps the output deterministic
-    rng = np.random.default_rng(_CLICK_SEED)
-    burst = rng.uniform(-1.0, 1.0, burst_len)
+    rng = Rng(_CLICK_SEED)
+    burst = np.array([rng.uniform(-1.0, 1.0) for _ in range(burst_len)])
     burst *= np.linspace(1.0, 0.0, burst_len)  # decaying click
     period = 60.0 / bpm
 

@@ -1702,8 +1702,8 @@ def _run_scoped(mode, *argv):
 
 
 def test_commands_load_only_what_they_run(midi_dir, eval_dir, tmp_path):
-    """A symbolic command loads no audio module, numpy only when it draws,
-    and no command but evaluate on a WAV not at 44.1 kHz loads scipy."""
+    """A symbolic command loads no audio module and no numpy, even when it
+    draws, and no command but evaluate on a WAV not at 44.1 kHz loads scipy."""
     registry = _make_registry(tmp_path)
     t = np.arange(2 * 48000) / 48000
     _write_pcm16(eval_dir / "r48.wav", np.round(8000 * np.sin(2 * np.pi * 440 * t)), 48000)
@@ -1736,11 +1736,11 @@ def test_commands_load_only_what_they_run(midi_dir, eval_dir, tmp_path):
         "--version": [],
         "tokenize": [],
         "prompt 0": [],
-        "prompt 1": ["numpy"],
-        "augment mistakes": ["numpy"],
-        "augment speed": ["numpy"],
+        "prompt 1": [],
+        "augment mistakes": [],
+        "augment speed": [],
         "manifest": [],
-        "schedule-preview": ["numpy"],
+        "schedule-preview": [],
         "synth": ["numpy", "encore.audio_io", "encore.synth", "encore._kernels"],
         "evaluate 44.1 kHz": audio,
         "evaluate 48 kHz": ["numpy", "scipy", *audio[1:]],
@@ -1748,8 +1748,8 @@ def test_commands_load_only_what_they_run(midi_dir, eval_dir, tmp_path):
 
 
 def test_commands_run_without_numpy(midi_dir, tmp_path, capsys):
-    """With numpy unimportable, --version, tokenize and a stage 0 prompt
-    print and write what they do with it."""
+    """With numpy unimportable, --version, tokenize, prompt, augment, manifest
+    and schedule-preview print and write what they do with it."""
     for argv, want in ((["--version"], encore.__version__),
                        (["prompt", "--stage", "0"], "Synthesis")):
         code, _, printed = _run_scoped("blocked", *argv)
@@ -1763,3 +1763,23 @@ def test_commands_run_without_numpy(midi_dir, tmp_path, capsys):
                          if p.name != "run_record.json"}
                         for out in (tmp_path / "bare", tmp_path / "numpy"))
     assert len(bare) == 6 and bare == with_numpy  # 5 .tok files and the index
+
+    def outputs(out):
+        return {p.relative_to(out).as_posix(): p.read_bytes() for p in out.rglob("*")
+                if p.is_file() and p.name != "run_record.json"}
+
+    out = tmp_path / "drawn"
+    a = midi_dir / "a.mid"
+    for argv in (["augment", a, "--mode", "mistakes", "--out", out / "am"],
+                 ["augment", a, "--mode", "speed", "--out", out / "as"],
+                 ["manifest", "--registry", _make_registry(tmp_path), "--stage", "merged",
+                  "--out", out / "man"],
+                 ["prompt", "--stage", "1", "--title", "T", "--seed", "3"],
+                 ["schedule-preview", out / "man" / "merged.jsonl"]):
+        # the same out dir for both runs, so printed paths match too
+        code, _, printed = _run_scoped("watched", *argv)
+        written = outputs(out)
+        assert code == EXIT_OK and printed, argv[0]
+        assert _run_scoped("blocked", *argv) == (EXIT_OK, [], printed), argv[0]
+        assert outputs(out) == written, argv[0]
+    assert {"am/a_mistakes.mid", "as/a_speed.mid", "man/merged.jsonl"} <= written.keys()
