@@ -18,7 +18,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from .notes import WINDOW_SECONDS, segment
@@ -39,7 +39,8 @@ TARGET_KINDS = ("synth_audio", "perf_audio", "synth_perf_audio")
 # how close a sidecar alignment offset must sit to a window offset
 _ALIGN_EPS = 1e-6
 
-# JSON types of the fields of registry rows, pair-index lines and metadata
+# JSON types of the fields of registry rows, pair-index lines, metadata and
+# manifest records
 _TEXT = (str, type(None))
 _NUMBER = (int, float)
 _ROW_REQUIRED = dict.fromkeys(
@@ -50,11 +51,19 @@ _PAIR_REQUIRED = {"midi": str, "audio": str}
 _METADATA_OPTIONAL = dict.fromkeys(
     ("title", "composer", "performer", "expression"), _TEXT
 ) | {"alignment": list}
+_RECORD = dict.fromkeys(
+    ("window_ref", "token_file", "prompt", "target_audio_ref"), str
+) | dict.fromkeys(("perf_start", "perf_end"), _NUMBER) | {"stage": int}
 
 
 def _is(value, want) -> bool:
     """isinstance for JSON values, where a bool is not a number."""
     return isinstance(value, want) and not isinstance(value, bool)
+
+
+def _interval(start, end) -> bool:
+    """Whether start < end are finite (a JSON reader takes NaN and Infinity)."""
+    return abs(start) <= sys.float_info.max and abs(end) <= sys.float_info.max and start < end
 
 
 def _object(value, where, required: dict, optional: dict) -> dict:
@@ -248,8 +257,8 @@ def _load_metadata(entry: DatasetEntry, pair: Pair) -> dict:
     metadata = _object(_read_json(path), path, {}, _METADATA_OPTIONAL)
     for row in metadata.get("alignment", ()):
         if not (isinstance(row, list) and len(row) == 3
-                and all(_is(v, _NUMBER) and abs(v) <= sys.float_info.max for v in row)
-                and row[1] < row[2]):
+                and all(_is(v, _NUMBER) for v in row)
+                and abs(row[0]) <= sys.float_info.max and _interval(row[1], row[2])):
             raise ValueError(f"{path}: alignment rows are [score_offset, perf_start, perf_end],"
                              " finite, with perf_start < perf_end")
     return metadata
@@ -277,7 +286,7 @@ def _prompt_spec(
         speed_keyword=keyword,
         title=metadata.get("title"),
         composer=metadata.get("composer"),
-        instrumentation=entry.instrumentation or None,
+        instrumentation=entry.instrumentation,
         mistake=True if stage == 3 else None,
         performer=metadata.get("performer") if stage == 4 else None,
         expression_label=metadata.get("expression") if stage == 4 else None,
@@ -417,17 +426,27 @@ def write_manifest(
 
 
 def read_manifest(path: str | os.PathLike) -> StageManifest:
-    """Read what write_manifest wrote; a malformed file raises ValueError naming it."""
+    """Read what write_manifest wrote; a malformed file raises ValueError
+    naming it. A record holds four strings, a finite perf_start < perf_end
+    and a stage in 0..4: the manifest's own, unless the manifest is merged."""
     path = Path(path)
     meta_path = path.with_suffix(".meta.json")
     meta = _object(
         _read_json(meta_path), meta_path, {"stage": (int, type(None)), "step_budget": int}, {}
     )
-    keys = {f.name for f in fields(ManifestRecord)}
     records = []
     for number, row in _json_lines(path):
-        if not isinstance(row, dict) or row.keys() != keys:
-            raise ValueError(f"{path}:{number}: expected an object with keys {sorted(keys)}")
+        where = f"{path}:{number}"
+        if not isinstance(row, dict) or row.keys() != _RECORD.keys():
+            raise ValueError(f"{where}: expected an object with keys {sorted(_RECORD)}")
+        _object(row, where, _RECORD, {})
+        if not _interval(row["perf_start"], row["perf_end"]):
+            raise ValueError(f"{where}: perf_start and perf_end must be finite, with"
+                             " perf_start < perf_end")
+        if row["stage"] not in STAGE_BUDGETS:
+            raise ValueError(f"{where}: stage {row['stage']} outside 0..4")
+        if meta["stage"] not in (None, row["stage"]):
+            raise ValueError(f"{where}: stage {row['stage']} in a stage {meta['stage']} manifest")
         records.append(ManifestRecord(**row))
     return StageManifest(
         stage=meta["stage"], step_budget=meta["step_budget"], records=tuple(records)

@@ -86,7 +86,8 @@ def render_prompt(spec: PromptSpec, dropout: float = 0.5, rng_seed: int = 0) -> 
     The sonification descriptor and the speed keyword always appear; title,
     composer and instrumentation are each independently dropped with
     probability `dropout`; a performer renders as "style of <name>". Field
-    order is shuffled by the seeded RNG.
+    order is shuffled by the seeded RNG. An empty text field is absent, as
+    None is: it renders nothing and draws no dropout.
     """
     if not 0.0 <= dropout <= 1.0:
         raise ValueError(f"dropout must be a probability, got {dropout}")
@@ -100,14 +101,14 @@ def render_prompt(spec: PromptSpec, dropout: float = 0.5, rng_seed: int = 0) -> 
     else:
         descriptor = SYNTHESIS_DESCRIPTOR
     fields = [descriptor]
-    if spec.speed_keyword is not None:
+    if spec.speed_keyword:
         fields.append(spec.speed_keyword)
     for value in (spec.title, spec.composer, spec.instrumentation):
-        if value is not None and rng.random() >= dropout:
+        if value and rng.random() >= dropout:
             fields.append(value)
-    if spec.performer is not None:
+    if spec.performer:
         fields.append(f"style of {spec.performer}")
-    if spec.expression_label is not None:
+    if spec.expression_label:
         fields.append(spec.expression_label)
     order = rng.permutation(len(fields))
     return ", ".join(fields[i] for i in order)

@@ -124,32 +124,15 @@ class Rng:
     def permutation(self, n: int) -> list[int]:
         """``range(n)`` shuffled by Fisher–Yates from the end. Each swap index
         j in [0, i] is a 32-bit draw masked to i's bit width and redrawn
-        while above i (numpy's ``random_interval``, not Lemire). The loop
-        steps the generator inline, as this is the one draw made per record
-        of a manifest."""
+        while above i (numpy's ``random_interval``, not Lemire)."""
         if n > 2**32:
             raise ValueError(f"permutation of {n} items: at most 2**32")
         order = list(range(n))
-        state, inc, half = self._state, self._inc, self._half
-        mult, mask64, mask128, double = _PCG_MULT, _MASK, _MASK128, _DOUBLE
-        top = n - 1
-        while top > 0:  # one pass per bit width of i, from the widest
-            mask = (1 << top.bit_length()) - 1
-            bottom = mask >> 1
-            for i in range(top, bottom, -1):
-                while True:
-                    if half is None:
-                        state = (state * mult + inc) & mask128
-                        high = state >> 64
-                        out = (high ^ (state & mask64)) * double >> (high >> 58)
-                        half = out >> 32  # bits past the 32 are masked off below
-                        j = out & mask
-                    else:
-                        j = half & mask
-                        half = None
-                    if j <= i:
-                        break
-                order[i], order[j] = order[j], order[i]
-            top = bottom
-        self._state, self._half = state, None if half is None else half & _MASK32
+        next32 = self._next32
+        for i in range(n - 1, 0, -1):
+            mask = (1 << i.bit_length()) - 1
+            j = next32() & mask
+            while j > i:
+                j = next32() & mask
+            order[i], order[j] = order[j], order[i]
         return order

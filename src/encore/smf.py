@@ -39,105 +39,94 @@ class UnsupportedFormatError(MidiParseError):
     """Well-formed SMF the reader does not handle (format 2, SMPTE division)."""
 
 
-class _Cursor:
-    """Bounds-checked byte reader over one track chunk."""
-
-    __slots__ = ("data", "pos", "limit")
-
-    def __init__(self, data: bytes, pos: int, limit: int):
-        self.data = data
-        self.pos = pos
-        self.limit = limit
-
-    def u8(self) -> int:
-        if self.pos >= self.limit:
-            raise MidiParseError("track data ends mid-event", self.pos)
-        value = self.data[self.pos]
-        self.pos += 1
-        return value
-
-    def take(self, count: int) -> bytes:
-        if self.pos + count > self.limit:
-            raise MidiParseError("track data ends mid-event", self.pos)
-        chunk = self.data[self.pos : self.pos + count]
-        self.pos += count
-        return chunk
-
-    def varlen(self) -> int:
-        value = 0
-        for _ in range(4):
-            byte = self.u8()
-            value = (value << 7) | (byte & 0x7F)
-            if not byte & 0x80:
-                return value
-        raise MidiParseError("variable-length quantity exceeds 4 bytes", self.pos)
-
-    def data_byte(self) -> int:
-        byte = self.u8()
-        if byte & 0x80:
-            raise MidiParseError(
-                f"expected data byte, found status 0x{byte:02X}", self.pos - 1
-            )
-        return byte
-
-
 def _parse_track(data: bytes, start: int, limit: int, index: int, events: list) -> int:
     """Append one MTrk payload's channel events and tempo changes to events.
 
     Each event is a (tick, index, kind, data_a, data_b, channel) tuple in
     stream order; a tempo change is an _EV_TEMPO event with microseconds
-    per quarter in data_a. Returns the track's end tick.
+    per quarter in data_a. Returns the track's end tick. The track is read
+    by index from a view that ends at the chunk, so a read past the chunk
+    raises IndexError, reported as an event cut off at the failing read.
     """
-    cur = _Cursor(data, start, limit)
+    view = memoryview(data)[:limit]
+    pos = start
+
+    def varlen() -> int:
+        nonlocal pos
+        value = 0
+        for _ in range(4):
+            byte = view[pos]
+            pos += 1
+            value = (value << 7) | (byte & 0x7F)
+            if not byte & 0x80:
+                return value
+        raise MidiParseError("variable-length quantity exceeds 4 bytes", pos)
+
+    def data_byte() -> int:
+        nonlocal pos
+        byte = view[pos]
+        pos += 1
+        if byte & 0x80:
+            raise MidiParseError(f"expected data byte, found status 0x{byte:02X}", pos - 1)
+        return byte
+
+    def take(count: int) -> memoryview:
+        nonlocal pos
+        if pos + count > limit:
+            raise IndexError
+        pos += count
+        return view[pos - count : pos]
+
     tick = 0
     running: int | None = None
-    while cur.pos < cur.limit:
-        tick += cur.varlen()
-        first = cur.u8()
-        if first < 0x80:
-            if running is None:
-                raise MidiParseError("data byte with no running status", cur.pos - 1)
-            status = running
-            data_a = first
-        else:
-            status = first
-            data_a = None
+    try:
+        while pos < limit:
+            tick += varlen()
+            first = view[pos]
+            pos += 1
+            if first < 0x80:
+                if running is None:
+                    raise MidiParseError("data byte with no running status", pos - 1)
+                status = running
+                data_a = first
+            else:
+                status = first
+                data_a = None
 
-        if status == 0xFF:
-            running = None
-            meta_type = cur.u8()
-            payload = cur.take(cur.varlen())
-            if meta_type == 0x51:
-                if len(payload) != 3:
-                    raise MidiParseError(
-                        f"tempo event with length {len(payload)}", cur.pos
-                    )
-                tempo = int.from_bytes(payload, "big")
-                if tempo == 0:
-                    raise MidiParseError("zero tempo", cur.pos - 3)
-                events.append((tick, index, _EV_TEMPO, tempo, 0, 0))
-            elif meta_type == 0x2F:
-                break
-        elif status in (0xF0, 0xF7):
-            running = None
-            cur.take(cur.varlen())
-        elif status >= 0xF0:
-            raise MidiParseError(
-                f"unsupported system message 0x{status:02X}", cur.pos - 1
-            )
-        else:
-            running = status
-            kind = status & 0xF0
-            channel = status & 0x0F
-            a = cur.data_byte() if data_a is None else data_a
-            b = cur.data_byte() if kind not in (0xC0, 0xD0) else 0
-            if kind == 0x90 and b > 0:
-                events.append((tick, index, _EV_ON, a, b, channel))
-            elif kind == 0x80 or kind == 0x90:
-                events.append((tick, index, _EV_OFF, a, 0, channel))
-            elif kind == 0xC0:
-                events.append((tick, index, _EV_PROGRAM, a, 0, channel))
-            # control change, aftertouch, and pitch bend are ignored
+            if status == 0xFF:
+                running = None
+                meta_type = view[pos]
+                pos += 1
+                payload = take(varlen())
+                if meta_type == 0x51:
+                    if len(payload) != 3:
+                        raise MidiParseError(f"tempo event with length {len(payload)}", pos)
+                    tempo = int.from_bytes(payload, "big")
+                    if tempo == 0:
+                        raise MidiParseError("zero tempo", pos - 3)
+                    events.append((tick, index, _EV_TEMPO, tempo, 0, 0))
+                elif meta_type == 0x2F:
+                    break
+            elif status in (0xF0, 0xF7):
+                running = None
+                take(varlen())
+            elif status >= 0xF0:
+                raise MidiParseError(f"unsupported system message 0x{status:02X}", pos - 1)
+            else:
+                running = status
+                kind = status & 0xF0
+                channel = status & 0x0F
+                a = data_byte() if data_a is None else data_a
+                b = data_byte() if kind not in (0xC0, 0xD0) else 0
+                if kind == 0x90 and b > 0:
+                    events.append((tick, index, _EV_ON, a, b, channel))
+                elif kind == 0x80 or kind == 0x90:
+                    events.append((tick, index, _EV_OFF, a, 0, channel))
+                elif kind == 0xC0:
+                    events.append((tick, index, _EV_PROGRAM, a, 0, channel))
+                # control change, aftertouch, and pitch bend are ignored
+    except IndexError:
+        raise MidiParseError("track data ends mid-event", pos) from None
     return tick
 
 

@@ -549,6 +549,12 @@ def _second_line(path, line: bytes) -> str:
     return f"{path}:2"
 
 
+def _second_record(out, **fields) -> str:
+    """A stage-0 manifest whose second record is its first with fields changed."""
+    record = json.loads((out / "stage0.jsonl").read_text().splitlines()[0])
+    return _second_line(out / "stage0.jsonl", json.dumps({**record, **fields}).encode())
+
+
 # each edit breaks one file and returns its path, with the line for a JSON-lines
 # file; manifest cases edit the registry's files, schedule-preview cases a built
 # stage-0 manifest
@@ -581,6 +587,21 @@ MALFORMED = {
         "schedule-preview", lambda out: _second_line(out / "stage0.jsonl", b"{")),
     "record line 2 not UTF-8": (
         "schedule-preview", lambda out: _second_line(out / "stage0.jsonl", b"\xff")),
+    "record fields of the wrong types": (
+        "schedule-preview",
+        lambda out: _second_record(out, window_ref=5, token_file=None, prompt=[],
+                                   target_audio_ref={}, perf_start="a", perf_end=True,
+                                   stage="zero")),
+    "record stage is a bool": ("schedule-preview", lambda out: _second_record(out, stage=False)),
+    "record interval reversed": (
+        "schedule-preview", lambda out: _second_record(out, perf_start=5.0, perf_end=1.0)),
+    "record interval infinite": (
+        "schedule-preview", lambda out: _second_record(out, perf_end=float("inf"))),
+    "record interval NaN": (
+        "schedule-preview", lambda out: _second_record(out, perf_start=float("nan"))),
+    "record stage out of range": ("schedule-preview", lambda out: _second_record(out, stage=7)),
+    "record stage not the manifest's": (
+        "schedule-preview", lambda out: _second_record(out, stage=2)),
 }
 
 

@@ -1,7 +1,7 @@
 import json
 import logging
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -494,6 +494,19 @@ def test_manifest_file_round_trip(corpus, tmp_path):
     assert meta["failed"] == {"style-e/x.mid": "missing MThd header (byte 0)"}
     assert read_manifest(path) == manifest
     assert sorted(p.name for p in tmp_path.glob("stage4*")) == ["stage4.jsonl", "stage4.meta.json"]
+
+
+def test_merged_manifest_records_keep_their_stages(tmp_path):
+    path = tmp_path / "merged.jsonl"
+    merged = StageManifest(stage=None, step_budget=MERGED_BUDGET,
+                           records=(_record("a", stage=0), _record("b", stage=3)))
+    write_manifest(merged, path)
+    assert read_manifest(path) == merged
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps({**asdict(_record("c")), "stage": 5}) + "\n")
+    with pytest.raises(ValueError) as err:
+        read_manifest(path)
+    assert str(err.value) == f"{path}:3: stage 5 outside 0..4"
 
 
 def test_derive_seed_stability():

@@ -179,3 +179,15 @@ def test_dropout_rate():
             hits[name] += name in fields
     for name, count in hits.items():
         assert 0.46 <= count / n <= 0.54, name
+
+
+def test_empty_text_fields_render_as_absent():
+    # an empty field renders nothing and draws no dropout, so the fields
+    # that follow it keep the draws they get when it is None
+    def spec(empty):
+        return PromptSpec(sonification="performance", stage=4, speed_keyword=empty, title=empty,
+                          composer="Bach", instrumentation=empty, performer=empty,
+                          expression_label=empty)
+
+    for seed in range(20):
+        assert render_prompt(spec(""), rng_seed=seed) == render_prompt(spec(None), rng_seed=seed)

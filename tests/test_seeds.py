@@ -73,6 +73,7 @@ def test_interleaved_draws_match_numpy(seed, calls):
 def test_edge_seeds_and_bounds_match_numpy(seed):
     calls = [("random",), *(("integers", n) for n in EDGE_N), ("uniform", -1.0, 1.0),
              *(("permutation", n) for n in (0, 1, 2, 3, 12, 255, 256, 257, 400)),
+             ("permutation", 2**17 + 1),  # the bit widths of a 100k-record schedule
              ("integers", 3), ("random",)]
     ours, theirs = _both(seed, calls)
     assert ours == theirs

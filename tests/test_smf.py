@@ -339,6 +339,41 @@ def test_error_offset_reported():
         pytest.fail("expected MidiParseError")
 
 
+_CUT = "track data ends mid-event"
+# what a format-1 file gives when its first track's body is cut to each
+# length, chunk length set to match: a note count for a clean parse, else
+# (message, offset); the body starts at byte 22
+_TRUNCATIONS = [
+    1, (_CUT, 23), (_CUT, 24), (_CUT, 25), (_CUT, 26), (_CUT, 26), (_CUT, 26), 1,
+    (_CUT, 30), (_CUT, 31), 1, (_CUT, 33), (_CUT, 34), (_CUT, 35), 2, (_CUT, 37),
+    (_CUT, 38), 3, (_CUT, 40), (_CUT, 41), (_CUT, 42), (_CUT, 42), (_CUT, 42), 3,
+    (_CUT, 46), (_CUT, 47), (_CUT, 48), (_CUT, 49), 3, (_CUT, 51), (_CUT, 52), 3,
+    (_CUT, 54), (_CUT, 55), (_CUT, 56), 3,
+]
+
+
+def test_every_truncation_keeps_its_message_and_offset():
+    first = track([
+        (0, TEMPO_120),
+        (0, [0xC0, 5]),
+        (0, [0x90, 60, 100]),
+        (0, [64, 90]),  # running status
+        (10, [0xF0, 0x03, 0x7E, 0x01, 0xF7]),  # a sysex ends running status
+        (470, [0x80, 60, 0]),
+        (0, [64, 0]),
+    ])
+    second = track([(0, [0x91, 72, 80]), (480, [0x81, 72, 0])])
+    body = first[8:]
+    outcomes = []
+    for cut in range(len(body) + 1):
+        chunk = b"MTrk" + cut.to_bytes(4, "big") + body[:cut]
+        try:
+            outcomes.append(len(parse_midi(smf([chunk, second])).notes))
+        except MidiParseError as err:
+            outcomes.append((str(err).removesuffix(f" (byte {err.offset})"), err.offset))
+    assert outcomes == _TRUNCATIONS
+
+
 TICK = 500_000 / 480_000_000  # seconds per tick at 120 bpm, ppq 480
 
 
