@@ -199,8 +199,15 @@ class WavReader:
                 samples = raw.view(_DTYPES[self._tag, self._bits]).astype(np.float64)
                 if self._tag == _PCM:
                     samples /= _PCM_SCALE[self._bits]
-                if self._channels > 1:
+                if self._channels >= 8:  # mean sums 8 or more columns pairwise
                     samples = samples.reshape(-1, self._channels).mean(axis=1)
+                elif self._channels > 1:  # mean's bits: the columns added in order
+                    frames = samples.reshape(-1, self._channels)
+                    samples = frames[:, 0] + frames[:, 1]
+                    for c in range(2, self._channels):
+                        samples += frames[:, c]
+                    samples /= self._channels
+                    samples += 0.0  # mean's sum starts at +0.0, so no -0.0 is left
                 out[at - lo : at - lo + len(samples)] = samples
         return out
 

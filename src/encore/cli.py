@@ -13,6 +13,12 @@ Reports go to stdout and log lines to stderr, both in UTF-8; a reader
 that closes stdout early loses only the rest of the report. Exit codes:
 0 success, 1 any per-item failure under --strict, 2 configuration error.
 
+--workers N is the one level of parallelism: before any command loads numpy,
+main caps the native BLAS and OpenMP pools at one thread unless the caller set
+OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS or loaded numpy
+first. Workers take the largest items first. No output depends on N or on
+the CPU count.
+
 Each command imports only what it runs. The symbolic commands (--version,
 tokenize, augment, prompt, manifest, schedule-preview) load no numpy: they
 draw from seeds.Rng. Only evaluate and synth load numpy and the audio
@@ -116,15 +122,25 @@ def _index(path: Path, text=_json_text):
     return lambda rows: atomic_write(path, text(rows))
 
 
-def _run_batch(args, items, work, out: Path, write, *, key="file", report=_json_lines) -> int:
-    """Run work over (name, item) pairs, in input order, into one row each.
+def _bytes(path) -> int:
+    """path's size in bytes, or 0 when it cannot be stat'ed."""
+    try:
+        return os.stat(path).st_size
+    except (OSError, ValueError):  # ValueError: a NUL in the path
+        return 0
+
+
+def _run_batch(args, items, work, out: Path, write, *, key="file", report=_json_lines,
+               size=lambda item: 0) -> int:
+    """Run work over (name, item) pairs into one row each, in input order.
 
     A row is {key: name, "status": "ok", **work(item)}, or an error row if
     work raises OSError, ValueError (MetricError included) or MemoryError (an
     item too large for this machine fails alone). Prints report(rows),
     passes the rows to write, which stores the command's outputs, writes
     the run record into out, and returns the --strict exit code.  The run
-    record alone counts the failures by error class.
+    record alone counts the failures by error class.  Workers take the items
+    largest first by size(item), ties in input order.
     """
 
     def one(named) -> tuple[dict, str | None]:
@@ -139,8 +155,10 @@ def _run_batch(args, items, work, out: Path, write, *, key="file", report=_json_
     if args.workers == 1 or len(items) <= 1:
         done = [one(item) for item in items]
     else:
+        order = sorted(range(len(items)), key=lambda i: -size(items[i][1]))
         with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            done = list(pool.map(one, items))
+            started = {i: pool.submit(one, items[i]) for i in order}
+        done = [started[i].result() for i in range(len(items))]
     rows = [row for row, _ in done]
     _print_lines(report(rows))
     write(rows)
@@ -388,6 +406,8 @@ def cmd_evaluate(args) -> int:
         _index(out_path, _results_csv),
         key="pair_id",
         report=report,
+        size=lambda row: sum(_bytes(pairs_path.parent / row[c])
+                             for c in ("output", "reference") if row[c]),
     )
 
 
@@ -422,7 +442,7 @@ def cmd_synth(args) -> int:
         chunks = synth.note_chunks(parse_midi(path.read_bytes(), source_id=path.name))
         return {"samples": synth.write_rendering(out / f"{path.stem}.wav", chunks)}
 
-    return _run_batch(args, items, work, out, _index(out / "index.json"))
+    return _run_batch(args, items, work, out, _index(out / "index.json"), size=_bytes)
 
 
 # ---------------------------------------------------------------------------
@@ -495,6 +515,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # read when numpy loads its BLAS: one thread each, so --workers owns the CPUs
+    pools = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    if "numpy" not in sys.modules and not any(v in os.environ for v in pools):
+        os.environ.update(dict.fromkeys(pools, "1"))
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     if sys.stdout is not None:  # None when started with stdout closed
         # UTF-8 like every text file written; surrogateescape gives back the

@@ -62,8 +62,9 @@ _BLOCK = 64
 EMBEDDING_MAGIC = b"ENEB"
 _EMBEDDING_HEADER = struct.Struct("<4sII")  # magic, D, N
 # frechet_distance holds D x D covariances and their eigendecompositions:
-# two sets of 2148 vectors at D = 2048 take about 3 s and 300 MB peak RSS on
-# a 2-CPU machine. A header's D is untrusted: 10**6 would ask for terabytes
+# two sets of 2148 vectors at D = 2048 take about 300 MB peak RSS and 3.5 s on
+# the CLI's one BLAS thread (2-CPU Xeon); --workers spreads many pairs over the
+# CPUs. A header's D is untrusted: 10**6 would ask for terabytes
 MAX_EMBEDDING_DIM = 2048
 
 

@@ -26,7 +26,8 @@ class PromptSpec:
 
     Field availability follows the curriculum: speed keywords exist from
     stage 1, the mistake flag only at stage 3, performer and expression
-    label only at stage 4. Stage 0 always renders the fixed prompt.
+    label only at stage 4; an empty text field is absent, as in
+    render_prompt. Stage 0 always renders the fixed prompt.
     """
 
     sonification: str
@@ -44,13 +45,11 @@ class PromptSpec:
             raise ValueError(f"unknown sonification {self.sonification!r}")
         if not 0 <= self.stage <= 4:
             raise ValueError(f"stage {self.stage} outside 0..4")
-        if self.stage < 1 and self.speed_keyword is not None:
+        if self.stage < 1 and self.speed_keyword:
             raise ValueError("speed_keyword requires stage >= 1")
         if self.stage != 3 and self.mistake is not None:
             raise ValueError("mistake flag requires stage 3")
-        if self.stage != 4 and (
-            self.performer is not None or self.expression_label is not None
-        ):
+        if self.stage != 4 and (self.performer or self.expression_label):
             raise ValueError("performer and expression_label require stage 4")
 
 

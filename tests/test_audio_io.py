@@ -14,7 +14,7 @@ from scipy.io import wavfile
 
 import encore
 from encore import audio_io
-from encore.audio_io import WavReader, read_wav, write_wav
+from encore.audio_io import _PCM_SCALE, WavReader, read_wav, write_wav
 
 
 def test_float32_round_trip(tmp_path):
@@ -406,6 +406,36 @@ def test_nan_anywhere_refused_on_open(tmp_path, monkeypatch, where):
     with pytest.raises(ValueError, match="non-finite") as info:
         WavReader(path)
     assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize("channels", range(1, 10))
+@pytest.mark.parametrize("tag, bits", list(audio_io._DTYPES))
+def test_channel_average_keeps_the_bits_of_mean(tmp_path, tag, bits, channels):
+    """2 to 7 channels are added column by column and divided: the bits of
+    numpy's mean over the channels, signed zeros included, for every format
+    read. From 8 channels numpy sums pairwise, and the reader takes mean."""
+    rng = np.random.default_rng(100 * bits + channels)
+    n = 4000
+    if tag == 1:
+        ints = rng.integers(-(2 ** (bits - 1)), 2 ** (bits - 1), (n, channels))
+        ints[:5] = 0
+        if bits == 24:  # the low 3 bytes of each int32, as the file holds them
+            raw = ints.astype("<i4").view(np.uint8).reshape(-1, 4)[:, :3].tobytes()
+            decoded = ints * 256 / 2.0**31
+        else:
+            raw = ints.astype(f"<i{bits // 8}").tobytes()
+            decoded = ints / _PCM_SCALE[bits]
+    else:
+        values = rng.standard_normal((n, channels)) * 10.0 ** rng.integers(-6, 2, (n, channels))
+        if channels > 1:  # a mono file has no mean, so it keeps a -0.0
+            values[:5] = -0.0  # every channel -0.0
+            values[5:10, 0] = -0.0  # -0.0 beside +0.0
+            values[5:10, 1:] = 0.0
+        raw = values.astype(f"<f{bits // 8}").tobytes()
+        decoded = values.astype(f"<f{bits // 8}").astype(np.float64)
+    path = tmp_path / "x.wav"
+    path.write_bytes(_riff(_fmt(tag, channels, 44100, bits), raw))
+    assert read_wav(path).tobytes() == decoded.mean(axis=1).tobytes()
 
 
 def test_overflowing_channel_mean_refused(tmp_path):

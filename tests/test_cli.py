@@ -5,6 +5,7 @@ script uses, and checks outputs on disk plus the exit code contract:
 0 ok, 1 per-item failures under --strict, 2 configuration error.
 """
 
+import argparse
 import csv
 import hashlib
 import json
@@ -14,6 +15,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from pathlib import Path
@@ -256,6 +258,15 @@ class TestPrompt:
     def test_stage_gating(self, capsys):
         # mistake descriptors only exist from the mistake stage on
         assert _run("prompt", "--stage", "1", "--mistake") == EXIT_CONFIG
+
+    @pytest.mark.parametrize("stage, flag", [("2", "--performer"), ("0", "--speed-keyword")])
+    def test_empty_gated_field_is_absent(self, capsys, stage, flag):
+        """An empty field is no field, at any stage, as in the prompt it renders."""
+        argv = ["prompt", "--stage", stage, "--title", "T", "--seed", "3"]
+        assert _run(*argv) == EXIT_OK
+        want = capsys.readouterr().out
+        assert _run(*argv, flag, "") == EXIT_OK
+        assert capsys.readouterr().out == want
 
 
 # ---------------------------------------------------------------------------
@@ -1804,3 +1815,120 @@ def test_commands_run_without_numpy(midi_dir, tmp_path, capsys):
         assert _run_scoped("blocked", *argv) == (EXIT_OK, [], printed), argv[0]
         assert outputs(out) == written, argv[0]
     assert {"am/a_mistakes.mid", "as/a_speed.mid", "man/merged.jsonl"} <= written.keys()
+
+
+# ---------------------------------------------------------------------------
+# --workers is the one level of parallelism: main caps the native thread
+# pools, and a pool of workers takes the largest items first
+
+_POOLS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _run_pools(pools: dict, *argv, script=_MAIN):
+    """Run script in a fresh child whose environment sets, of the native
+    thread-pool variables, only those in pools."""
+    src = str(Path(encore.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k not in _POOLS}
+    done = subprocess.run(
+        [sys.executable, "-c", script, *map(str, argv)],
+        capture_output=True, text=True, timeout=120, env={**env, "PYTHONPATH": src, **pools},
+    )
+    assert done.returncode == EXIT_OK, done.stderr
+    return done
+
+
+_POOL_PROBE = """
+import json, os, sys
+if sys.argv[1] == "numpy":
+    import numpy
+from encore.cli import main
+before = dict(os.environ)
+code = main(["prompt", "--stage", "0"])
+changed = {k: v for k, v in os.environ.items() if before.get(k) != v}
+print(json.dumps({"code": code, "changed": changed, "removed": sorted(before.keys() - os.environ)}))
+"""
+
+
+@pytest.mark.parametrize("pools, loaded, capped", [
+    ({}, "none", True),
+    ({}, "numpy", False),
+    ({"OPENBLAS_NUM_THREADS": "2"}, "none", False),
+    ({"OMP_NUM_THREADS": "3"}, "none", False),
+    ({"MKL_NUM_THREADS": ""}, "none", False),
+])
+def test_main_caps_native_pools_unless_set(pools, loaded, capped):
+    """main sets the three variables to 1 when the caller set none of them
+    and numpy is not loaded; otherwise it leaves the environment as it is."""
+    done = _run_pools(pools, loaded, script=_POOL_PROBE)
+    probe = json.loads(done.stdout.splitlines()[-1])
+    want = dict.fromkeys(_POOLS, "1") if capped else {}
+    assert probe == {"code": EXIT_OK, "changed": want, "removed": []}
+
+
+def _outputs(out: Path) -> dict:
+    return {p.relative_to(out).as_posix(): p.read_bytes() for p in sorted(out.rglob("*"))
+            if p.is_file() and p.name != "run_record.json"}
+
+
+def test_audio_outputs_ignore_native_pool_size(midi_dir, tmp_path):
+    """synth WAVs and chroma and tempo values are the same bytes with one
+    BLAS thread (the cap) and with two set by the caller."""
+    seen = []
+    for name, pools in (("capped", {}), ("two", {"OPENBLAS_NUM_THREADS": "2"})):
+        out = tmp_path / name
+        _run_pools(pools, "synth", midi_dir / "a.mid", midi_dir / "b.mid", "--workers", "2",
+                   "--out", out)
+        _write(out / "pairs.csv", "pair_id,output,reference\nab,a.wav,b.wav\n"
+                                  "ba,b.wav,a.wav\naa,a.wav,a.wav\n")
+        _run_pools(pools, "evaluate", "--pairs", out / "pairs.csv", "--metrics", "chroma,tempo",
+                   "--workers", "2", "--out", out / "results" / "r.csv")
+        seen.append(_outputs(out))
+    assert {"a.wav", "b.wav", "results/r.csv"} <= seen[0].keys()
+    assert seen[0] == seen[1]
+
+
+def test_frechet_ignores_workers_and_pool_size(tmp_path):
+    """At D = 512 a Frechet value follows the BLAS thread count in its last
+    digits; under the cap it is the same at 1 and 2 workers, and the same as
+    with the caller's own one-thread setting."""
+    rng = np.random.default_rng(512)
+    lines = ["pair_id,output,reference"]
+    for k in range(3):
+        for side, scale in (("o", 1.0 + k / 10), ("r", 1.0)):
+            vectors = rng.standard_normal((600, 512)) * scale
+            write_embeddings(tmp_path / f"{side}{k}.emb", EmbeddingSet(vectors))
+        lines.append(f"p{k},o{k}.emb,r{k}.emb")
+    _write(tmp_path / "pairs.csv", "\n".join(lines) + "\n")
+    seen = set()
+    for pools in ({}, dict.fromkeys(_POOLS, "1")):
+        for workers in ("1", "2"):
+            out = tmp_path / f"r{len(seen)}.csv"
+            _run_pools(pools, "evaluate", "--pairs", tmp_path / "pairs.csv", "--metrics",
+                       "frechet", "--workers", workers, "--out", out)
+            seen.add(out.read_bytes())
+    (results,) = seen
+    assert results.count(b",frechet,") == 3
+
+
+def test_pool_takes_the_largest_items_first(tmp_path, capsys):
+    """Two workers start the items two at a time, largest first with ties in
+    input order, and the rows come back in input order."""
+    sizes = {"a": 3, "b": 1, "c": 9, "d": 3, "e": 3, "f": 0}
+    started = []
+    lock = threading.Lock()
+    pair = threading.Barrier(2, timeout=30)  # an item ends once a second one has started
+
+    def work(name):
+        with lock:
+            started.append(name)
+        pair.wait()
+        return {"size": sizes[name]}
+
+    rows = []
+    args = argparse.Namespace(command="test", workers=2, strict=False)
+    assert cli._run_batch(args, [(n, n) for n in sizes], work, tmp_path, rows.extend,
+                          size=sizes.get) == EXIT_OK
+    assert [set(started[k : k + 2]) for k in (0, 2, 4)] == [{"c", "a"}, {"d", "e"}, {"b", "f"}]
+    assert [(row["file"], row["size"]) for row in rows] == list(sizes.items())
+    assert [json.loads(line)["file"] for line in capsys.readouterr().out.splitlines()] == list(sizes)
+    assert cli._bytes(tmp_path / "missing.wav") == cli._bytes("nul\0byte") == 0

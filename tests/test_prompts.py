@@ -39,6 +39,22 @@ def test_spec_invariants(kwargs):
 
 
 @pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(stage=0, speed_keyword=""),
+        dict(stage=2, performer=""),
+        dict(stage=3, expression_label="", mistake=True),
+    ],
+)
+def test_empty_gated_fields_are_absent(kwargs):
+    """An empty stage-gated field is no field, as render_prompt renders it."""
+    absent = {k: v for k, v in kwargs.items() if v != ""}
+    for seed in range(5):
+        assert (render_prompt(PromptSpec(sonification="performance", **kwargs), rng_seed=seed)
+                == render_prompt(PromptSpec(sonification="performance", **absent), rng_seed=seed))
+
+
+@pytest.mark.parametrize(
     "ratio,tier",
     [
         (1.7, "Slow"),
