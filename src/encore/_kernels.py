@@ -2,7 +2,8 @@
 
 Each kernel has exactly one implementation, in numpy.  ``dtw_fill`` does
 the same adds and mins as the textbook scalar recurrence, so its total is
-bit-identical to it; beyond the cost it needs one byte per cell.
+bit-identical to it; it takes its costs a strip of anti-diagonals at a
+time, and beyond the strip it needs one byte per cell.
 ``NoteRenderer`` evaluates a note's phase with angle-addition tables
 instead of a ``sin`` call per sample and partial; it agrees with
 per-sample ``np.sin`` evaluation to within 1e-9 for notes in the first
@@ -29,28 +30,43 @@ _TWO_PI = 2.0 * math.pi
 # d-2, so a diagonal is filled in one shot and only those two are kept, each
 # as an (n+2)-long buffer with cell (i, d-i) at index i+1.  Entries off the
 # matrix stay +inf, so the first row and column need no case of their own.
-# A diagonal's cells are a stride-(m-1) slice of the flattened cost.  Cells
-# farther than `band` from the stretched diagonal count as +inf.  The fill
-# returns the total and one step per cell, chosen with the tie order: 0 for
-# the diagonal, else 1 from (i-1, j), else 2 from (i, j-1).  The backtrack
-# only follows the steps.
+# The costs come _STRIP diagonals at a time from ``cost.diagonals(d0, d1)``,
+# which returns (lo, strip) with the cost of cell (i, d-i) at
+# strip[d - d0, i - lo] for every cell of those diagonals; a plain matrix
+# is gathered into the same form.  Cells farther than `band` from the
+# stretched diagonal count as +inf.  The fill returns the total and one step
+# per cell, chosen with the tie order: 0 for the diagonal, else 1 from
+# (i-1, j), else 2 from (i, j-1).  The backtrack only follows the steps.
+
+_STRIP = 64
+
+
+def _matrix_diagonals(cost):
+    """``diagonals`` of an n x m matrix, whose cell (i, d-i) is flat[i*(m-1) + d]."""
+    n, m = cost.shape
+    flat, rows = cost.ravel(), np.arange(n) * (m - 1)
+    return lambda d0, d1: (0, flat[np.clip(rows + np.arange(d0, d1)[:, None], 0, flat.size - 1)])
 
 
 def dtw_fill(cost, band=None):
     n, m = cost.shape
-    flat = cost.ravel()
+    diagonals = cost.diagonals if hasattr(cost, "diagonals") else _matrix_diagonals(cost)
     steps = np.zeros((n, m), dtype=np.uint8)
     older, old = np.full((2, n + 2), np.inf)  # diagonals d-2 and d-1
-    old[1] = flat[0]
+    base, strip = diagonals(0, min(_STRIP, n + m - 1))
+    old[1] = strip[0, 0]
     rows = np.arange(n, dtype=np.float64)
     center = rows * (m - 1) / (n - 1) if n > 1 else np.zeros(n)
     for d in range(1, n + m - 1):
+        if d % _STRIP == 0:
+            strip = None  # freed before the next is made
+            base, strip = diagonals(d, min(d + _STRIP, n + m - 1))
         lo, hi = max(0, d - m + 1), min(n - 1, d)
         cells = slice(lo * (m - 1) + d, hi * (m - 1) + d + 1, max(m - 1, 1))
         diag, up, left = older[lo : hi + 1], old[lo : hi + 1], old[lo + 1 : hi + 2]
         best = np.minimum(up, left)
         steps.ravel()[cells] = np.where(diag <= best, 0, np.where(up <= left, 1, 2))
-        best = np.minimum(diag, best) + flat[cells]
+        best = np.minimum(diag, best) + strip[d % _STRIP, lo - base : hi - base + 1]
         if band is not None:
             best[np.abs(d - rows[lo : hi + 1] - center[lo : hi + 1]) > band] = np.inf
         older[lo + 1 : hi + 2] = best  # diagonal d-2's buffer takes diagonal d

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import dtw_backtrack, dtw_fill
+from ._kernels import _STRIP, dtw_backtrack, dtw_fill
 from .audio_io import ANALYSIS_RATE, WavReader
 from .augment import RATIO_CEILING, RATIO_FLOOR
 from .notes import NoteSequence
@@ -54,10 +54,11 @@ def _chroma_fold() -> tuple[np.ndarray, np.ndarray]:
 
 _CHROMA_BINS, _CHROMA_STARTS = _chroma_fold()
 
-# STFT frames per block: the samples and spectrum held at once do not grow
-# with the input, and each row is summed in the same order as from one
-# whole STFT
+# STFT frames per slice of the samples, and samples of frames per transform:
+# what is held at once does not grow with the input, and each row is summed
+# in the same order as from one whole STFT
 _BLOCK = 64
+_STFT_SAMPLES = 2**16
 
 EMBEDDING_MAGIC = b"ENEB"
 _EMBEDDING_HEADER = struct.Struct("<4sII")  # magic, D, N
@@ -120,11 +121,16 @@ def _signal(audio):
 
 
 def _spectra(x, hann: np.ndarray, hop: int, overlap: int = 0):
-    """|rfft| of x's Hann-windowed STFT frames, a block of _BLOCK frames
-    plus the next overlap frames at a time, each block cut from a slice of
-    the samples its frames span. A signal shorter than a window is
-    zero-padded to one frame."""
+    """|rfft| of x's Hann-windowed STFT frames, a block at a time: the last
+    overlap frames of the block before, then about _STFT_SAMPLES samples'
+    worth of frames, each transformed once, from slices of _BLOCK (plus
+    overlap) frames of x. Blocks share reused buffers, so a block is valid
+    only until the next is asked for. A short x is zero-padded to one frame."""
     window = hann.shape[0]
+    per = max(1, _STFT_SAMPLES // window)
+    windowed = np.empty((per, window))
+    magnitude = np.empty((overlap + per, window // 2 + 1))
+    held = 0  # leading rows of magnitude that repeat frames already yielded
     n_frames = 1 + (max(len(x), window) - window) // hop
     for first in range(0, n_frames, _BLOCK):
         stop = min(first + _BLOCK + overlap, n_frames)
@@ -132,8 +138,14 @@ def _spectra(x, hann: np.ndarray, hop: int, overlap: int = 0):
         seg = x[first * hop : first * hop + span]
         if seg.shape[0] < span:
             seg = np.pad(seg, (0, span - seg.shape[0]))
-        frames = np.lib.stride_tricks.sliding_window_view(seg, window)[::hop]
-        yield np.abs(np.fft.rfft(frames * hann, axis=1))
+        frames = np.lib.stride_tricks.sliding_window_view(seg, window)[held * hop :: hop]
+        for rows in (frames[lo : lo + per] for lo in range(0, len(frames), per)):
+            k = len(rows)
+            np.multiply(rows, hann, out=windowed[:k])
+            np.abs(np.fft.rfft(windowed[:k], axis=1), out=magnitude[held : held + k])
+            yield magnitude[: held + k]
+            magnitude[:overlap] = magnitude[held + k - overlap : held + k]
+            held = overlap
 
 
 def chromagram(audio: np.ndarray | WavReader) -> ChromaMatrix:
@@ -160,37 +172,59 @@ def chromagram(audio: np.ndarray | WavReader) -> ChromaMatrix:
     return ChromaMatrix(chroma)
 
 
-def _cosine_distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """|a_i - b_j|^2 / 2, within 2.1e-7 of 1 - a_i . b_j for unit frames.
+class _ChromaCosts:
+    """DTW costs |a_i - b_j|^2 / 2 of two ChromaMatrix frame arrays (within
+    2.1e-7 of 1 - a_i . b_j), a strip of anti-diagonals at a time for
+    ``dtw_fill`` or cell by cell (``at``). A cell is one dot product of the
+    frames extended to 16 columns, [a, s|a|^2/2, s, s, 1-s] . [-b, s',
+    s'|b|^2/2, 1-s', s'] with s = 1 for sound and 0 for silence: silence
+    matches silence (0) and mismatches sound (1). Every product is a
+    multiple of 2**-49 and no partial sum reaches 16, so every cell is exact
+    whatever BLAS kernel or order sums it. A strip comes from stacked
+    products of _STRIP rows of a with the b frames their cells reach."""
 
-    On ChromaMatrix frames every product is a multiple of 2**-48 and no
-    partial sum exceeds 4, so every cell is exact whatever BLAS kernel or
-    summation order computes it: a self-distance is 0, none is negative.
-    Silence matches silence (distance 0) and mismatches sound (distance 1).
-    """
-    dist = a @ b.T
-    dist *= -2.0
-    dist += np.einsum("ij,ij->i", a, a)[:, None]
-    dist += np.einsum("ij,ij->i", b, b)[None, :]
-    dist *= 0.5
-    za, zb = ~a.any(axis=1), ~b.any(axis=1)
-    dist[np.ix_(za, zb)] = 0.0
-    dist[np.ix_(za, ~zb)] = 1.0
-    dist[np.ix_(~za, zb)] = 1.0
-    return dist
+    def __init__(self, a: np.ndarray, b: np.ndarray):
+        self.shape, self.size = (len(a), len(b)), len(a) * len(b)
+        sa, sb = a.any(axis=1) * 1.0, b.any(axis=1) * 1.0
+        ha, hb = sa * np.einsum("ij,ij->i", a, a) / 2.0, sb * np.einsum("ij,ij->i", b, b) / 2.0
+        # b's frame j is row j + 2*_STRIP - 2 of self._b; the zero rows around b
+        # and after a keep every tile in range. self._frames[s] holds rows s.. of b
+        zero = np.zeros((_STRIP - 1, 16))
+        self._a = np.vstack((np.column_stack((a, ha, sa, sa, 1.0 - sa)), zero))
+        self._b = np.vstack((zero, zero, np.column_stack((-b, sb, hb, 1.0 - sb, sb)), zero))
+        self._frames = np.lib.stride_tricks.sliding_window_view(self._b, 2 * _STRIP - 1, axis=0)
+
+    def diagonals(self, d0: int, d1: int) -> tuple[int, np.ndarray]:
+        n, m = self.shape
+        lo, hi = max(0, d0 - m + 1), min(n - 1, d1 - 1)
+        k, tiles, width = d1 - d0, -(-(hi - lo + 1) // _STRIP), _STRIP + d1 - d0 - 1
+        # tile t holds rows lo + t*_STRIP + u of a against the width frames of b
+        # from d0 - lo - (t+1)*_STRIP + 1 on: diagonal d0 + k meets row u at
+        # column k + _STRIP - 1 - u, flat index _STRIP - 1 + u*(width - 1) + k
+        first = d0 - lo + _STRIP - 1  # tile 0's first row of self._b
+        grid = (self._a[lo : lo + tiles * _STRIP].reshape(tiles, _STRIP, 16)
+                @ self._frames[first - (tiles - 1) * _STRIP : first + 1 : _STRIP, :, :width][::-1])
+        skew = grid.reshape(tiles, -1)[:, _STRIP - 1 : _STRIP - 1 + _STRIP * (width - 1)]
+        skew = skew.reshape(tiles, _STRIP, width - 1)[:, :, :k]
+        return lo, skew.transpose(2, 0, 1).reshape(k, -1)
+
+    def at(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """The costs of cells (i[k], j[k])."""
+        return np.einsum("ij,ij->i", self._a[i], self._b[j + 2 * _STRIP - 2])
 
 
 def dtw_from_costs(
-    cost: np.ndarray, band: int | None = None
+    cost: np.ndarray | _ChromaCosts, band: int | None = None
 ) -> tuple[float, list[tuple[int, int]]]:
-    """Minimal accumulated cost and path over a pairwise cost matrix.
+    """Minimal accumulated cost and path over a pairwise cost matrix or a
+    ``_ChromaCosts``.
 
     Classic DTW with step set {(1,0), (0,1), (1,1)}; ties break toward the
     diagonal, then (1,0), then (0,1). ``band`` is an optional Sakoe-Chiba
     radius in frames around the stretched diagonal.
     """
-    cost = np.ascontiguousarray(cost, dtype=np.float64)
-    if cost.ndim != 2 or cost.shape[0] == 0 or cost.shape[1] == 0:
+    cost = cost if isinstance(cost, _ChromaCosts) else np.ascontiguousarray(cost, dtype=np.float64)
+    if len(cost.shape) != 2 or cost.shape[0] == 0 or cost.shape[1] == 0:
         raise ValueError(f"cost must be a non-empty 2-D matrix, got {cost.shape}")
     if band is not None and band < 0:
         raise ValueError(f"band must be non-negative, got {band}")
@@ -218,16 +252,17 @@ def chroma_similarity(
 
     score = mean_cosine - DEFAULT_PENALTY_WEIGHT * dtw_cost. Raises MetricError
     when either input is entirely silent (similarity undefined). A pair
-    of the same object is computed once.
+    of the same object is computed once. The DTW holds one step byte per
+    cell and a strip of distances; mean_cosine recomputes the path's cells.
     """
     ca = chromagram(out_audio)
     cb = ca if ref_audio is out_audio else chromagram(ref_audio)
     if ca.is_silent or cb.is_silent:
         raise MetricError("chroma similarity undefined for all-silent audio")
-    dist = _cosine_distance_matrix(ca.frames, cb.frames)
-    cost, path = dtw_from_costs(dist, band=band)
+    costs = _ChromaCosts(ca.frames, cb.frames)
+    cost, path = dtw_from_costs(costs, band=band)
     idx = np.asarray(path)
-    mean_cosine = float(np.mean(1.0 - dist[idx[:, 0], idx[:, 1]]))
+    mean_cosine = float(np.mean(1.0 - costs.at(idx[:, 0], idx[:, 1])))
     return ChromaSimilarityResult(
         mean_cosine=mean_cosine,
         dtw_cost=cost,

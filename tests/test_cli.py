@@ -811,8 +811,9 @@ class TestEvaluate:
 
     def test_pair_memory_grows_by_the_dtw_alone(self, tmp_path):
         """From a 1-min to a 3-min pair, traced peak memory grows by the
-        DTW's n x m float64 distances and step bytes plus a few MB: no
-        decoded file is held, where 3 min of float64 is 64 MB per side."""
+        DTW's step byte per cell plus a few MB, its strips of distances
+        among them: no distance matrix (8 bytes per cell) and no decoded
+        file is held, where 3 min of float64 is 64 MB per side."""
         peaks, cells = [], []
         for minutes in (1, 3):
             n = minutes * 60 * 44100
@@ -827,7 +828,7 @@ class TestEvaluate:
             finally:
                 tracemalloc.stop()
             cells.append((1 + (n - 4096) // 2048) ** 2)
-        assert peaks[1] - peaks[0] <= 9 * (cells[1] - cells[0]) + 4e6
+        assert peaks[1] - peaks[0] <= cells[1] - cells[0] + 8e6
 
     def test_frechet_on_embeddings(self, tmp_path):
         d = tmp_path / "emb"
@@ -1384,20 +1385,22 @@ class TestOverlongInput:
 
 
     def test_memory_error_is_item_failure(self, tmp_path):
-        """A 3-min self-pair needs about 115 MiB of DTW distances, more than
-        the 64 MB of address space the child has left after its imports:
-        that pair fails alone, and the 13 s pair is still scored."""
-        for name, seconds in (("big", 180.0), ("small", 13.0)):
-            write_wav(tmp_path / f"{name}.wav", render_clicks(120.0, seconds))
+        """A 400 s self-pair needs 8,612^2 bytes, about 71 MiB, of DTW steps,
+        more than the 64 MB of address space the child has left after its
+        imports: that pair fails alone. The 3-min and 13 s pairs are still
+        scored, since the DTW holds its steps and a strip of distances."""
+        for name, seconds in (("big", 400.0), ("mid", 180.0), ("small", 13.0)):
+            synth.write_rendering(tmp_path / f"{name}.wav", synth.click_chunks(120.0, seconds))
         pairs = _write(tmp_path / "pairs.csv", "pair_id,output,reference\n"
-                       "big,big.wav,big.wav\nsmall,small.wav,small.wav\n")
+                       "big,big.wav,big.wav\nmid,mid.wav,mid.wav\nsmall,small.wav,small.wav\n")
         out = tmp_path / "results.csv"
         argv = ["evaluate", "--pairs", pairs, "--metrics", "chroma,tempo", "--out", out]
         done = _run_limited(64, *argv)
         assert done.returncode == EXIT_OK, done.stderr
         assert "FAILED big: " in done.stdout and "allocate" in done.stdout
         assert "big: " in done.stderr and "Traceback" not in done.stderr
-        assert set(_read_results(out)) == {("small", "chroma"), ("small", "tempo")}
+        assert set(_read_results(out)) == {("mid", "chroma"), ("mid", "tempo"),
+                                           ("small", "chroma"), ("small", "tempo")}
         strict = _run_limited(64, *argv, "--strict")
         assert strict.returncode == EXIT_FAILURES, strict.stderr
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from encore import metrics
+from encore import _kernels as kernels, metrics
 from encore.audio_io import WavReader, read_wav, write_wav
 from encore.augment import stretch
 from encore.metrics import (
@@ -206,22 +206,69 @@ def test_reader_features_match_array(tmp_path, n):
         assert tempo_estimate(reader) == tempo_estimate(x)
 
 
+@pytest.mark.parametrize("block", [1, 3, 1000])
+@pytest.mark.parametrize("per", [1, 3, 1000])
+def test_features_keep_their_bits_whatever_the_block_sizes(monkeypatch, block, per):
+    """_BLOCK frames a slice and per frames a transform, for any sizes:
+    inputs shorter than a window, and lengths on and off the hop grid."""
+    monkeypatch.setattr(metrics, "_BLOCK", block)
+    for n in (1, 100, metrics._TEMPO_WINDOW - 1, _W - 1, _W, _W + 5 * _H + 7,
+              3 * 64 * _H + 11, 3 * 64 * _H + _W):
+        x = _noise(n, n)
+        monkeypatch.setattr(metrics, "_STFT_SAMPLES", per * _W)
+        assert np.array_equal(chromagram(x).frames, _chroma_oracle(x))
+        monkeypatch.setattr(metrics, "_STFT_SAMPLES", per * metrics._TEMPO_WINDOW)
+        assert np.array_equal(metrics._onset_envelope(x), _onset_oracle(x))
+
+
 def test_self_pair_matches_two_equal_buffers():
     """A pair of one object computes one chromagram, and its distances are
-    bit-identical to those of two equal buffers (numpy multiplies a matrix
-    by its own transpose with BLAS syrk, whose cells are exact too)."""
+    bit-identical to those of two equal buffers."""
     buf = render(_demo_sequence())
     one, two = chroma_similarity(buf, buf), chroma_similarity(buf, buf.copy())
     assert (one.mean_cosine, one.dtw_cost, one.path) == (two.mean_cosine, two.dtw_cost, two.path)
     a = chromagram(buf).frames
-    assert np.array_equal(metrics._cosine_distance_matrix(a, a),
-                          metrics._cosine_distance_matrix(a, a.copy()))
+    assert np.array_equal(_strip_distance(a, a), _strip_distance(a, a.copy()))
 
 
 # ---------------------------------------------------------------------------
 # exact distance cells: every way of computing a cell gives the same bits
 
-_distance = metrics._cosine_distance_matrix
+
+def _cosine_distance_matrix(a, b):
+    """The matrix oracle: |a_i - b_j|^2 / 2 from one matrix product, with
+    silence matching silence (0) and mismatching sound (1)."""
+    dist = a @ b.T
+    dist *= -2.0
+    dist += np.einsum("ij,ij->i", a, a)[:, None]
+    dist += np.einsum("ij,ij->i", b, b)[None, :]
+    dist *= 0.5
+    za, zb = ~a.any(axis=1), ~b.any(axis=1)
+    dist[np.ix_(za, zb)] = 0.0
+    dist[np.ix_(za, ~zb)] = 1.0
+    dist[np.ix_(~za, zb)] = 1.0
+    return dist
+
+
+_distance = _cosine_distance_matrix
+
+
+def _strip_distance(a, b):
+    """_ChromaCosts's cells as a matrix, from its strips; its cells one by
+    one must agree."""
+    costs = metrics._ChromaCosts(a, b)
+    n, m = costs.shape
+    out = np.full((n, m), np.nan)
+    for d0 in range(0, n + m - 1, kernels._STRIP):
+        d1 = min(d0 + kernels._STRIP, n + m - 1)
+        lo, strip = costs.diagonals(d0, d1)
+        for d in range(d0, d1):
+            i = np.arange(max(0, d - m + 1), min(n, d + 1))
+            out[i, d - i] = strip[d - d0, i - lo]
+    i, j = np.indices((n, m)).reshape(2, -1)
+    assert np.array_equal(costs.at(i, j).reshape(n, m), out)
+    assert costs.size == n * m
+    return out
 
 
 def _per_diagonal_distance(a, b):
@@ -248,6 +295,7 @@ def _assert_exact_cells(a, b, tiles):
         assert np.array_equal(np.hstack([_distance(a, b[j : j + cols]) for j in range(0, m, cols)]),
                               whole)
     assert np.array_equal(_per_diagonal_distance(a, b), whole)
+    assert np.array_equal(_strip_distance(a, b), whole)
     assert (whole >= 0.0).all()
     for x in (a, b):
         self_distance = _distance(x, x)
@@ -342,7 +390,7 @@ def test_dtw_input_validation():
 
 def _align(a, b):
     """Accumulated cosine distance and path of two chromagrams."""
-    return dtw_from_costs(metrics._cosine_distance_matrix(a.frames, b.frames))
+    return dtw_from_costs(metrics._ChromaCosts(a.frames, b.frames))
 
 
 def _one_hot_frames(classes):
@@ -402,6 +450,46 @@ def test_silence_conventions_in_alignment():
     b[1, 0] = 1.0
     cost, _ = _align(ChromaMatrix(a), ChromaMatrix(b))
     assert cost == 0.0  # silence aligns with silence for free
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.sampled_from([1, 63, 64, 65, 131]), m=st.sampled_from([1, 63, 64, 65, 131]),
+    silent=st.sampled_from([(0.0, 0.0), (0.3, 0.0), (0.0, 0.3), (0.3, 0.3), (1.0, 0.2),
+                            (1.0, 1.0)]),
+    band=st.sampled_from([None, 0, 1, 3]), seed=st.integers(0, 2**32 - 1),
+)
+def test_strip_fill_matches_matrix_route(n, m, silent, band, seed):
+    """The fill over _ChromaCosts's strips gives the matrix route's total,
+    steps and path, strip edges and silent frames included."""
+    rng = np.random.default_rng(seed)
+    a, b = _grid_frames(rng, n, silent[0]), _grid_frames(rng, m, silent[1])
+    costs, matrix = metrics._ChromaCosts(a, b), _cosine_distance_matrix(a, b)
+    total, steps = kernels.dtw_fill(costs, band)
+    want_total, want_steps = kernels.dtw_fill(matrix, band)
+    assert np.float64(total).tobytes() == np.float64(want_total).tobytes()
+    assert np.array_equal(steps, want_steps)
+    if np.isfinite(want_total):
+        assert dtw_from_costs(costs, band) == dtw_from_costs(matrix, band)
+    else:
+        with pytest.raises(MetricError):
+            dtw_from_costs(costs, band)
+
+
+@pytest.mark.parametrize("band", [None, 40])
+def test_chroma_similarity_matches_matrix_route(band):
+    """Every field equals the result computed from the whole distance
+    matrix, on renders with silent frames at their ends."""
+    seq = _demo_sequence(duration=10.0)
+    for out_audio, ref_audio in [(render(seq), render(stretch(seq, 1.3))),
+                                 (render(stretch(seq, 0.8)), render(seq))]:
+        dist = _cosine_distance_matrix(chromagram(out_audio).frames, chromagram(ref_audio).frames)
+        cost, path = dtw_from_costs(dist, band)
+        idx = np.asarray(path)
+        mean_cosine = float(np.mean(1.0 - dist[idx[:, 0], idx[:, 1]]))
+        weight = metrics.DEFAULT_PENALTY_WEIGHT
+        assert chroma_similarity(out_audio, ref_audio, band) == metrics.ChromaSimilarityResult(
+            mean_cosine, cost, weight, mean_cosine - weight * cost, path)
 
 
 # ---------------------------------------------------------------------------
