@@ -6,7 +6,8 @@ everything to mono float64 at that rate.  Multi-channel input is
 averaged, integer PCM is scaled to [-1, 1), and other rates are resampled
 with a polyphase filter (scipy, imported only when a file needs it).
 A WavReader decodes and resamples a slice of a file at a time, so no
-file is held whole at any rate; read_wav decodes all of it.
+file is held whole at any rate; read_wav decodes all of it.  CHUNK samples
+bound what any audio stage holds at once, from synth to the metrics.
 write_wav_blocks writes a 32-bit float file block by block, and write_wav
 writes one array through it.
 
@@ -35,13 +36,14 @@ import numpy as np
 from .notes import MAX_SECONDS
 
 ANALYSIS_RATE = 44100
+CHUNK = 1 << 16  # synth renders chunks of 2**15 to 2**17 samples equally fast
 # Highest input rate read; the resampling filter grows with the rate.
 _MAX_RATE = 384_000
 # Resampling bounds: below 8 kHz a tiny file grows toward the 4 h limit, and
 # the filter has about 20 x max(up, down) taps (384 kHz is 147/1280).
 _MIN_RATE, _MAX_RATIO_TERM = 8_000, 1280
 
-_CHUNK = struct.Struct("<4sI")
+_CHUNK_HEAD = struct.Struct("<4sI")
 _FMT = struct.Struct("<HHIIHH")  # tag, channels, rate, byte rate, block align, bits
 # RIFF header, 18-byte fmt chunk with cbSize, fact chunk, data chunk header
 _HEADER = struct.Struct("<4sI4s" "4sIHHIIHHH" "4sII" "4sI")
@@ -58,10 +60,6 @@ _PCM_SCALE = {16: 2.0**15, 24: 2.0**31, 32: 2.0**31}
 # Bytes of a fmt chunk read, whatever size it claims: WAVE_FORMAT_EXTENSIBLE
 # needs 40
 _FMT_READ = 64
-# Bytes of a file decoded at a time (one frame at least), so the float64
-# samples held do not grow with the channel count
-_PIECE_BYTES = 1 << 18
-_SCAN = 1 << 16  # samples per slice of the scan on opening
 
 
 def _read_fmt(body: bytes, path) -> tuple[int, int, int, int]:
@@ -109,10 +107,10 @@ def _find_chunks(fh, path) -> tuple[tuple[int, int, int, int], int, int]:
         raise ValueError(f"{path}: unsupported container {head[:4].decode()}")
     fmt = None
     pos = 12
-    while pos + _CHUNK.size <= file_size:
+    while pos + _CHUNK_HEAD.size <= file_size:
         fh.seek(pos)
-        chunk_id, size = _CHUNK.unpack(_read_exact(fh, _CHUNK.size, path))
-        pos += _CHUNK.size
+        chunk_id, size = _CHUNK_HEAD.unpack(_read_exact(fh, _CHUNK_HEAD.size, path))
+        pos += _CHUNK_HEAD.size
         if chunk_id == b"data":
             if fmt is None:
                 raise ValueError(f"{path}: no fmt chunk before data")
@@ -130,9 +128,9 @@ class WavReader:
     ``len(reader)`` is the sample count, and ``reader[lo:hi]`` decodes
     the frames those samples need alone, with the operations a whole-file
     decode applies: view, float64, PCM scale, channel mean and, at another
-    rate, the polyphase resample.  Decoding reads at most _PIECE_BYTES of
-    the file at a time.  Opening checks the header and every sample, a
-    slice of _SCAN at a time, so a non-finite sample is refused up front.
+    rate, the polyphase resample.  Opening checks the header and every
+    sample, CHUNK samples at a time, so a non-finite sample is refused up
+    front.
     """
 
     def __init__(self, path: str | os.PathLike):
@@ -158,8 +156,8 @@ class WavReader:
 
             self._filter = firwin(20 * max(up, down) + 1, 1 / max(up, down), window=("kaiser", 5.0))
         # the resampled output is checked: finite input can overflow in the filter
-        for at in range(0, len(self), _SCAN):
-            if not np.isfinite(self[at : at + _SCAN]).all():
+        for at in range(0, len(self), CHUNK):
+            if not np.isfinite(self[at : at + CHUNK]).all():
                 raise ValueError(f"{path}: non-finite samples")
 
     def __len__(self) -> int:
@@ -184,9 +182,10 @@ class WavReader:
         return x[lo - at : max(lo, hi) - at]
 
     def _decode(self, lo: int, hi: int) -> np.ndarray:
-        """Frames lo..hi-1 as mono float64, decoded _PIECE_BYTES of the file at a time."""
+        """Frames lo..hi-1 as mono float64, decoded CHUNK // channels frames (one
+        at least) at a time: a piece's float64 samples stay within CHUNK."""
         out = np.empty(hi - lo)
-        step = max(1, _PIECE_BYTES // self._frame_bytes)
+        step = max(1, CHUNK // self._channels)
         with open(self.path, "rb") as fh:
             fh.seek(self._offset + lo * self._frame_bytes)
             for at in range(lo, hi, step):

@@ -384,28 +384,34 @@ def build_manifest(
 
 
 def schedule(manifests: list[StageManifest], seed: int = 0):
-    """Yield (step_index, record) pairs stage by stage.
+    """An iterator of (step_index, record) pairs, stage by stage.
 
     Within a stage, records cycle in seeded shuffled order, reshuffled
     each epoch, until the stage's step budget is exhausted; stages never
-    interleave. Total steps = sum of budgets.
+    interleave. Total steps = sum of budgets. The manifests are checked
+    here, before any step is asked for.
     """
     stages = [m.stage for m in manifests if m.stage is not None]
     if stages != sorted(stages):
         raise ValueError("manifests must be ordered by stage")
     if len(set(stages)) != len(stages):
         raise ValueError("duplicate stage in schedule")
-    step = 0
     for manifest in manifests:
         if not manifest.records:
             raise ValueError(f"stage {manifest.stage}: empty manifest cannot cycle")
-        rng = Rng(derive_seed(seed, f"stage:{manifest.stage}"))
-        n = len(manifest.records)
-        for emitted in range(manifest.step_budget):
-            if emitted % n == 0:
-                order = rng.permutation(n)
-            yield step, manifest.records[order[emitted % n]]
-            step += 1
+
+    def steps():
+        step = 0
+        for manifest in manifests:
+            rng = Rng(derive_seed(seed, f"stage:{manifest.stage}"))
+            n = len(manifest.records)
+            for emitted in range(manifest.step_budget):
+                if emitted % n == 0:
+                    order = rng.permutation(n)
+                yield step, manifest.records[order[emitted % n]]
+                step += 1
+
+    return steps()
 
 
 def write_manifest(

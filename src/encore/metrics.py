@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import _STRIP, dtw_backtrack, dtw_fill
-from .audio_io import ANALYSIS_RATE, WavReader
+from .audio_io import ANALYSIS_RATE, CHUNK, WavReader
 from .augment import RATIO_CEILING, RATIO_FLOOR
 from .notes import NoteSequence
 
@@ -53,12 +53,6 @@ def _chroma_fold() -> tuple[np.ndarray, np.ndarray]:
 
 
 _CHROMA_BINS, _CHROMA_STARTS = _chroma_fold()
-
-# STFT frames per slice of the samples, and samples of frames per transform:
-# what is held at once does not grow with the input, and each row is summed
-# in the same order as from one whole STFT
-_BLOCK = 64
-_STFT_SAMPLES = 2**16
 
 EMBEDDING_MAGIC = b"ENEB"
 _EMBEDDING_HEADER = struct.Struct("<4sII")  # magic, D, N
@@ -122,30 +116,28 @@ def _signal(audio):
 
 def _spectra(x, hann: np.ndarray, hop: int, overlap: int = 0):
     """|rfft| of x's Hann-windowed STFT frames, a block at a time: the last
-    overlap frames of the block before, then about _STFT_SAMPLES samples'
-    worth of frames, each transformed once, from slices of _BLOCK (plus
-    overlap) frames of x. Blocks share reused buffers, so a block is valid
-    only until the next is asked for. A short x is zero-padded to one frame."""
+    overlap frames of the block before, then the next CHUNK // window frames
+    (one at least), read in one slice of x and each transformed once, every
+    row summed as in one whole STFT. Blocks share reused buffers, so a block
+    is valid only until the next is asked for. A short x is zero-padded."""
     window = hann.shape[0]
-    per = max(1, _STFT_SAMPLES // window)
+    per = max(1, CHUNK // window)
     windowed = np.empty((per, window))
     magnitude = np.empty((overlap + per, window // 2 + 1))
     held = 0  # leading rows of magnitude that repeat frames already yielded
     n_frames = 1 + (max(len(x), window) - window) // hop
-    for first in range(0, n_frames, _BLOCK):
-        stop = min(first + _BLOCK + overlap, n_frames)
-        span = (stop - 1 - first) * hop + window
+    for first in range(0, n_frames, per):
+        k = min(per, n_frames - first)
+        span = (k - 1) * hop + window
         seg = x[first * hop : first * hop + span]
         if seg.shape[0] < span:
             seg = np.pad(seg, (0, span - seg.shape[0]))
-        frames = np.lib.stride_tricks.sliding_window_view(seg, window)[held * hop :: hop]
-        for rows in (frames[lo : lo + per] for lo in range(0, len(frames), per)):
-            k = len(rows)
-            np.multiply(rows, hann, out=windowed[:k])
-            np.abs(np.fft.rfft(windowed[:k], axis=1), out=magnitude[held : held + k])
-            yield magnitude[: held + k]
-            magnitude[:overlap] = magnitude[held + k - overlap : held + k]
-            held = overlap
+        np.multiply(np.lib.stride_tricks.sliding_window_view(seg, window)[::hop], hann,
+                    out=windowed[:k])
+        np.abs(np.fft.rfft(windowed[:k], axis=1), out=magnitude[held : held + k])
+        yield magnitude[: held + k]
+        magnitude[:overlap] = magnitude[held + k - overlap : held + k]
+        held = overlap
 
 
 def chromagram(audio: np.ndarray | WavReader) -> ChromaMatrix:

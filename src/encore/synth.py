@@ -6,9 +6,10 @@ output has a predictable spectrum (partial k of a note sits at exactly
 k times its equal-tempered fundamental), which makes rendered audio a
 usable ground truth for the chroma and tempo metrics.
 
-Audio is made in chunks of CHUNK samples.  render and render_clicks join
-a rendering's chunks into one array; write_rendering streams them to a
-WAV file, holding a few chunks whatever the length, with the same bytes.
+Audio is made in chunks of audio_io.CHUNK samples.  render and
+render_clicks join a rendering's chunks into one array; write_rendering
+streams them to a WAV file, holding a few chunks whatever the length,
+with the same bytes.
 """
 
 from __future__ import annotations
@@ -19,16 +20,13 @@ from collections.abc import Iterator
 import numpy as np
 
 from ._kernels import NoteRenderer
-from .audio_io import ANALYSIS_RATE, write_wav_blocks
+from .audio_io import ANALYSIS_RATE, CHUNK, write_wav_blocks
 from .notes import MAX_SECONDS, NoteSequence
 from .seeds import Rng
 
 # Notes shorter than this are rendered at this length so they remain
 # audible; the envelope is shrunk proportionally to fit short notes.
 MIN_NOTE_SECONDS = 0.001
-
-# Samples rendered at a time; 2**15 to 2**17 run equally fast.
-CHUNK = 1 << 16
 
 # The voice: harmonic partials per note, linear attack and release in
 # seconds, and the amplitude of a velocity-127 note.

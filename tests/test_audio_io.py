@@ -278,7 +278,7 @@ def test_standard_rates_resampled(tmp_path, rate):
     and spans that straddle a scan slice's edges."""
     g = math.gcd(44100, rate)
     up, down = 44100 // g, rate // g
-    scan = audio_io._SCAN
+    scan = audio_io.CHUNK
     rng = np.random.default_rng(rate)
     for frames in (1, 50, rate // 100, 3 * scan * down // up + 1234):
         path = tmp_path / f"{frames}.wav"
@@ -368,7 +368,26 @@ def _formats():
 
 @pytest.mark.parametrize("name, raw", _formats())
 def test_reader_slices_match_read_wav(tmp_path, monkeypatch, name, raw):
-    monkeypatch.setattr(audio_io, "_PIECE_BYTES", 97)  # decoded in many pieces
+    monkeypatch.setattr(audio_io, "CHUNK", 97)  # decoded in many pieces
+    _assert_slices_match(tmp_path, name, raw)
+
+
+def test_pieces_of_one_frame_below_the_channel_count(tmp_path, monkeypatch):
+    """A CHUNK below the channel count decodes a frame at a time."""
+    monkeypatch.setattr(audio_io, "CHUNK", 2)
+    name, raw = next(p.values for p in _formats() if p.id == "pcm16-3ch")
+    reads, real = [], audio_io._read_exact
+
+    def read_exact(fh, n, path):
+        reads.append(n)
+        return real(fh, n, path)
+
+    monkeypatch.setattr(audio_io, "_read_exact", read_exact)
+    _assert_slices_match(tmp_path, name, raw)
+    assert 3 * 2 in reads and set(reads) <= {3 * 2, 8}  # one frame, or a chunk header
+
+
+def _assert_slices_match(tmp_path, name, raw):
     path = tmp_path / f"{name}.wav"
     path.write_bytes(raw)
     with warnings.catch_warnings():
@@ -398,7 +417,7 @@ def test_reader_refuses_a_step(tmp_path):
 def test_nan_anywhere_refused_on_open(tmp_path, monkeypatch, where):
     """3 x 4096 + 100 samples: the last 100 lie past the last full chroma
     frame, so no STFT reads them; the check on opening still does."""
-    monkeypatch.setattr(audio_io, "_PIECE_BYTES", 1000)
+    monkeypatch.setattr(audio_io, "CHUNK", 1000)
     samples = np.zeros(3 * 4096 + 100)
     samples[where] = np.nan
     path = tmp_path / "nan.wav"

@@ -479,6 +479,28 @@ class TestManifest:
     def test_schedule_preview_missing_file(self, tmp_path):
         assert _run("schedule-preview", tmp_path / "nope.jsonl") == EXIT_CONFIG
 
+    @pytest.mark.parametrize("argv, error", [
+        (["stage2.jsonl", "stage0.jsonl", "--steps", "0"], "manifests must be ordered by stage"),
+        (["stage0.jsonl", "empty.jsonl"], "stage 1: empty manifest cannot cycle"),
+    ], ids=["out of order", "empty"])
+    def test_schedule_preview_checks_every_manifest_first(self, tmp_path, capsys, argv, error):
+        """A schedule that cannot run prints no step, even when --steps asks
+        for none or the bad manifest comes after steps of a good one."""
+        out = tmp_path / "man"
+        _run("manifest", "--registry", _make_registry(tmp_path, n_pairs=1), "--stage", "0",
+             "--out", out)
+        records = [{**json.loads(line), "stage": 2}
+                   for line in (out / "stage0.jsonl").read_text().splitlines()]
+        _write(out / "stage2.jsonl", "".join(json.dumps(r) + "\n" for r in records))
+        _write(out / "stage2.meta.json", '{"stage": 2, "step_budget": 10}')
+        _write(out / "empty.jsonl", "")
+        _write(out / "empty.meta.json", '{"stage": 1, "step_budget": 5}')
+        capsys.readouterr()
+        assert _run("schedule-preview", *(out / a if a.endswith(".jsonl") else a
+                                          for a in argv)) == EXIT_CONFIG
+        printed = capsys.readouterr()
+        assert printed.out == "" and printed.err == f"error: {error}\n"
+
 
 def _add_dataset(registry, **fields):
     """Append a copy of the first dataset's registry row, with fields changed."""

@@ -466,6 +466,16 @@ def test_schedule_rejects_empty_manifest():
         list(schedule([empty]))
 
 
+def test_schedule_checks_its_manifests_when_called():
+    """Each refusal comes from the call, before any step is asked for."""
+    a = StageManifest(stage=1, step_budget=1, records=(_record("a", 1),))
+    b = StageManifest(stage=0, step_budget=1, records=(_record("b"),))
+    empty = StageManifest(stage=2, step_budget=1, records=())
+    for manifests, match in (([a, b], "ordered"), ([b, b], "duplicate"), ([b, empty], "empty")):
+        with pytest.raises(ValueError, match=match):
+            schedule(manifests)
+
+
 def test_merged_pool_for_no_curriculum(corpus, tmp_path):
     registry = load_registry(corpus)
     manifests = [

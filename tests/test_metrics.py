@@ -4,9 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.io import wavfile
 
 from encore import _kernels as kernels, metrics
-from encore.audio_io import WavReader, read_wav, write_wav
+from encore.audio_io import CHUNK, WavReader, read_wav, write_wav
 from encore.augment import stretch
 from encore.metrics import (
     ChromaMatrix,
@@ -92,7 +93,10 @@ def test_transposition_rotates_dominant_class():
 # ---------------------------------------------------------------------------
 # STFT blocks against one-shot oracles
 
-_B = metrics._BLOCK
+# frames per block of each STFT (16 chroma, 32 tempo), and a frame count on
+# a block edge of both that comes after full blocks of each
+_B = {w: max(1, CHUNK // w) for w in (metrics.CHROMA_WINDOW, metrics._TEMPO_WINDOW)}
+_EDGE = 2 * math.lcm(*_B.values())
 
 
 def _frame_signal(x, window, hop):
@@ -147,13 +151,15 @@ def _assert_blocks_match(x):
     (metrics._TEMPO_HOP, metrics._TEMPO_WINDOW),
 ])
 @pytest.mark.parametrize("n_frames", [
-    _B - 1, _B, _B + 1, _B + 2, 2 * _B, 2 * _B + 1, 2 * _B + 2,
+    _EDGE - 1, _EDGE, _EDGE + 1, _EDGE + 2, 2 * _EDGE, 2 * _EDGE + 1, 2 * _EDGE + 2,
     # also block edges, after several full blocks (256 = 4 x 64)
     255, 256, 257, 258, 512, 513, 514,
 ])
 def test_blocks_match_one_shot_stft(hop, window, n_frames):
-    # the envelope has one row fewer than the STFT, so B + 2 and 2B + 2
-    # frames put a lone row in its last block
+    # every count straddles a block edge of this STFT; one frame past an
+    # edge is a block of one frame, which the envelope differences alone
+    # against the frame carried from the block before
+    assert _EDGE % _B[window] == 0 and 256 % _B[window] == 0
     for extra in (0, hop - 1):
         _assert_blocks_match(_noise(window + (n_frames - 1) * hop + extra, n_frames))
 
@@ -164,7 +170,7 @@ def test_blocks_match_one_shot_stft_on_padded_buffer(n):
 
 
 @settings(max_examples=25, deadline=None)
-@given(n=st.integers(1, 3 * _B * metrics.CHROMA_HOP), seed=st.integers(0, 2**32 - 1))
+@given(n=st.integers(1, 3 * _EDGE * metrics.CHROMA_HOP), seed=st.integers(0, 2**32 - 1))
 def test_blocks_match_one_shot_stft_at_any_length(n, seed):
     _assert_blocks_match(_noise(n, seed))
 
@@ -192,8 +198,8 @@ _W, _H = metrics.CHROMA_WINDOW, metrics.CHROMA_HOP
 
 
 @pytest.mark.parametrize("n", [
-    1, 100, metrics._TEMPO_WINDOW - 1, _W - 1, _W, _W + 1, _W + (_B - 1) * _H,
-    _W + _B * _H + 7, 3 * _B * _H + 5, 5 * 44100 + 3 * _H + 11,
+    1, 100, metrics._TEMPO_WINDOW - 1, _W - 1, _W, _W + 1, _W + (_EDGE - 1) * _H,
+    _W + _EDGE * _H + 7, 3 * _EDGE * _H + 5, 5 * 44100 + 3 * _H + 11,
 ])
 def test_reader_features_match_array(tmp_path, n):
     path = tmp_path / "x.wav"
@@ -206,18 +212,43 @@ def test_reader_features_match_array(tmp_path, n):
         assert tempo_estimate(reader) == tempo_estimate(x)
 
 
-@pytest.mark.parametrize("block", [1, 3, 1000])
-@pytest.mark.parametrize("per", [1, 3, 1000])
-def test_features_keep_their_bits_whatever_the_block_sizes(monkeypatch, block, per):
-    """_BLOCK frames a slice and per frames a transform, for any sizes:
-    inputs shorter than a window, and lengths on and off the hop grid."""
-    monkeypatch.setattr(metrics, "_BLOCK", block)
+@pytest.mark.parametrize("channels", [1, 4])
+def test_no_decode_holds_more_than_a_chunk(tmp_path, monkeypatch, channels):
+    """Opening a 44.1 kHz file of several blocks, its chromagram and its
+    tempo each decode at most CHUNK samples a call."""
+    clicks = render_clicks(120.0, 8.0)
+    assert len(clicks) > 5 * CHUNK
+    path = tmp_path / "x.wav"
+    wavfile.write(path, 44100, np.repeat(clicks[:, None], channels, axis=1).astype(np.float32))
+    spans, decode = [], WavReader._decode  # hi - lo of each call, a list per stage
+
+    def spy(self, lo, hi):
+        spans[-1].append(hi - lo)
+        return decode(self, lo, hi)
+
+    monkeypatch.setattr(WavReader, "_decode", spy)
+    spans.append([])
+    reader = WavReader(path)
+    for feature in (chromagram, tempo_estimate):
+        spans.append([])
+        feature(reader)
+    assert all(spans) and max(map(max, spans)) <= CHUNK, [max(s) for s in spans]
+
+
+@pytest.mark.parametrize("chunk", [
+    1, 1000,  # below both windows: one frame a block
+    2048, 3000,  # on and off the tempo window's grid, below the chroma window
+    4096, 4097, 3 * 4096, 5 * 2048 + 1,  # on and off both grids
+    CHUNK, 1000 * 4096,  # the default, and one block for every input below
+])
+def test_features_keep_their_bits_whatever_the_block_sizes(monkeypatch, chunk):
+    """CHUNK // window frames a block, one at least, for any CHUNK: inputs
+    shorter than a window, and lengths on and off the hop grid."""
+    monkeypatch.setattr(metrics, "CHUNK", chunk)
     for n in (1, 100, metrics._TEMPO_WINDOW - 1, _W - 1, _W, _W + 5 * _H + 7,
-              3 * 64 * _H + 11, 3 * 64 * _H + _W):
+              3 * _EDGE * _H + 11, 3 * _EDGE * _H + _W):
         x = _noise(n, n)
-        monkeypatch.setattr(metrics, "_STFT_SAMPLES", per * _W)
         assert np.array_equal(chromagram(x).frames, _chroma_oracle(x))
-        monkeypatch.setattr(metrics, "_STFT_SAMPLES", per * metrics._TEMPO_WINDOW)
         assert np.array_equal(metrics._onset_envelope(x), _onset_oracle(x))
 
 
