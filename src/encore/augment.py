@@ -69,9 +69,10 @@ def stretch(seq: NoteSequence, ratio: float) -> NoteSequence:
     Pitches, velocities and programs are untouched. A known reference tempo
     scales by 1/ratio so the stretched sequence stays self-consistent.
     """
-    if ratio <= 0:
-        raise ValueError(f"ratio must be positive, got {ratio}")
-    notes = [replace(n, start=n.start * ratio, end=n.end * ratio) for n in seq.notes]
+    if not 0 < ratio < math.inf:  # NaN fails too
+        raise ValueError(f"ratio must be a positive finite number, got {ratio}")
+    notes = [Note(n.start * ratio, n.pitch, n.end * ratio, n.velocity, n.program, n.is_drum)
+             for n in seq.notes]
     bpm = None if seq.reference_bpm is None else seq.reference_bpm / ratio
     return replace(seq, notes=notes, total_duration=seq.total_duration * ratio, reference_bpm=bpm)
 
@@ -165,18 +166,20 @@ def corrupt(
             velocity = min(max(round(cfg.mistouch_velocity_scale * note.velocity), 1), 127)
             start = note.start + rng.uniform(*cfg.mistouch_onset_delay)
             end = start + rng.uniform(*cfg.mistouch_duration)
-            kept.append(replace(note, start=start, pitch=pitch, end=end, velocity=velocity))
+            kept.append(Note(start, pitch, end, velocity, note.program, note.is_drum))
             report.mistouch += 1
         current = note
         if rng.random() < cfg.p_async:
             shift = rng.uniform(*cfg.async_shift)
             start = max(current.start + shift, 0.0)
             end = max(current.end + shift, start)
-            current = replace(current, start=start, end=end)
+            current = Note(start, current.pitch, end, current.velocity, current.program,
+                           current.is_drum)
             report.asynchrony += 1
         if rng.random() < cfg.p_subst:
             direction = 1 if rng.random() < 0.5 else -1
-            current = replace(current, pitch=_neighbor_pitch(current.pitch, direction))
+            current = Note(current.start, _neighbor_pitch(current.pitch, direction),
+                           current.end, current.velocity, current.program, current.is_drum)
             report.substitution += 1
         if rng.random() < cfg.p_ghost:
             report.ghost += 1

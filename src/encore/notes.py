@@ -1,9 +1,16 @@
-"""In-memory note-event model: notes, sequences, and fixed-length windows."""
+"""In-memory note-event model: notes, sequences, and fixed-length windows.
+
+A `Note` is a validated tuple: parsing, windowing and augmentation build
+tens of thousands of them per score, so each is checked once in `__new__`
+and costs no more than the tuple of its fields, which it also equals.
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
+from typing import NamedTuple
 
 # Longest sequence a NoteSequence may hold: 4 h.  A crafted MIDI can put a
 # note billions of seconds out, and segment, corrupt and render cost time
@@ -17,10 +24,9 @@ class SequenceTooLongError(ValueError):
     """A sequence runs longer than MAX_SECONDS."""
 
 
-@dataclass(frozen=True)
-class Note:
-    """A single timed note event, times in seconds (negative only window-locally)."""
-
+# the fields; a NamedTuple may not define __new__, so Note's checks live in
+# a subclass
+class _NoteFields(NamedTuple):
     start: float
     pitch: int
     end: float
@@ -28,19 +34,41 @@ class Note:
     program: int = 0
     is_drum: bool = False
 
-    def __post_init__(self):
-        if not 0 <= self.pitch <= 127:
-            raise ValueError(f"pitch {self.pitch} outside 0..127")
-        if not 0 <= self.velocity <= 127:
-            raise ValueError(f"velocity {self.velocity} outside 0..127")
-        if not 0 <= self.program <= 127:
-            raise ValueError(f"program {self.program} outside 0..127")
-        if self.end < self.start:
-            raise ValueError(f"end {self.end} before start {self.start}")
+
+class Note(_NoteFields):
+    """A single timed note event, times in seconds (negative only window-locally).
+
+    Every way of making one, positional, keyword, `_make` or `_replace`,
+    goes through `__new__`, which refuses a pitch, velocity or program
+    outside 0..127 and an end that is not at or after the start (NaN times
+    included). Build changed notes with `Note(...)` or `_replace`:
+    `dataclasses.replace` does not apply to a tuple.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, start, pitch, end, velocity=100, program=0, is_drum=False):
+        if not 0 <= pitch <= 127:
+            raise ValueError(f"pitch {pitch} outside 0..127")
+        if not 0 <= velocity <= 127:
+            raise ValueError(f"velocity {velocity} outside 0..127")
+        if not 0 <= program <= 127:
+            raise ValueError(f"program {program} outside 0..127")
+        if not start <= end:
+            raise ValueError(f"end {end} before start {start}")
+        return tuple.__new__(cls, (start, pitch, end, velocity, program, is_drum))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def duration(self) -> float:
         return self.end - self.start
+
+
+# (start, pitch, program, end, velocity): the canonical note order
+_ORDER = itemgetter(0, 1, 4, 2, 3)
 
 
 def _rebase(note: Note, offset: float, end: float) -> Note:
@@ -64,9 +92,7 @@ class NoteSequence:
     reference_bpm: float | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        ordered = tuple(
-            sorted(self.notes, key=lambda n: (n.start, n.pitch, n.program, n.end, n.velocity))
-        )
+        ordered = tuple(sorted(self.notes, key=_ORDER))
         if ordered and ordered[0].start < 0:
             raise ValueError(f"negative start time {ordered[0].start}")
         max_end = max((n.end for n in ordered), default=0.0)
@@ -77,7 +103,7 @@ class NoteSequence:
             raise ValueError(
                 f"total_duration {total_duration} shorter than last note end {max_end}"
             )
-        if total_duration > MAX_SECONDS:
+        if not total_duration <= MAX_SECONDS:  # NaN fails too
             raise SequenceTooLongError(
                 f"{self.source_id!r}: {total_duration:.6g} s exceeds"
                 f" the {MAX_SECONDS:g} s input limit"

@@ -3,6 +3,9 @@
 Every batch operation that needs randomness derives one seed per item
 from the run seed and the item's stable identity. Items keep their
 random streams when unrelated files are added to or removed from a run.
+The identity hash is BLAKE2b taken from ``_blake2``, the module that
+``hashlib.blake2b`` comes from: importing ``hashlib`` also loads
+``_hashlib``, which maps OpenSSL's libcrypto into every command.
 
 ``Rng(seed)`` draws what ``numpy.random.default_rng(seed)`` draws, bit for
 bit, for the four calls encore makes, in pure Python: the commands that
@@ -12,7 +15,10 @@ release changes a ``Generator`` method (NEP 19 pins only the bit stream).
 
 from __future__ import annotations
 
-import hashlib
+try:
+    from _blake2 import blake2b
+except ImportError:  # an interpreter built without the _blake2 module
+    from hashlib import blake2b
 
 _MASK = 2**64 - 1
 _MASK32 = 2**32 - 1
@@ -25,7 +31,7 @@ def derive_seed(seed: int, *parts: str) -> int:
     """XOR ``seed`` with a stable 64-bit hash of the item identity."""
     if not parts:
         raise ValueError("need at least one identity part")
-    digest = hashlib.blake2b(
+    digest = blake2b(
         "\x1f".join(parts).encode("utf-8"), digest_size=8
     ).digest()
     return (seed ^ int.from_bytes(digest, "little")) & _MASK

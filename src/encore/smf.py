@@ -6,6 +6,8 @@ seconds, so long files with many tempo changes accumulate no drift.
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from .notes import Note, NoteSequence
 
 DEFAULT_TEMPO_US = 500_000  # microseconds per quarter note, per the SMF standard
@@ -180,7 +182,7 @@ def parse_midi(data: bytes, source_id: str = "") -> NoteSequence:
     end_tick = 0
     for index, (body, limit) in enumerate(spans):
         end_tick = max(end_tick, _parse_track(data, body, limit, index, events))
-    events.sort(key=lambda ev: ev[:2])
+    events.sort(key=itemgetter(0, 1))  # (tick, track)
 
     # the tempo in force began at segment_tick, segment_us (exact integer
     # tick-microseconds) in; changes sharing a tick add 0, so the last wins
@@ -262,7 +264,7 @@ def write_midi(seq: NoteSequence) -> bytes:
         events.append((start, _RANK_ON, bytes([0x90 | channel, note.pitch, note.velocity])))
         events.append((end, off_rank, bytes([0x80 | channel, note.pitch, 0])))
 
-    events.sort(key=lambda ev: ev[:2])
+    events.sort(key=itemgetter(0, 1))  # (tick, rank)
     body = bytearray()
     tick = 0
     for event_tick, _, message in events:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import struct
 from collections import deque
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .notes import Note, Window
 
@@ -109,7 +110,7 @@ def encode(window: Window) -> TokenStream:
     program = None
     onoff = None
 
-    for note in sorted(window.sustained, key=lambda n: (n.program, n.pitch)):
+    for note in sorted(window.sustained, key=itemgetter(4, 1)):  # program, pitch
         if note.program != program:
             tokens.append(note.program)
             program = note.program
@@ -246,7 +247,7 @@ def decode(
         while queue:
             close(key, stream.window_length)
 
-    order = lambda n: (n.start, n.pitch, n.program, n.end)
+    order = itemgetter(0, 1, 4, 2)  # start, pitch, program, end
     return Window(
         offset=0.0,
         length=stream.window_length,

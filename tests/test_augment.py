@@ -94,6 +94,15 @@ def test_stretch_rejects_nonpositive():
         stretch(_simple_seq(), -1.2)
 
 
+@pytest.mark.parametrize("ratio", [math.nan, math.inf])
+def test_stretch_rejects_non_finite(ratio):
+    # NaN passes a `ratio <= 0` check and the 4 h bound, and an empty
+    # sequence stretched by inf has a NaN duration (0 * inf)
+    for seq in (_simple_seq(), NoteSequence()):
+        with pytest.raises(ValueError, match="positive finite"):
+            stretch(seq, ratio)
+
+
 @given(st.floats(0.25, 4.0), st.floats(0.25, 4.0))
 def test_stretch_composes(a, b):
     seq = _simple_seq()

@@ -1739,7 +1739,7 @@ if sys.argv[1] == "blocked":
 from encore.cli import main
 code = main(sys.argv[2:])
 watched = ("numpy", "scipy", "encore.audio_io", "encore.metrics", "encore.synth",
-           "encore._kernels")
+           "encore._kernels", "_hashlib")
 print(json.dumps({"code": code, "loaded": [m for m in watched if sys.modules.get(m)]}))
 """
 
@@ -1760,7 +1760,8 @@ def _run_scoped(mode, *argv):
 
 def test_commands_load_only_what_they_run(midi_dir, eval_dir, tmp_path):
     """A symbolic command loads no audio module and no numpy, even when it
-    draws, and no command but evaluate on a WAV not at 44.1 kHz loads scipy."""
+    draws, and no command but evaluate on a WAV not at 44.1 kHz loads scipy
+    or, through scipy, `_hashlib` (which maps OpenSSL's libcrypto)."""
     registry = _make_registry(tmp_path)
     t = np.arange(2 * 48000) / 48000
     _write_pcm16(eval_dir / "r48.wav", np.round(8000 * np.sin(2 * np.pi * 440 * t)), 48000)
@@ -1800,7 +1801,7 @@ def test_commands_load_only_what_they_run(midi_dir, eval_dir, tmp_path):
         "schedule-preview": [],
         "synth": ["numpy", "encore.audio_io", "encore.synth", "encore._kernels"],
         "evaluate 44.1 kHz": audio,
-        "evaluate 48 kHz": ["numpy", "scipy", *audio[1:]],
+        "evaluate 48 kHz": ["numpy", "scipy", *audio[1:], "_hashlib"],
     }
 
 

@@ -9,7 +9,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from encore.augment import stretch
+from encore.augment import MistakeConfig, corrupt, stretch
 from encore.notes import (
     MAX_SECONDS,
     WINDOW_SECONDS,
@@ -44,6 +44,69 @@ def test_note_defaults():
 def test_note_validation(kwargs):
     with pytest.raises(ValueError):
         Note(**kwargs)
+
+
+def test_note_is_a_slotted_tuple():
+    fields = (0.5, 60, 1.25, 90, 33, True)
+    note = Note(*fields)
+    assert note == Note(start=0.5, pitch=60, end=1.25, velocity=90, program=33, is_drum=True)
+    assert note == fields and hash(note) == hash(fields)
+    assert not hasattr(note, "__dict__")
+    assert repr(note) == (
+        "Note(start=0.5, pitch=60, end=1.25, velocity=90, program=33, is_drum=True)"
+    )
+    with pytest.raises(AttributeError):
+        note.start = 0.0
+    moved = note._replace(start=0.0)
+    assert type(moved) is Note and moved == (0.0, 60, 1.25, 90, 33, True)
+    assert type(Note._make(fields)) is Note and Note._make(fields) == note
+
+
+# each out of range in one field, or times out of order, beside valid fields
+_BAD_NOTES = {
+    "pitch 200": (0.0, 200, 1.0, 100, 0, False),
+    "pitch -5": (0.0, -5, 1.0, 100, 0, False),
+    "velocity 128": (0.0, 60, 1.0, 128, 0, False),
+    "velocity -1": (0.0, 60, 1.0, -1, 0, False),
+    "program 128": (0.0, 60, 1.0, 100, 128, False),
+    "end before start": (2.0, 60, 1.0, 100, 0, False),
+    "end NaN": (0.0, 60, math.nan, 100, 0, False),
+}
+
+
+def _makers(fields):
+    """Every way a note is built from another's fields. The transforms are
+    handed a note that skipped its checks, so each must check what it builds."""
+    named = dict(zip(Note._fields, fields))
+    seq = NoteSequence([tuple.__new__(Note, fields)], total_duration=5.0)
+    substitute = MistakeConfig(p_mistouch=0.0, p_async=0.0, p_subst=1.0, p_ghost=0.0)
+    return {
+        "positional": lambda: Note(*fields),
+        "keyword": lambda: Note(**named),
+        "_make": lambda: Note._make(fields),
+        "_replace": lambda: Note(0.0, 60, 1.0)._replace(**named),
+        "segment": lambda: segment(seq),
+        "stretch": lambda: stretch(seq, 1.5),
+        "corrupt": lambda: corrupt(seq, substitute),
+    }
+
+
+@pytest.mark.parametrize(
+    "maker", ["positional", "keyword", "_make", "_replace", "segment", "stretch", "corrupt"]
+)
+@pytest.mark.parametrize("fields", _BAD_NOTES.values(), ids=_BAD_NOTES)
+def test_every_maker_refuses_a_bad_note(maker, fields):
+    with pytest.raises(ValueError, match="outside 0..127|before start"):
+        _makers(fields)[maker]()
+
+
+def test_nan_times_are_refused():
+    for start, end in ((math.nan, math.nan), (0.0, math.nan), (math.nan, 1.0)):
+        with pytest.raises(ValueError, match="before start"):
+            Note(start, 60, end)
+    for notes in ([], [Note(0.0, 60, 1.0)]):
+        with pytest.raises(SequenceTooLongError):
+            NoteSequence(notes, total_duration=math.nan)
 
 
 def test_negative_start_is_window_local_only():

@@ -95,6 +95,19 @@ def test_seeds_and_bounds_out_of_range_are_refused(call):
 # ---------------------------------------------------------------------------
 # golden outputs of the drawing functions
 
+# every item's stream starts from these bytes: the seed XOR the little-endian
+# 8-byte BLAKE2b of the identity parts joined by U+001F, UTF-8 encoded
+@pytest.mark.parametrize("seed, parts, want", [
+    (0, ("augment", "a.mid"), 0x62C2A6FD62BA3BD7),
+    (1, ("speed", "a.mid"), 0xFDE54A8E6177E928),
+    (2**64 - 1, ("stage:0",), 0x1FB5051003C5B6AA),
+    (2**63 + 5, ("Étude n°3 — ré.mid", "prompt"), 0xC26481BDF40C1992),
+    (7, ("ds/0001.mid#w0002", "weight"), 0x3B38029ADFBDBCDE),
+    (12345, ("a", "b", "c"), 0x4EF476662EE41F9B),
+])
+def test_derive_seed_golden(seed, parts, want):
+    assert seeds.derive_seed(seed, *parts) == want
+
 SCORE = NoteSequence([Note(0.25 * k, 40 + 7 * k % 48, 0.25 * k + 0.4, 30 + 13 * k % 90)
                       for k in range(80)], total_duration=20.5)
 

@@ -327,6 +327,14 @@ def test_status_in_data_position():
         parse_midi(smf([bad]))
 
 
+@pytest.mark.parametrize("message", [[0x90, 0x80, 100], [0x90, 60, 0xFF], [0xC0, 0x80]],
+                         ids=["pitch", "velocity", "program"])
+def test_values_past_127_are_refused(message):
+    # a data byte has 7 bits: 128 and up is a status byte in a data position
+    with pytest.raises(MidiParseError, match="expected data byte"):
+        parse_midi(smf([track([(0, message), (480, [0x80, 60, 0])])]))
+
+
 def test_error_offset_reported():
     data = smf([track([(0, [0x90, 60, 100]), (480, [0x80, 60, 0])])])
     cut = data[:-6]

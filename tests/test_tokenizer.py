@@ -149,6 +149,15 @@ def test_velocity_not_tokenized():
     assert got.velocity == DECODE_VELOCITY
 
 
+@pytest.mark.parametrize("velocity", [128, -1])
+def test_decode_builds_checked_notes(monkeypatch, velocity):
+    win = Window(offset=0.0, length=10.0, notes=(Note(start=0.0, pitch=60, end=1.0),))
+    stream = encode(win)
+    monkeypatch.setattr("encore.tokenizer.DECODE_VELOCITY", velocity)
+    with pytest.raises(ValueError, match="velocity"):
+        decode(stream)
+
+
 def test_encode_order_insensitive():
     a = Note(start=1.0, pitch=60, end=3.0)
     b = Note(start=0.5, pitch=72, end=2.0, program=9)
