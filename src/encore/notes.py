@@ -24,15 +24,15 @@ class SequenceTooLongError(ValueError):
     """A sequence runs longer than MAX_SECONDS."""
 
 
-# the fields; a NamedTuple may not define __new__, so Note's checks live in
-# a subclass
+# the fields; a NamedTuple may not define __new__, so Note's checks, and its
+# defaults, live in a subclass
 class _NoteFields(NamedTuple):
     start: float
     pitch: int
     end: float
-    velocity: int = 100
-    program: int = 0
-    is_drum: bool = False
+    velocity: int
+    program: int
+    is_drum: bool
 
 
 class Note(_NoteFields):
@@ -60,7 +60,10 @@ class Note(_NoteFields):
 
     @classmethod
     def _make(cls, iterable):
-        return cls(*iterable)
+        fields = tuple(iterable)
+        if len(fields) != 6:
+            raise TypeError(f"Expected 6 arguments, got {len(fields)}")
+        return cls(*fields)
 
     @property
     def duration(self) -> float:

@@ -3,9 +3,10 @@
 Every batch operation that needs randomness derives one seed per item
 from the run seed and the item's stable identity. Items keep their
 random streams when unrelated files are added to or removed from a run.
-The identity hash is BLAKE2b taken from ``_blake2``, the module that
-``hashlib.blake2b`` comes from: importing ``hashlib`` also loads
-``_hashlib``, which maps OpenSSL's libcrypto into every command.
+The identity hash is BLAKE2b taken from ``_blake2``: ``hashlib.blake2b``
+is that same function (hashlib never takes BLAKE2 from OpenSSL), and
+importing ``hashlib`` also loads ``_hashlib``, which maps OpenSSL's
+libcrypto into every command.
 
 ``Rng(seed)`` draws what ``numpy.random.default_rng(seed)`` draws, bit for
 bit, for the four calls encore makes, in pure Python: the commands that
@@ -15,10 +16,7 @@ release changes a ``Generator`` method (NEP 19 pins only the bit stream).
 
 from __future__ import annotations
 
-try:
-    from _blake2 import blake2b
-except ImportError:  # an interpreter built without the _blake2 module
-    from hashlib import blake2b
+from _blake2 import blake2b
 
 _MASK = 2**64 - 1
 _MASK32 = 2**32 - 1

@@ -44,6 +44,8 @@ def test_note_defaults():
 def test_note_validation(kwargs):
     with pytest.raises(ValueError):
         Note(**kwargs)
+    with pytest.raises(ValueError):
+        Note(*kwargs.values())
 
 
 def test_note_is_a_slotted_tuple():
@@ -60,6 +62,9 @@ def test_note_is_a_slotted_tuple():
     moved = note._replace(start=0.0)
     assert type(moved) is Note and moved == (0.0, 60, 1.25, 90, 33, True)
     assert type(Note._make(fields)) is Note and Note._make(fields) == note
+    for short_or_long in (fields[:3], fields + (0,)):
+        with pytest.raises(TypeError, match="Expected 6 arguments"):
+            Note._make(short_or_long)
 
 
 # each out of range in one field, or times out of order, beside valid fields
@@ -75,14 +80,13 @@ _BAD_NOTES = {
 
 
 def _makers(fields):
-    """Every way a note is built from another's fields. The transforms are
-    handed a note that skipped its checks, so each must check what it builds."""
+    """Every way but the constructor (test_note_validation) that a note is
+    built from another's fields. The transforms are handed a note that
+    skipped its checks, so each must check what it builds."""
     named = dict(zip(Note._fields, fields))
     seq = NoteSequence([tuple.__new__(Note, fields)], total_duration=5.0)
     substitute = MistakeConfig(p_mistouch=0.0, p_async=0.0, p_subst=1.0, p_ghost=0.0)
     return {
-        "positional": lambda: Note(*fields),
-        "keyword": lambda: Note(**named),
         "_make": lambda: Note._make(fields),
         "_replace": lambda: Note(0.0, 60, 1.0)._replace(**named),
         "segment": lambda: segment(seq),
@@ -92,7 +96,7 @@ def _makers(fields):
 
 
 @pytest.mark.parametrize(
-    "maker", ["positional", "keyword", "_make", "_replace", "segment", "stretch", "corrupt"]
+    "maker", ["_make", "_replace", "segment", "stretch", "corrupt"]
 )
 @pytest.mark.parametrize("fields", _BAD_NOTES.values(), ids=_BAD_NOTES)
 def test_every_maker_refuses_a_bad_note(maker, fields):
