@@ -68,6 +68,8 @@ EXIT_OK = 0
 EXIT_FAILURES = 1
 EXIT_CONFIG = 2
 
+METRICS = ("chroma", "tempo", "frechet")
+
 class ConfigError(Exception):
     pass
 
@@ -368,7 +370,7 @@ def cmd_evaluate(args) -> int:
     names = [m.strip() for m in args.metrics.split(",") if m.strip()]
     if not names:
         raise ConfigError("no metrics selected")
-    unknown = set(names) - {"chroma", "tempo", "frechet"}
+    unknown = set(names) - set(METRICS)
     if unknown:
         raise ConfigError(f"unknown metrics {sorted(unknown)}")
     pairs_path = Path(args.pairs)
@@ -500,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("evaluate", help="batch metrics over file pairs")
     p.add_argument("--pairs", required=True, help="CSV: pair_id,output,reference[,ratio,score_bpm]")
-    p.add_argument("--metrics", default="chroma,tempo", help="comma list: chroma,tempo,frechet")
+    p.add_argument("--metrics", default="chroma,tempo", help="comma list: " + ",".join(METRICS))
     _add_common(p, cmd_evaluate, seed=False, batch=True)
     p.add_argument("--out", default="results.csv", help="output CSV path")
 

@@ -733,10 +733,10 @@ def eval_dir(tmp_path):
     return d
 
 
-def _write_pcm16(path, samples, rate):
-    """A mono 16-bit PCM WAV of samples at rate."""
-    data = samples.astype("<i2").tobytes()
-    fmt = struct.pack("<HHIIHH", 1, 1, rate, 2 * rate, 2, 16)
+def _write_pcm16(path, samples, rate, channels=1):
+    """A 16-bit PCM WAV of samples at rate, each repeated over channels."""
+    data = np.repeat(samples.astype("<i2"), channels).tobytes()
+    fmt = struct.pack("<HHIIHH", 1, channels, rate, 2 * channels * rate, 2 * channels, 16)
     path.write_bytes(
         b"RIFF" + struct.pack("<I", 4 + 8 + len(fmt) + 8 + len(data)) + b"WAVE"
         + b"fmt " + struct.pack("<I", len(fmt)) + fmt
@@ -999,12 +999,7 @@ class TestEvaluate:
         address space to spare: its float64 samples would take 105 MB."""
         channels, frames = 32767, 400
         tone = np.round(8000 * np.sin(2 * np.pi * 440 * np.arange(frames) / 44100))
-        data = np.repeat(tone.astype("<i2"), channels).tobytes()
-        fmt = struct.pack("<HHIIHH", 1, channels, 44100, 44100 * 2 * channels, 2 * channels, 16)
-        (eval_dir / "wide.wav").write_bytes(
-            b"RIFF" + struct.pack("<I", 4 + 8 + len(fmt) + 8 + len(data)) + b"WAVE"
-            + b"fmt " + struct.pack("<I", len(fmt)) + fmt
-            + b"data" + struct.pack("<I", len(data)) + data)
+        _write_pcm16(eval_dir / "wide.wav", tone, 44100, channels)
         (eval_dir / "pairs.csv").write_text("pair_id,output,reference\nw,wide.wav,ref.wav\n")
         out = tmp_path / "results.csv"
         done = _run_limited(48, "evaluate", "--pairs", eval_dir / "pairs.csv",
