@@ -105,7 +105,8 @@ GUARDS = (
     Guard("synth, 20-min score", partial(beat_grid, seconds=1200),
           ("synth", "in.mid", "--strict", "--out", "."), 100),
     # 28,788 notes: a note costs what the tuple of its fields costs, and no
-    # symbolic command maps OpenSSL; this read 44-45 MB when a note was a dataclass
+    # symbolic command maps OpenSSL; this read 44-45 MB when a note was a
+    # dataclass, and 38 MB before the MIDI reader and writer held less per event
     Guard("augment --mode speed, 60-min score", partial(beat_grid, seconds=3600),
           ("augment", "in.mid", "--mode", "speed", "--strict", "--out", "speed"), 41.5),
 )

@@ -17,10 +17,11 @@ _DRUM_CHANNEL = 9
 
 _EV_OFF, _EV_ON, _EV_PROGRAM, _EV_TEMPO = 0, 1, 2, 3
 
-# writer byte order for events sharing a tick: tempo and program changes
-# first, then offs, so a note ending where its successor begins closes before
-# the new onset; a zero-length note keeps its own off after its on
-_RANK_TEMPO = 0
+# writer byte order for events sharing a tick, after the tempo that opens
+# the track: melodic program changes (all at tick 0) first, then offs, so a
+# note ending where its successor begins closes before the new onset; a drum
+# program change takes its onset's rank and so stays just before it; a
+# zero-length note keeps its own off after its on
 _RANK_PROGRAM = 1
 _RANK_OFF = 2
 _RANK_ON = 3
@@ -41,92 +42,98 @@ class UnsupportedFormatError(MidiParseError):
     """Well-formed SMF the reader does not handle (format 2, SMPTE division)."""
 
 
-def _parse_track(data: bytes, start: int, limit: int, index: int, events: list) -> int:
+def _parse_track(data: bytes, start: int, limit: int, events: list) -> int:
     """Append one MTrk payload's channel events and tempo changes to events.
 
-    Each event is a (tick, index, kind, data_a, data_b, channel) tuple in
-    stream order; a tempo change is an _EV_TEMPO event with microseconds
-    per quarter in data_a. Returns the track's end tick. The track is read
+    Each event is a (tick, kind, data_a, data_b, channel) tuple in stream
+    order; a tempo change is an _EV_TEMPO event with microseconds per
+    quarter in data_a. Returns the track's end tick. The track is read
     by index from a view that ends at the chunk, so a read past the chunk
     raises IndexError, reported as an event cut off at the failing read.
+    Every field is read inline; a delta below 0x80 takes no loop.
     """
     view = memoryview(data)[:limit]
+    append = events.append
     pos = start
-
-    def varlen() -> int:
-        nonlocal pos
-        value = 0
-        for _ in range(4):
-            byte = view[pos]
-            pos += 1
-            value = (value << 7) | (byte & 0x7F)
-            if not byte & 0x80:
-                return value
-        raise MidiParseError("variable-length quantity exceeds 4 bytes", pos)
-
-    def data_byte() -> int:
-        nonlocal pos
-        byte = view[pos]
-        pos += 1
-        if byte & 0x80:
-            raise MidiParseError(f"expected data byte, found status 0x{byte:02X}", pos - 1)
-        return byte
-
-    def take(count: int) -> memoryview:
-        nonlocal pos
-        if pos + count > limit:
-            raise IndexError
-        pos += count
-        return view[pos - count : pos]
-
     tick = 0
-    running: int | None = None
+    running = 0  # no running status: a status byte is never 0
     try:
         while pos < limit:
-            tick += varlen()
-            first = view[pos]
+            byte = view[pos]
             pos += 1
-            if first < 0x80:
-                if running is None:
-                    raise MidiParseError("data byte with no running status", pos - 1)
-                status = running
-                data_a = first
+            if byte < 0x80:
+                tick += byte
             else:
-                status = first
-                data_a = None
+                delta = byte & 0x7F
+                for _ in range(3):
+                    byte = view[pos]
+                    pos += 1
+                    delta = delta << 7 | byte & 0x7F
+                    if byte < 0x80:
+                        break
+                else:
+                    raise MidiParseError("variable-length quantity exceeds 4 bytes", pos)
+                tick += delta
 
-            if status == 0xFF:
-                running = None
-                meta_type = view[pos]
+            status = view[pos]
+            pos += 1
+            if status < 0x80:
+                if not running:
+                    raise MidiParseError("data byte with no running status", pos - 1)
+                a = status
+                status = running
+            elif status < 0xF0:
+                running = status
+                a = view[pos]
                 pos += 1
-                payload = take(varlen())
+                if a > 0x7F:
+                    raise MidiParseError(f"expected data byte, found status 0x{a:02X}", pos - 1)
+            else:
+                # meta and sysex: a length, then that many bytes to skip
+                if status == 0xFF:
+                    meta_type = view[pos]
+                    pos += 1
+                elif status == 0xF0 or status == 0xF7:
+                    meta_type = -1
+                else:
+                    raise MidiParseError(f"unsupported system message 0x{status:02X}", pos - 1)
+                running = 0
+                length = 0
+                for _ in range(4):
+                    byte = view[pos]
+                    pos += 1
+                    length = length << 7 | byte & 0x7F
+                    if byte < 0x80:
+                        break
+                else:
+                    raise MidiParseError("variable-length quantity exceeds 4 bytes", pos)
+                if pos + length > limit:
+                    raise IndexError
+                pos += length
                 if meta_type == 0x51:
-                    if len(payload) != 3:
-                        raise MidiParseError(f"tempo event with length {len(payload)}", pos)
-                    tempo = int.from_bytes(payload, "big")
+                    if length != 3:
+                        raise MidiParseError(f"tempo event with length {length}", pos)
+                    tempo = view[pos - 3] << 16 | view[pos - 2] << 8 | view[pos - 1]
                     if tempo == 0:
                         raise MidiParseError("zero tempo", pos - 3)
-                    events.append((tick, index, _EV_TEMPO, tempo, 0, 0))
+                    append((tick, _EV_TEMPO, tempo, 0, 0))
                 elif meta_type == 0x2F:
                     break
-            elif status in (0xF0, 0xF7):
-                running = None
-                take(varlen())
-            elif status >= 0xF0:
-                raise MidiParseError(f"unsupported system message 0x{status:02X}", pos - 1)
-            else:
-                running = status
-                kind = status & 0xF0
-                channel = status & 0x0F
-                a = data_byte() if data_a is None else data_a
-                b = data_byte() if kind not in (0xC0, 0xD0) else 0
-                if kind == 0x90 and b > 0:
-                    events.append((tick, index, _EV_ON, a, b, channel))
+                continue
+
+            kind = status & 0xF0
+            if kind == 0xC0:
+                append((tick, _EV_PROGRAM, a, 0, status & 0x0F))
+            elif kind != 0xD0:
+                b = view[pos]
+                pos += 1
+                if b > 0x7F:
+                    raise MidiParseError(f"expected data byte, found status 0x{b:02X}", pos - 1)
+                if kind == 0x90 and b:
+                    append((tick, _EV_ON, a, b, status & 0x0F))
                 elif kind == 0x80 or kind == 0x90:
-                    events.append((tick, index, _EV_OFF, a, 0, channel))
-                elif kind == 0xC0:
-                    events.append((tick, index, _EV_PROGRAM, a, 0, channel))
-                # control change, aftertouch, and pitch bend are ignored
+                    append((tick, _EV_OFF, a, 0, status & 0x0F))
+            # control change, aftertouch, and pitch bend are ignored
     except IndexError:
         raise MidiParseError("track data ends mid-event", pos) from None
     return tick
@@ -176,13 +183,14 @@ def parse_midi(data: bytes, source_id: str = "") -> NoteSequence:
             f"header declares {n_tracks} tracks, found {len(spans)}", pos
         )
 
-    # merge by (tick, track); the stable sort keeps each track's stream order,
-    # which is the authoritative order for events sharing a tick
+    # merge by (tick, track), stream order within a track, which is the
+    # authoritative order for events sharing a tick: the tracks are read one
+    # after another, so a stable sort by tick alone gives that order
     events = []
     end_tick = 0
-    for index, (body, limit) in enumerate(spans):
-        end_tick = max(end_tick, _parse_track(data, body, limit, index, events))
-    events.sort(key=itemgetter(0, 1))  # (tick, track)
+    for body, limit in spans:
+        end_tick = max(end_tick, _parse_track(data, body, limit, events))
+    events.sort(key=itemgetter(0))
 
     # the tempo in force began at segment_tick, segment_us (exact integer
     # tick-microseconds) in; changes sharing a tick add 0, so the last wins
@@ -190,28 +198,32 @@ def parse_midi(data: bytes, source_id: str = "") -> NoteSequence:
     denominator = division * 1_000_000
     reference_bpm = None
     programs = [0] * 16
-    open_notes: dict[tuple[int, int], tuple[float, int, int]] = {}
+    # sounding notes by channel << 7 | pitch
+    open_notes: dict[int, tuple[float, int, int]] = {}
+    pop_open = open_notes.pop
     notes = []
-    for tick, _, kind, a, b, channel in events:
-        if kind == _EV_TEMPO:
+    add_note = notes.append
+    for tick, kind, a, b, channel in events:
+        if kind <= _EV_ON:
+            seconds = (segment_us + (tick - segment_tick) * tempo) / denominator
+            key = channel << 7 | a
+            held = pop_open(key, None)
+            if held is not None:
+                start, velocity, program = held
+                add_note(Note(start, a, seconds, velocity, program, channel == _DRUM_CHANNEL))
+            if kind == _EV_ON:
+                open_notes[key] = (seconds, b, programs[channel])
+        elif kind == _EV_PROGRAM:
+            programs[channel] = a
+        else:
             segment_us += (tick - segment_tick) * tempo
             segment_tick, tempo = tick, a
             if reference_bpm is None:
                 reference_bpm = 60_000_000 / a
-        elif kind == _EV_PROGRAM:
-            programs[channel] = a
-        else:
-            seconds = (segment_us + (tick - segment_tick) * tempo) / denominator
-            held = open_notes.pop((channel, a), None)
-            if held is not None:
-                start, velocity, program = held
-                notes.append(Note(start, a, seconds, velocity, program, channel == _DRUM_CHANNEL))
-            if kind == _EV_ON:
-                open_notes[channel, a] = (seconds, b, programs[channel])
     del events  # before NoteSequence sorts the notes
     seconds = (segment_us + (end_tick - segment_tick) * tempo) / denominator
-    for (channel, pitch), (start, velocity, program) in open_notes.items():
-        notes.append(Note(start, pitch, seconds, velocity, program, channel == _DRUM_CHANNEL))
+    for key, (start, velocity, program) in open_notes.items():
+        add_note(Note(start, key & 0x7F, seconds, velocity, program, key >> 7 == _DRUM_CHANNEL))
     return NoteSequence(notes, source_id=source_id, reference_bpm=reference_bpm)
 
 
@@ -234,43 +246,53 @@ def write_midi(seq: NoteSequence) -> bytes:
     Times quantize to the PPQ tick grid (round to nearest). Each program
     gets its own channel, drums channel 10; more than 15 distinct melodic
     programs is an error, as is a velocity-0 note (it would read back as a
-    note off).
+    note off). A drum program change goes just before the drum onset that
+    needs it, so drums of different programs may start on one tick.
     """
     melodic = [c for c in range(16) if c != _DRUM_CHANNEL]
     channel_for: dict[int, int] = {}
     drum_program: int | None = None
-    events = [(0, _RANK_TEMPO, bytes([0xFF, 0x51, 0x03]) + DEFAULT_TEMPO_US.to_bytes(3, "big"))]
-    for note in seq.notes:
-        if note.velocity == 0:
+    # (tick << 3 | rank, status, data1, data2), so one integer sorts by
+    # (tick, rank); a program change has no data2 (-1)
+    events: list[tuple[int, int, int, int]] = []
+    add = events.append
+    for start, pitch, end, velocity, program, is_drum in seq.notes:
+        if velocity == 0:
             raise ValueError("velocity-0 note cannot be written as a note on")
-        start = round(note.start * PPQ * 1_000_000 / DEFAULT_TEMPO_US)
-        end = round(note.end * PPQ * 1_000_000 / DEFAULT_TEMPO_US)
-        if note.is_drum:
+        start = round(start * PPQ * 1_000_000 / DEFAULT_TEMPO_US)
+        end = round(end * PPQ * 1_000_000 / DEFAULT_TEMPO_US)
+        if is_drum:
             channel = _DRUM_CHANNEL
-            if note.program != drum_program:
-                drum_program = note.program
-                events.append(
-                    (start, _RANK_PROGRAM, bytes([0xC0 | channel, note.program]))
-                )
+            if program != drum_program:
+                drum_program = program
+                add((start << 3 | _RANK_ON, 0xC0 | channel, program, -1))
         else:
-            channel = channel_for.get(note.program)
+            channel = channel_for.get(program)
             if channel is None:
                 if len(channel_for) >= len(melodic):
                     raise ValueError("more than 15 distinct melodic programs")
                 channel = melodic[len(channel_for)]
-                channel_for[note.program] = channel
-                events.append((0, _RANK_PROGRAM, bytes([0xC0 | channel, note.program])))
+                channel_for[program] = channel
+                add((_RANK_PROGRAM, 0xC0 | channel, program, -1))
+        add((start << 3 | _RANK_ON, 0x90 | channel, pitch, velocity))
         off_rank = _RANK_ZERO_LEN_OFF if end == start else _RANK_OFF
-        events.append((start, _RANK_ON, bytes([0x90 | channel, note.pitch, note.velocity])))
-        events.append((end, off_rank, bytes([0x80 | channel, note.pitch, 0])))
+        add((end << 3 | off_rank, 0x80 | channel, pitch, 0))
 
-    events.sort(key=itemgetter(0, 1))  # (tick, rank)
-    body = bytearray()
+    events.sort(key=itemgetter(0))  # stable: one tick and rank keep note order
+    body = bytearray(b"\x00\xff\x51\x03" + DEFAULT_TEMPO_US.to_bytes(3, "big"))
+    put = body.append
     tick = 0
-    for event_tick, _, message in events:
-        body += _encode_varlen(event_tick - tick)
-        body += message
-        tick = event_tick
+    for key, status, data1, data2 in events:
+        delta = (key >> 3) - tick
+        tick += delta
+        if delta < 0x80:
+            put(delta)
+        else:
+            body += _encode_varlen(delta)
+        put(status)
+        put(data1)
+        if data2 >= 0:
+            put(data2)
     body += b"\x00\xff\x2f\x00"
 
     header = b"MThd" + (6).to_bytes(4, "big")
