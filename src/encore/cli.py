@@ -23,46 +23,38 @@ Each command imports only what it runs. The symbolic commands (--version,
 tokenize, augment, prompt, manifest, schedule-preview) load no numpy: they
 draw from seeds.Rng. Only evaluate and synth load numpy and the audio
 modules (audio_io, metrics, synth), and only evaluate on a WAV not at
-44.1 kHz loads scipy.
+44.1 kHz loads scipy. Only prompt loads prompts, only manifest and
+schedule-preview load curriculum (and prompts through it), only evaluate
+loads csv, only a batch run of more than one worker and item loads
+concurrent.futures, and only a command that writes JSON loads json.
+logging loads once the arguments parse, so --version, --help and a usage
+error never load it. parse_midi, write_midi, segment, encode, corrupt and
+sample_speed_augmentation stay bound here at import: the benchmark's
+tracer (pipebench/spans.py) wraps them where this module binds them.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import itertools
-import json
-import logging
 import os
 import resource
 import sys
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
+from .atomic import atomic_write
 from .augment import (SPEED_TIERS, TIER_BY_NAME, MistakeConfig, corrupt, draw_tier,
                       sample_speed_augmentation)
-from .curriculum import (
-    atomic_write,
-    build_manifest,
-    load_registry,
-    read_manifest,
-    schedule,
-    window_records,
-    write_manifest,
-)
 from .notes import segment
-from .prompts import PromptSpec, render_prompt
 from .seeds import derive_seed
 from .smf import parse_midi, write_midi
 from .tokenizer import encode
-
-log = logging.getLogger("encore.cli")  # not __name__: that is __main__ under python -m
 
 EXIT_OK = 0
 EXIT_FAILURES = 1
@@ -75,6 +67,8 @@ class ConfigError(Exception):
 
 
 def _json_text(payload) -> str:
+    import json
+
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
@@ -98,6 +92,8 @@ def _write_run_record(out_dir: Path, args, failed: list[str | None]) -> None:
 
 
 def _json_lines(rows):
+    import json
+
     return map(json.dumps, rows)
 
 
@@ -145,6 +141,10 @@ def _run_batch(args, items, work, out: Path, write, *, key="file", report=_json_
     largest first by size(item), ties in input order.
     """
 
+    import logging
+
+    log = logging.getLogger("encore.cli")  # not __name__: that is __main__ under python -m
+
     def one(named) -> tuple[dict, str | None]:
         name, item = named
         try:
@@ -157,6 +157,8 @@ def _run_batch(args, items, work, out: Path, write, *, key="file", report=_json_
     if args.workers == 1 or len(items) <= 1:
         done = [one(item) for item in items]
     else:
+        from concurrent.futures import ThreadPoolExecutor
+
         order = sorted(range(len(items)), key=lambda i: -size(items[i][1]))
         with ThreadPoolExecutor(max_workers=args.workers) as pool:
             started = {i: pool.submit(one, items[i]) for i in order}
@@ -248,6 +250,8 @@ def cmd_augment(args) -> int:
 
 
 def cmd_prompt(args) -> int:
+    from .prompts import PromptSpec, render_prompt
+
     try:
         spec = PromptSpec(
             sonification=args.sonification,
@@ -272,6 +276,8 @@ def cmd_prompt(args) -> int:
 
 
 def cmd_manifest(args) -> int:
+    from .curriculum import build_manifest, load_registry, window_records, write_manifest
+
     stage = None if args.stage == "merged" else int(args.stage)
     try:
         entries = [e for e in load_registry(args.registry) if stage in (None, e.stage)]
@@ -302,6 +308,8 @@ def cmd_manifest(args) -> int:
 
 
 def cmd_schedule_preview(args) -> int:
+    from .curriculum import read_manifest, schedule
+
     if args.steps < 0:
         raise ConfigError(f"--steps must be >= 0, got {args.steps}")
     try:
@@ -358,6 +366,8 @@ def _evaluate_pair(row: dict, names: list[str], base: Path) -> list[dict]:
 
 
 def _results_csv(rows: list[dict]) -> str:
+    import csv
+
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=["pair_id", "metric", "value"])
     writer.writeheader()
@@ -367,6 +377,8 @@ def _results_csv(rows: list[dict]) -> str:
 
 
 def cmd_evaluate(args) -> int:
+    import csv
+
     names = [m.strip() for m in args.metrics.split(",") if m.strip()]
     if not names:
         raise ConfigError("no metrics selected")
@@ -378,11 +390,10 @@ def cmd_evaluate(args) -> int:
         with open(pairs_path, encoding="utf-8-sig", newline="") as fh:
             reader = csv.DictReader(fh)
             pair_rows = list(reader)
+            columns = reader.fieldnames or ()  # None for an empty file; read while it is open
     except (OSError, ValueError, csv.Error) as exc:  # ValueError: not UTF-8
         raise ConfigError(f"{pairs_path}: {exc}") from exc
-    missing = [
-        c for c in ("pair_id", "output", "reference") if c not in (reader.fieldnames or ())
-    ]
+    missing = [c for c in ("pair_id", "output", "reference") if c not in columns]
     if missing:
         raise ConfigError(f"{pairs_path}: missing column {', '.join(missing)}")
     if not pair_rows:
@@ -521,7 +532,6 @@ def main(argv=None) -> int:
     pools = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
     if "numpy" not in sys.modules and not any(v in os.environ for v in pools):
         os.environ.update(dict.fromkeys(pools, "1"))
-    logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     if sys.stdout is not None:  # None when started with stdout closed
         # UTF-8 like every text file written; surrogateescape gives back the
         # bytes of an argument that the locale could not decode
@@ -533,6 +543,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse already printed the message
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
+    import logging
+
+    logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     try:
         if getattr(args, "seed", 0) < 0:
             raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")

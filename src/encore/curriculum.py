@@ -21,6 +21,7 @@ import sys
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
+from .atomic import atomic_write
 from .notes import WINDOW_SECONDS, segment
 from .prompts import PromptSpec, ratio_to_keyword, render_prompt
 from .seeds import Rng, derive_seed
@@ -78,19 +79,6 @@ def _object(value, where, required: dict, optional: dict) -> dict:
         elif not _is(value[key], want):
             raise ValueError(f"{where}: field {key!r} has the wrong type: {value[key]!r}")
     return value
-
-
-def atomic_write(path: Path, text: str) -> None:
-    """Write text through a temporary file and a rename, so a reader sees
-    the old file or the new one, never part of one; a failed write leaves
-    no temporary file behind."""
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        tmp.write_text(text, encoding="utf-8", newline="")
-        os.replace(tmp, path)
-    finally:
-        if tmp.exists():
-            tmp.unlink()
 
 
 def _read_json(path: Path):

@@ -370,10 +370,8 @@ class EmbeddingSet:
 
     def __post_init__(self):
         vectors = np.asarray(self.vectors, dtype=np.float64)
-        if vectors.ndim != 2 or vectors.shape[1] == 0:
+        if vectors.ndim != 2 or 0 in vectors.shape:
             raise ValueError(f"vectors must be N x D, got shape {vectors.shape}")
-        if vectors.shape[0] < 2:
-            raise ValueError("need N >= 2 vectors to fit a covariance")
         if not np.all(np.isfinite(vectors)):
             raise ValueError("embedding vectors must be finite")
         object.__setattr__(self, "vectors", vectors)
@@ -393,6 +391,8 @@ def frechet_distance(a: EmbeddingSet, b: EmbeddingSet) -> float:
     """
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    if min(len(a.vectors), len(b.vectors)) < 2:
+        raise ValueError("need N >= 2 vectors to fit a covariance")
     mu_a = a.vectors.mean(axis=0)
     mu_b = b.vectors.mean(axis=0)
     cov_a = np.atleast_2d(np.cov(a.vectors, rowvar=False))

@@ -8,6 +8,7 @@ script uses, and checks outputs on disk plus the exit code contract:
 import argparse
 import csv
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -931,6 +932,16 @@ class TestEvaluate:
         assert code == EXIT_CONFIG
         assert f"{pairs}: missing column output" in capsys.readouterr().err
 
+    def test_empty_pairs_file(self, tmp_path, capsys):
+        """A zero-byte pairs file has no header: a config error naming it."""
+        pairs = tmp_path / "empty.csv"
+        pairs.write_bytes(b"")
+        code = _run("evaluate", "--pairs", pairs, "--out", tmp_path / "r.csv")
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"{pairs}: missing column pair_id, output, reference" in err
+        assert "Traceback" not in err
+
     def test_pairs_csv_with_bom(self, eval_dir, tmp_path):
         """Spreadsheet exports start UTF-8 files with a byte order mark."""
         pairs = eval_dir / "pairs.csv"
@@ -1728,14 +1739,17 @@ def test_token_codec_imports_no_numpy_and_cli_no_scipy():
 # each command imports only what it runs
 
 _SCOPE_PROBE = """
-import json, sys
+import sys
 if sys.argv[1] == "blocked":
     sys.modules["numpy"] = None  # any import of numpy now fails
 from encore.cli import main
 code = main(sys.argv[2:])
 watched = ("numpy", "scipy", "encore.audio_io", "encore.metrics", "encore.synth",
-           "encore._kernels", "_hashlib")
-print(json.dumps({"code": code, "loaded": [m for m in watched if sys.modules.get(m)]}))
+           "encore._kernels", "_hashlib", "encore.curriculum", "encore.prompts", "logging",
+           "concurrent.futures", "csv", "json")
+loaded = [m for m in watched if sys.modules.get(m)]
+import json
+print(json.dumps({"code": code, "loaded": loaded}))
 """
 
 
@@ -1756,16 +1770,21 @@ def _run_scoped(mode, *argv):
 def test_commands_load_only_what_they_run(midi_dir, eval_dir, tmp_path):
     """A symbolic command loads no audio module and no numpy, even when it
     draws, and no command but evaluate on a WAV not at 44.1 kHz loads scipy
-    or, through scipy, `_hashlib` (which maps OpenSSL's libcrypto)."""
+    or, through scipy, `_hashlib` (which maps OpenSSL's libcrypto). --version
+    loads none of the watched modules; only prompt, manifest and
+    schedule-preview load prompts or curriculum, only evaluate loads csv,
+    only a run with more than one worker loads the thread pool, and prompt
+    loads no json."""
     registry = _make_registry(tmp_path)
     t = np.arange(2 * 48000) / 48000
     _write_pcm16(eval_dir / "r48.wav", np.round(8000 * np.sin(2 * np.pi * 440 * t)), 48000)
     _write(eval_dir / "p44.csv", "pair_id,output,reference\np,ref.wav,ref.wav\n")
     _write(eval_dir / "p48.csv", "pair_id,output,reference\np,r48.wav,r48.wav\n")
-    a = midi_dir / "a.mid"
+    a, b = midi_dir / "a.mid", midi_dir / "b.mid"
     runs = {
         "--version": ["--version"],
-        "tokenize": ["tokenize", a, "--out", tmp_path / "tok"],
+        "tokenize": ["tokenize", a, b, "--out", tmp_path / "tok"],
+        "tokenize --workers 2": ["tokenize", a, b, "--workers", "2", "--out", tmp_path / "tw"],
         "prompt 0": ["prompt", "--stage", "0"],
         "prompt 1": ["prompt", "--stage", "1", "--title", "T"],
         "augment mistakes": ["augment", a, "--mode", "mistakes", "--out", tmp_path / "am"],
@@ -1785,19 +1804,54 @@ def test_commands_load_only_what_they_run(midi_dir, eval_dir, tmp_path):
         assert code == EXIT_OK, name
         seen[name] = loaded
     audio = ["numpy", "encore.audio_io", "encore.metrics", "encore._kernels"]
+    curriculum = ["encore.curriculum", "encore.prompts", "logging", "json"]
     assert seen == {
         "--version": [],
-        "tokenize": [],
-        "prompt 0": [],
-        "prompt 1": [],
-        "augment mistakes": [],
-        "augment speed": [],
-        "manifest": [],
-        "schedule-preview": [],
-        "synth": ["numpy", "encore.audio_io", "encore.synth", "encore._kernels"],
-        "evaluate 44.1 kHz": audio,
-        "evaluate 48 kHz": ["numpy", "scipy", *audio[1:], "_hashlib"],
+        "tokenize": ["logging", "json"],
+        "tokenize --workers 2": ["logging", "concurrent.futures", "json"],
+        "prompt 0": ["encore.prompts", "logging"],
+        "prompt 1": ["encore.prompts", "logging"],
+        "augment mistakes": ["logging", "json"],
+        "augment speed": ["logging", "json"],
+        "manifest": curriculum,
+        "schedule-preview": curriculum,
+        "synth": ["numpy", "encore.audio_io", "encore.synth", "encore._kernels", "logging",
+                  "json"],
+        "evaluate 44.1 kHz": [*audio, "logging", "csv", "json"],
+        # scipy loads logging, csv and concurrent.futures itself
+        "evaluate 48 kHz": ["numpy", "scipy", *audio[1:], "_hashlib", "logging",
+                            "concurrent.futures", "csv", "json"],
     }
+
+
+# pipebench/spans.py times a layer by wrapping its function where
+# encore.cli and encore.curriculum bind it (encore.metrics is reached by
+# attribute, so its names need no pin here). A lazy import that stopped
+# binding one of these names would read 0 in the benchmark's per-layer
+# metrics and fail nothing else. Each entry: the name, the module defining it.
+_TRACED_BINDINGS = {
+    "encore.cli": {
+        "cmd_tokenize": "encore.cli", "cmd_evaluate": "encore.cli",
+        "_evaluate_pair": "encore.cli", "parse_midi": "encore.smf",
+        "write_midi": "encore.smf", "segment": "encore.notes", "encode": "encore.tokenizer",
+        "corrupt": "encore.augment", "sample_speed_augmentation": "encore.augment",
+    },
+    "encore.curriculum": {
+        "parse_midi": "encore.smf", "segment": "encore.notes", "encode": "encore.tokenizer",
+        "render_prompt": "encore.prompts", "build_manifest": "encore.curriculum",
+        "write_manifest": "encore.curriculum",
+    },
+}
+
+
+def test_traced_functions_stay_bound():
+    """The functions the benchmark's tracer wraps are bound at import time,
+    each to the same object as in the module defining it."""
+    for where, names in _TRACED_BINDINGS.items():
+        module = importlib.import_module(where)
+        for name, home in names.items():
+            assert getattr(module, name) is getattr(importlib.import_module(home), name), \
+                (where, name)
 
 
 def test_commands_run_without_numpy(midi_dir, tmp_path, capsys):
@@ -1830,10 +1884,10 @@ def test_commands_run_without_numpy(midi_dir, tmp_path, capsys):
                  ["prompt", "--stage", "1", "--title", "T", "--seed", "3"],
                  ["schedule-preview", out / "man" / "merged.jsonl"]):
         # the same out dir for both runs, so printed paths match too
-        code, _, printed = _run_scoped("watched", *argv)
+        code, loaded, printed = _run_scoped("watched", *argv)
         written = outputs(out)
-        assert code == EXIT_OK and printed, argv[0]
-        assert _run_scoped("blocked", *argv) == (EXIT_OK, [], printed), argv[0]
+        assert code == EXIT_OK and printed and "numpy" not in loaded, argv[0]
+        assert _run_scoped("blocked", *argv) == (EXIT_OK, loaded, printed), argv[0]
         assert outputs(out) == written, argv[0]
     assert {"am/a_mistakes.mid", "as/a_speed.mid", "man/merged.jsonl"} <= written.keys()
 

@@ -640,11 +640,20 @@ def test_tempo_deviation_needs_reference():
 # Fréchet distance
 
 
-def test_embedding_set_validation():
+def test_embedding_set_validation(tmp_path):
     with pytest.raises(ValueError, match="N x D"):
         EmbeddingSet(np.zeros(5))
-    with pytest.raises(ValueError, match="N >= 2"):
-        EmbeddingSet(np.zeros((1, 4)))
+    with pytest.raises(ValueError, match="N x D"):
+        EmbeddingSet(np.zeros((0, 4)))
+    # one vector is a set (a text embedding is one), but no covariance fits it
+    one = tmp_path / "one.emb"
+    write_embeddings(one, EmbeddingSet(np.ones((1, 4))))
+    single = read_embeddings(one)
+    assert single.vectors.tolist() == [[1.0] * 4]
+    many = EmbeddingSet(np.eye(4))
+    for a, b in ((single, single), (single, many), (many, single)):
+        with pytest.raises(ValueError, match="need N >= 2 vectors to fit a covariance"):
+            frechet_distance(a, b)
     with pytest.raises(ValueError, match="finite"):
         EmbeddingSet(np.array([[0.0, np.nan], [1.0, 2.0]]))
 
