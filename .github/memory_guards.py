@@ -95,6 +95,9 @@ GUARDS = (
     Guard("evaluate chroma,tempo, 10-min self-pair", partial(clicks, seconds=600),
           EVALUATE + ("chroma,tempo",), 300),
     # resampled to 44.1 kHz a slice at a time
+    Guard("evaluate chroma,tempo, 2-min 48 kHz stereo self-pair",
+          partial(pcm16, rate=48000, channels=2, frames=120 * 48000, tone=click_1khz),
+          EVALUATE + ("chroma,tempo",), 150),
     Guard("evaluate tempo, 10-min 48 kHz stereo",
           partial(pcm16, rate=48000, channels=2, frames=600 * 48000, tone=click_1khz),
           EVALUATE + ("tempo",), 150),

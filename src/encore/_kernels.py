@@ -36,7 +36,10 @@ _TWO_PI = 2.0 * math.pi
 # is gathered into the same form.  Cells farther than `band` from the
 # stretched diagonal count as +inf.  The fill returns the total and one step
 # per cell, chosen with the tie order: 0 for the diagonal, else 1 from
-# (i-1, j), else 2 from (i, j-1).  The backtrack only follows the steps.
+# (i-1, j), else 2 from (i, j-1).  With nd = diag > min(up, left), the step
+# is nd + (nd & (up > left)), written straight into the step bytes; every
+# other pass of a diagonal also writes into buffers made once per fill.
+# The backtrack only follows the steps.
 
 _STRIP = 64
 
@@ -52,7 +55,10 @@ def dtw_fill(cost, band=None):
     n, m = cost.shape
     diagonals = cost.diagonals if hasattr(cost, "diagonals") else _matrix_diagonals(cost)
     steps = np.zeros((n, m), dtype=np.uint8)
+    flat = steps.ravel()
     older, old = np.full((2, n + 2), np.inf)  # diagonals d-2 and d-1
+    best = np.empty(n)
+    skip, vertical = np.empty((2, n), dtype=bool)
     base, strip = diagonals(0, min(_STRIP, n + m - 1))
     old[1] = strip[0, 0]
     rows = np.arange(n, dtype=np.float64)
@@ -62,14 +68,19 @@ def dtw_fill(cost, band=None):
             strip = None  # freed before the next is made
             base, strip = diagonals(d, min(d + _STRIP, n + m - 1))
         lo, hi = max(0, d - m + 1), min(n - 1, d)
+        k = hi - lo + 1
         cells = slice(lo * (m - 1) + d, hi * (m - 1) + d + 1, max(m - 1, 1))
         diag, up, left = older[lo : hi + 1], old[lo : hi + 1], old[lo + 1 : hi + 2]
-        best = np.minimum(up, left)
-        steps.ravel()[cells] = np.where(diag <= best, 0, np.where(up <= left, 1, 2))
-        best = np.minimum(diag, best) + strip[d % _STRIP, lo - base : hi - base + 1]
+        b = np.minimum(up, left, out=best[:k])
+        s = np.greater(diag, b, out=skip[:k])
+        v = np.greater(up, left, out=vertical[:k])
+        v &= s
+        np.add(s, v, out=flat[cells], dtype=np.uint8)
+        np.minimum(diag, b, out=b)
+        new = older[lo + 1 : hi + 2]  # diagonal d-2's buffer takes diagonal d
+        np.add(b, strip[d % _STRIP, lo - base : hi - base + 1], out=new)
         if band is not None:
-            best[np.abs(d - rows[lo : hi + 1] - center[lo : hi + 1]) > band] = np.inf
-        older[lo + 1 : hi + 2] = best  # diagonal d-2's buffer takes diagonal d
+            new[np.abs(d - rows[lo : hi + 1] - center[lo : hi + 1]) > band] = np.inf
         older, old = old, older
     return float(old[n]), steps
 

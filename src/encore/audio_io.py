@@ -5,9 +5,11 @@ files are written at it, and the metrics assume it.  Readers normalize
 everything to mono float64 at that rate.  Multi-channel input is
 averaged, integer PCM is scaled to [-1, 1), and other rates are resampled
 with a polyphase filter (scipy, imported only when a file needs it).
-A WavReader decodes and resamples a slice of a file at a time, so no
-file is held whole at any rate; read_wav decodes all of it.  CHUNK samples
-bound what any audio stage holds at once, from synth to the metrics.
+A WavReader reads the header on opening, then decodes, resamples and
+checks a slice of a file at a time, so no file is held whole at any rate
+and each slice is checked as it is read; read_wav decodes all of it.
+CHUNK samples bound what any audio stage holds at once, from synth to the
+metrics.
 write_wav_blocks writes a 32-bit float file block by block, and write_wav
 writes one array through it.
 
@@ -19,8 +21,9 @@ chunk.  Other chunks are skipped.  RIFX (big-endian), RF64, 8-bit and
 unsupported, as are rates below 8 kHz and rates whose reduced ratio to
 44.1 kHz has a term above 1280; every standard rate passes.  A truncated
 data chunk yields the whole frames present.
-Every file read is untrusted: a malformed header, a non-finite sample or
-more than notes.MAX_SECONDS of audio raises a ValueError naming the file.
+Every file read is untrusted: a malformed header or more than
+notes.MAX_SECONDS of audio raises a ValueError naming the file on opening,
+and a non-finite sample does so on the read that reaches it.
 Buffers are sized from the bytes the file holds, never from a header's
 length fields, and resampled output stays within the 4 h limit.
 """
@@ -125,12 +128,12 @@ class WavReader:
     """A WAV file as mono float64 samples at ANALYSIS_RATE, decoded a slice
     at a time.
 
-    ``len(reader)`` is the sample count, and ``reader[lo:hi]`` decodes
-    the frames those samples need alone, with the operations a whole-file
-    decode applies: view, float64, PCM scale, channel mean and, at another
-    rate, the polyphase resample.  Opening checks the header and every
-    sample, CHUNK samples at a time, so a non-finite sample is refused up
-    front.
+    Opening reads the header alone.  ``len(reader)`` is the sample count,
+    and ``reader[lo:hi]`` decodes the frames those samples need alone, with
+    the operations a whole-file decode applies: view, float64, PCM scale,
+    channel mean and, at another rate, the polyphase resample.  Every slice
+    is checked before it is returned, so a non-finite sample is refused by
+    the read that reaches it and no caller ever sees one.
     """
 
     def __init__(self, path: str | os.PathLike):
@@ -155,10 +158,6 @@ class WavReader:
             from scipy.signal import firwin
 
             self._filter = firwin(20 * max(up, down) + 1, 1 / max(up, down), window=("kaiser", 5.0))
-        # the resampled output is checked: finite input can overflow in the filter
-        for at in range(0, len(self), CHUNK):
-            if not np.isfinite(self[at : at + CHUNK]).all():
-                raise ValueError(f"{path}: non-finite samples")
 
     def __len__(self) -> int:
         return -(-self._frames * self._up // self._down)  # resample_poly's length
@@ -169,17 +168,22 @@ class WavReader:
             raise ValueError(f"{self.path}: a WAV reader slices without a step")
         up, down = self._up, self._down
         if up == down:
-            return self._decode(lo, max(lo, hi))
-        from scipy.signal import resample_poly
+            x = self._decode(lo, max(lo, hi))
+        else:
+            from scipy.signal import resample_poly
 
-        # the input frames the filter reaches on either side, from a start on a
-        # multiple of down, which keeps a whole-file resample's output phase
-        reach = len(self._filter) // 2 // up + 2
-        first = max(0, lo * down // up - reach) // down * down
-        stop = min(self._frames, -(-hi * down // up) + reach)
-        at = first // down * up
-        x = resample_poly(self._decode(first, stop), up, down, window=self._filter)
-        return x[lo - at : max(lo, hi) - at]
+            # the input frames the filter reaches on either side, from a start on a
+            # multiple of down, which keeps a whole-file resample's output phase
+            reach = len(self._filter) // 2 // up + 2
+            first = max(0, lo * down // up - reach) // down * down
+            stop = min(self._frames, -(-hi * down // up) + reach)
+            at = first // down * up
+            x = resample_poly(self._decode(first, stop), up, down, window=self._filter)
+            x = x[lo - at : max(lo, hi) - at]
+        # the output is checked: a finite input can overflow in the channel mean or the filter
+        if not np.isfinite(x).all():
+            raise ValueError(f"{self.path}: non-finite samples")
+        return x
 
     def _decode(self, lo: int, hi: int) -> np.ndarray:
         """Frames lo..hi-1 as mono float64, decoded CHUNK // channels frames (one

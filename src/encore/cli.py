@@ -346,16 +346,36 @@ def _evaluate_pair(row: dict, names: list[str], base: Path) -> list[dict]:
             raise ValueError(f"no {column} path")
     out_path = base / row["output"]
     ref_path = base / row["reference"]
-    wav = functools.cache(audio_io.WavReader)  # check each WAV once; metrics stream its samples
-    tempo = functools.cache(lambda path: metrics.tempo_estimate(wav(path)))
+    onsets: tuple[Path, ...] = ()  # the files whose tempo is estimated
+    if "tempo" in names:  # the row is checked before any file is read
+        ratio = _number(row, "ratio", 1.0)
+        score_tempo = _number(row, "score_bpm", None)
+        metrics.check_expected(score_tempo, ratio)
+        # the reference audio stands in for a score without a tempo
+        onsets = (out_path,) if score_tempo is not None else (out_path, ref_path)
+    both = "chroma" in names and "tempo" in names
+    wav = functools.cache(audio_io.WavReader)  # each header read once; slices checked as read
+
+    @functools.cache
+    def walk(path):
+        """path's chromagram and, if its tempo is needed, onset envelope: one pass."""
+        if path in onsets:
+            return metrics.chromagram(wav(path), onset=True)
+        return metrics.chromagram(wav(path)), None
+
+    @functools.cache
+    def tempo(path):
+        if both:
+            return metrics.tempo_estimate(wav(path), envelope=walk(path)[1])
+        return metrics.tempo_estimate(wav(path))  # a single metric calls what it always has
+
     values = {}
     if "chroma" in names:
-        values["chroma"] = metrics.chroma_similarity(wav(out_path), wav(ref_path)).score
+        pair = (walk(out_path)[0], walk(ref_path)[0]) if both else (wav(out_path), wav(ref_path))
+        values["chroma"] = metrics.chroma_similarity(*pair).score
     if "tempo" in names:
-        ratio = _number(row, "ratio", 1.0)
         estimated = tempo(out_path)
-        score_tempo = _number(row, "score_bpm", None)
-        if score_tempo is None:  # the reference audio stands in for the score
+        if score_tempo is None:
             score_tempo = tempo(ref_path)
         values["tempo"] = metrics.deviation_from_expected(estimated, score_tempo, ratio)
     if "frechet" in names:

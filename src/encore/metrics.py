@@ -2,8 +2,10 @@
 Fréchet distance between embedding sets.
 
 The audio functions take a mono numpy buffer at audio_io.ANALYSIS_RATE or
-an audio_io.WavReader, which they slice one STFT block at a time, and are
-pure; file handling lives in audio_io and the CLI.
+an audio_io.WavReader, and are pure; file handling lives in audio_io and
+the CLI. Both STFT features come from one walk (``_walk``) that reads the
+samples once, a block at a time: ``chromagram(audio, onset=True)`` returns
+the chromagram and the onset envelope that ``tempo_estimate`` takes.
 """
 
 from __future__ import annotations
@@ -77,9 +79,11 @@ class ChromaMatrix:
 
     Every frame is either L2-normalized or all-zero (silence), and is
     stored rounded to multiples of 2**-24 (its norm moves by about 1e-7 at most).
+    ``label`` names the file the frames come from, if any.
     """
 
     frames: np.ndarray
+    label: str = ""
 
     def __post_init__(self):
         frames = np.asarray(self.frames, dtype=np.float64)
@@ -114,54 +118,138 @@ def _signal(audio):
     return x
 
 
-def _spectra(x, hann: np.ndarray, hop: int, overlap: int = 0):
-    """|rfft| of x's Hann-windowed STFT frames, a block at a time: the last
-    overlap frames of the block before, then the next CHUNK // window frames
-    (one at least), read in one slice of x and each transformed once, every
-    row summed as in one whole STFT. Blocks share reused buffers, so a block
-    is valid only until the next is asked for. A short x is zero-padded."""
-    window = hann.shape[0]
-    per = max(1, CHUNK // window)
-    windowed = np.empty((per, window))
-    magnitude = np.empty((overlap + per, window // 2 + 1))
-    held = 0  # leading rows of magnitude that repeat frames already yielded
-    n_frames = 1 + (max(len(x), window) - window) // hop
-    for first in range(0, n_frames, per):
-        k = min(per, n_frames - first)
-        span = (k - 1) * hop + window
-        seg = x[first * hop : first * hop + span]
-        if seg.shape[0] < span:
-            seg = np.pad(seg, (0, span - seg.shape[0]))
-        np.multiply(np.lib.stride_tricks.sliding_window_view(seg, window)[::hop], hann,
-                    out=windowed[:k])
-        np.abs(np.fft.rfft(windowed[:k], axis=1), out=magnitude[held : held + k])
-        yield magnitude[: held + k]
-        magnitude[:overlap] = magnitude[held + k - overlap : held + k]
-        held = overlap
+def _label(x) -> str:
+    """The path a WavReader reads, or "" for a buffer."""
+    return str(x.path) if isinstance(x, WavReader) else ""
 
 
-def chromagram(audio: np.ndarray | WavReader) -> ChromaMatrix:
+def _named(x, message: str) -> str:
+    """message, after the path of the file x reads, if any."""
+    label = x.label if isinstance(x, ChromaMatrix) else _label(x)
+    return f"{label}: {message}" if label else message
+
+
+def _n_frames(n: int, window: int, hop: int) -> int:
+    """STFT frames of n samples, zero-padded to one window when shorter."""
+    return 1 + (max(n, window) - window) // hop
+
+
+def _walk(x, chroma: bool, onset: bool) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """The chroma STFT's unnormalized rows and the onset envelope of x, each
+    if asked for, from one pass over x.
+
+    The pass reads x[lo:lo + block] once per block, where a block is the
+    hops of one full batch of the first STFT asked for, chroma's if both,
+    into a stream buffer that keeps only the tail the next frame of either STFT
+    overlaps. Each STFT takes the frames the stream holds in batches of
+    CHUNK // window (one at least): a batch is copied into the windowed
+    buffer, scaled by the window in place, and transformed into the
+    complex buffer. The two STFTs share those three buffers, and a batch's
+    energies or flux terms go to the windowed buffer once it is
+    transformed. Every row is summed in the same order as from one STFT of
+    the whole buffer. A short x is zero-padded to a window. Every sample
+    is read, also past the last frame, so a WavReader checks the whole file.
+    """
+    n = len(x)
+    feeds = []  # per STFT: [hann, hop, frames, next frame, frames a batch, sink]
+    if chroma:
+        frames = _n_frames(n, CHROMA_WINDOW, CHROMA_HOP)
+        feeds.append([_CHROMA_HANN, CHROMA_HOP, frames, 0,
+                      min(frames, max(1, CHUNK // CHROMA_WINDOW)), None])
+    if onset:
+        frames = _n_frames(n, _TEMPO_WINDOW, _TEMPO_HOP)
+        feeds.append([_TEMPO_HANN, _TEMPO_HOP, frames, 0,
+                      min(frames, max(1, CHUNK // _TEMPO_WINDOW)), None])
+    windowed = np.empty(max(f[0].shape[0] * f[4] for f in feeds))
+    spectrum = np.empty(max((f[0].shape[0] // 2 + 1) * f[4] for f in feeds), dtype=complex)
+    rows = flux = None
+    if chroma:
+        frames, per = feeds[0][2], feeds[0][4]
+        rows = np.empty((frames, 12))
+        kept = np.empty((per, len(_CHROMA_BINS)), dtype=complex)
+
+        def fold(spec: np.ndarray, first: int) -> None:
+            k = spec.shape[0]
+            # the kept third of the bins, gathered before their magnitudes are taken
+            np.take(spec, _CHROMA_BINS, axis=1, out=kept[:k], mode="clip")
+            e = np.abs(kept[:k], out=windowed[: kept[:k].size].reshape(k, -1))
+            e *= e
+            np.add.reduceat(e, _CHROMA_STARTS, axis=1, out=rows[first : first + k])
+
+        feeds[0][5] = fold
+    if onset:
+        frames, per = feeds[-1][2], feeds[-1][4]
+        bins = _TEMPO_WINDOW // 2 + 1
+        flux = np.empty(frames - 1)
+        # row 0 holds the frame before the batch, so each neighbour pair is differenced once
+        magnitude = np.empty((per + 1, bins))
+
+        def difference(spec: np.ndarray, first: int) -> None:
+            k = spec.shape[0]
+            np.abs(spec, out=magnitude[1 : k + 1])
+            skip = int(first == 0)  # frame 0 has no frame before it
+            r = np.subtract(magnitude[1 + skip : k + 1], magnitude[skip:k],
+                            out=windowed[: (k - skip) * bins].reshape(k - skip, bins))
+            np.maximum(r, 0.0, out=r)
+            r.sum(axis=1, out=flux[first - 1 + skip : first + k - 1])
+            magnitude[0] = magnitude[k]
+
+        feeds[-1][5] = difference
+    block = feeds[0][1] * max(1, CHUNK // feeds[0][0].shape[0])
+    stream = np.empty(min(n, block) + max(f[0].shape[0] for f in feeds) - 1)
+    start = held = 0  # the sample stream[0] holds, and how many it holds
+    for lo in range(0, n, block):
+        got = min(block, n - lo)
+        stream[held : held + got] = x[lo : lo + block]  # the slice is freed before the next
+        held += got
+        if lo + block >= n:  # the last block: a short x is zero-padded
+            stream[held:] = 0.0
+            held = stream.shape[0]
+        for feed in feeds:
+            hann, hop, frames, first, per, sink = feed
+            window, bins = hann.shape[0], hann.shape[0] // 2 + 1
+            while first < frames:
+                k = min(per, frames - first, (start + held - first * hop - window) // hop + 1)
+                if k <= 0:
+                    break
+                # the k frames from stream[first * hop - start], as one strided view
+                view = np.ndarray((k, window), buffer=stream, offset=(first * hop - start) * 8,
+                                  strides=(hop * 8, 8))
+                w = windowed[: k * window].reshape(k, window)
+                w[...] = view
+                w *= hann
+                sink(np.fft.rfft(w, axis=1, out=spectrum[: k * bins].reshape(k, bins)), first)
+                first += k
+            feed[3] = first
+        keep = min((f[3] * f[1] for f in feeds if f[3] < f[2]), default=start + held)
+        stream[: start + held - keep] = stream[keep - start : held]
+        held, start = start + held - keep, keep
+    return rows, flux
+
+
+def chromagram(audio: np.ndarray | WavReader, *, onset: bool = False):
     """Fold STFT bin energies into 12 pitch classes.
 
     Window 4096, hop 2048, Hann. Bins between 27.5 Hz and 8 kHz are
     assigned to the nearest equal-tempered pitch (A4 = 440 Hz) and their
     energies (squared magnitudes, which keep window leakage out of the
     neighboring semitones) summed by pitch class; frames are then
-    L2-normalized (silent frames stay zero).
+    L2-normalized (silent frames stay zero). With ``onset``, the result is
+    (ChromaMatrix, onset envelope), both from one pass over the samples,
+    and the envelope is what ``tempo_estimate`` takes: audio shorter than
+    it needs is refused before a sample is read.
     """
     x = _signal(audio)
     if len(x) == 0:
         raise ValueError("audio buffer is empty")
-    rows = []
-    for spec in _spectra(x, _CHROMA_HANN, CHROMA_HOP):
-        spec = np.take(spec, _CHROMA_BINS, axis=1)
-        spec *= spec  # energies, squared after the gather, which keeps a third of the bins
-        rows.append(np.add.reduceat(spec, _CHROMA_STARTS, axis=1))
-    chroma = np.concatenate(rows)
+    if onset:
+        _check_tempo_length(x)
+    chroma, flux = _walk(x, chroma=True, onset=onset)
     norms = np.linalg.norm(chroma, axis=1)
     sounding = norms > 0.0
     chroma[sounding] /= norms[sounding, None]
-    return ChromaMatrix(chroma)
+    matrix = ChromaMatrix(chroma, label=_label(x))
+    return (matrix, flux) if onset else matrix
 
 
 class _ChromaCosts:
@@ -236,21 +324,27 @@ class ChromaSimilarityResult:
 
 
 def chroma_similarity(
-    out_audio: np.ndarray | WavReader,
-    ref_audio: np.ndarray | WavReader,
+    out_audio: np.ndarray | WavReader | ChromaMatrix,
+    ref_audio: np.ndarray | WavReader | ChromaMatrix,
     band: int | None = None,
 ) -> ChromaSimilarityResult:
     """Mean cosine similarity along the DTW path, minus a cost penalty.
 
-    score = mean_cosine - DEFAULT_PENALTY_WEIGHT * dtw_cost. Raises MetricError
-    when either input is entirely silent (similarity undefined). A pair
-    of the same object is computed once. The DTW holds one step byte per
-    cell and a strip of distances; mean_cosine recomputes the path's cells.
+    score = mean_cosine - DEFAULT_PENALTY_WEIGHT * dtw_cost. Either input
+    may be audio or its chromagram. Raises MetricError, naming the file if
+    there is one, when either input is entirely silent (similarity
+    undefined). A pair of the same object is computed once. The DTW holds
+    one step byte per cell and a strip of distances; mean_cosine recomputes
+    the path's cells.
     """
-    ca = chromagram(out_audio)
-    cb = ca if ref_audio is out_audio else chromagram(ref_audio)
-    if ca.is_silent or cb.is_silent:
-        raise MetricError("chroma similarity undefined for all-silent audio")
+    def matrix(audio):
+        return audio if isinstance(audio, ChromaMatrix) else chromagram(audio)
+
+    ca = matrix(out_audio)
+    cb = ca if ref_audio is out_audio else matrix(ref_audio)
+    for c in (ca, cb):
+        if c.is_silent:
+            raise MetricError(_named(c, "chroma similarity undefined for all-silent audio"))
     costs = _ChromaCosts(ca.frames, cb.frames)
     cost, path = dtw_from_costs(costs, band=band)
     idx = np.asarray(path)
@@ -270,10 +364,13 @@ def chroma_similarity(
 
 def _onset_envelope(x: np.ndarray | WavReader) -> np.ndarray:
     """Half-wave-rectified flux from each tempo frame to the next, at
-    ANALYSIS_RATE / _TEMPO_HOP rows a second. Blocks overlap by one frame,
-    so every pair of neighbours is differenced once."""
-    return np.concatenate([np.maximum(spec[1:] - spec[:-1], 0.0).sum(axis=1)
-                           for spec in _spectra(x, _TEMPO_HANN, _TEMPO_HOP, overlap=1)])
+    ANALYSIS_RATE / _TEMPO_HOP rows a second."""
+    return _walk(x, chroma=False, onset=True)[1]
+
+
+def _check_tempo_length(x) -> None:
+    if len(x) < 5 * ANALYSIS_RATE:
+        raise ValueError(_named(x, "tempo estimation needs at least 5 s of audio"))
 
 
 def _autocorrelate(x: np.ndarray) -> np.ndarray:
@@ -294,7 +391,7 @@ def _parabolic_lag(acf: np.ndarray, lag: int) -> float:
     return lag + float(np.clip(delta, -0.5, 0.5))
 
 
-def tempo_estimate(audio: np.ndarray | WavReader) -> float:
+def tempo_estimate(audio: np.ndarray | WavReader, *, envelope: np.ndarray | None = None) -> float:
     """Tempo in BPM from spectral-flux autocorrelation.
 
     The onset envelope is the half-wave-rectified frame-to-frame spectral
@@ -303,25 +400,27 @@ def tempo_estimate(audio: np.ndarray | WavReader) -> float:
     70 BPM may be a subharmonic (the lag at 2x or 3x the true period can
     align better with the frame grid), so small integer divisors of its
     lag are tried and the fastest one scoring within 10% of the peak wins.
+    ``envelope``, if given, is audio's onset envelope from
+    ``chromagram(audio, onset=True)``, which is then not computed again.
+    Errors about a WavReader's audio name its file.
     """
     x = _signal(audio)
-    if len(x) < 5 * ANALYSIS_RATE:
-        raise ValueError("tempo estimation needs at least 5 s of audio")
+    _check_tempo_length(x)
     fps = ANALYSIS_RATE / _TEMPO_HOP
-    flux = _onset_envelope(x)
+    flux = _onset_envelope(x) if envelope is None else envelope
     flux = flux - flux.mean()
     if not np.any(flux):
-        raise MetricError("no detectable periodicity: flat onset envelope")
+        raise MetricError(_named(x, "no detectable periodicity: flat onset envelope"))
     acf = _autocorrelate(flux)
     lag_min = max(1, int(np.floor(fps * 60.0 / TEMPO_MAX_BPM)))
     lag_max = min(acf.shape[0] - 2, int(np.ceil(fps * 60.0 / TEMPO_MIN_BPM)))
     if lag_min > lag_max:
-        raise MetricError("envelope too short for the tempo search band")
+        raise MetricError(_named(x, "envelope too short for the tempo search band"))
     band = acf[lag_min : lag_max + 1]
     peak_lag = lag_min + int(np.argmax(band))
     peak_val = acf[peak_lag]
     if peak_val <= 0.0:
-        raise MetricError("no detectable periodicity: flat onset envelope")
+        raise MetricError(_named(x, "no detectable periodicity: flat onset envelope"))
     best = _parabolic_lag(acf, peak_lag)
     bpm = 60.0 * fps / best
     if bpm < _PREFERRED_LOW:
@@ -339,14 +438,21 @@ def tempo_estimate(audio: np.ndarray | WavReader) -> float:
     return float(bpm)
 
 
+def check_expected(score_bpm: float | None, prompt_ratio: float) -> None:
+    """Refuse a prompt ratio outside the augmentation range, or a score
+    tempo that is not positive and finite; None stands for a score tempo
+    still to be estimated."""
+    if not RATIO_FLOOR <= prompt_ratio <= RATIO_CEILING:
+        raise ValueError(f"prompt_ratio {prompt_ratio} outside [{RATIO_FLOOR}, {RATIO_CEILING}]")
+    if score_bpm is not None and not 0 < score_bpm < math.inf:
+        raise ValueError(f"score_bpm must be positive and finite, got {score_bpm}")
+
+
 def deviation_from_expected(
     estimated_bpm: float, score_bpm: float, prompt_ratio: float
 ) -> float:
     """|estimated - expected| / expected with expected = score / ratio."""
-    if not RATIO_FLOOR <= prompt_ratio <= RATIO_CEILING:
-        raise ValueError(f"prompt_ratio {prompt_ratio} outside [{RATIO_FLOOR}, {RATIO_CEILING}]")
-    if not 0 < score_bpm < math.inf:
-        raise ValueError(f"score_bpm must be positive and finite, got {score_bpm}")
+    check_expected(score_bpm, prompt_ratio)
     expected = score_bpm / prompt_ratio
     return abs(estimated_bpm - expected) / expected
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.io import wavfile
 
 import encore
-from encore import audio_io
+from encore import audio_io, metrics
 from encore.audio_io import _PCM_SCALE, WavReader, read_wav, write_wav
 
 
@@ -414,17 +414,22 @@ def test_reader_refuses_a_step(tmp_path):
 
 
 @pytest.mark.parametrize("where", [0, 4096, 3 * 4096 + 99])
-def test_nan_anywhere_refused_on_open(tmp_path, monkeypatch, where):
+def test_nan_anywhere_refused_on_first_read(tmp_path, monkeypatch, where):
     """3 x 4096 + 100 samples: the last 100 lie past the last full chroma
-    frame, so no STFT reads them; the check on opening still does."""
+    frame, so no STFT frame holds them; the walk over the file still reads
+    them, and its read refuses the NaN. Opening reads the header alone."""
     monkeypatch.setattr(audio_io, "CHUNK", 1000)
+    monkeypatch.setattr(metrics, "CHUNK", 1000)  # a walk of several blocks
     samples = np.zeros(3 * 4096 + 100)
     samples[where] = np.nan
     path = tmp_path / "nan.wav"
     write_wav(path, samples)
-    with pytest.raises(ValueError, match="non-finite") as info:
-        WavReader(path)
-    assert str(path) in str(info.value)
+    reader = WavReader(path)
+    assert len(reader) == len(samples)
+    for read in (metrics.chromagram, metrics._onset_envelope, lambda r: read_wav(r.path)):
+        with pytest.raises(ValueError, match="non-finite") as info:
+            read(reader)
+        assert str(path) in str(info.value)
 
 
 @pytest.mark.parametrize("channels", range(1, 10))
@@ -458,13 +463,17 @@ def test_channel_average_keeps_the_bits_of_mean(tmp_path, tag, bits, channels):
 
 
 def test_overflowing_channel_mean_refused(tmp_path):
-    """Two finite float64 channels whose mean overflows to inf."""
+    """Two finite float64 channels whose mean overflows to inf: refused by
+    the first read, as the walk makes it and as read_wav does."""
     path = tmp_path / "big.wav"
     path.write_bytes(_riff(_fmt(3, 2, 44100, 64), np.full(20, 1.7e308).astype("<f8").tobytes()))
+    reader = WavReader(path)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        with pytest.raises(ValueError, match="non-finite"):
-            WavReader(path)
+        for read in (metrics.chromagram, lambda r: read_wav(r.path)):
+            with pytest.raises(ValueError, match="non-finite") as info:
+                read(reader)
+            assert str(path) in str(info.value)
 
 
 def test_file_truncated_after_open(tmp_path):

@@ -12,6 +12,7 @@ import importlib
 import json
 import math
 import os
+import re
 import shutil
 import struct
 import subprocess
@@ -827,10 +828,90 @@ class TestEvaluate:
         code = _run("evaluate", "--pairs", pairs, "--strict", "--out", out)
         assert code == EXIT_FAILURES
         captured = capsys.readouterr()
-        assert ("FAILED quiet: chroma similarity undefined for all-silent audio"
-                in captured.out.splitlines())
+        assert (f"FAILED quiet: {eval_dir / 'silent.wav'}: chroma similarity undefined "
+                "for all-silent audio" in captured.out.splitlines())
         assert "Traceback" not in captured.err
         assert set(_read_results(out)) == {("same", "chroma"), ("same", "tempo")}
+
+    @staticmethod
+    def _decodes(monkeypatch):
+        """(file name, lo, hi) of every WavReader._decode call from now on."""
+        calls, decode = [], WavReader._decode
+
+        def spy(self, lo, hi):
+            calls.append((Path(self.path).name, lo, hi))
+            return decode(self, lo, hi)
+
+        monkeypatch.setattr(WavReader, "_decode", spy)
+        return calls
+
+    @pytest.mark.parametrize("ratio, message", [
+        ("9", "prompt_ratio 9.0 outside [0.4, 2.2]"),
+        ("abc", "ratio 'abc' is not a number"),
+    ])
+    def test_row_checked_before_any_decode(self, eval_dir, monkeypatch, ratio, message):
+        calls = self._decodes(monkeypatch)
+        row = {"pair_id": "p", "output": "slow.wav", "reference": "ref.wav", "ratio": ratio}
+        with pytest.raises(ValueError, match=re.escape(message)):
+            cli._evaluate_pair(row, ["chroma", "tempo"], eval_dir)
+        assert calls == []
+
+    @pytest.mark.parametrize("rate, channels", [(44100, 1), (44100, 4), (48000, 2)])
+    def test_each_file_decoded_once_per_pair(self, tmp_path, monkeypatch, rate, channels):
+        """Under chroma,tempo with no score tempo, both files need both
+        features, and each file's frames are decoded once: at 44.1 kHz
+        exactly, at another rate plus each slice's filter reach."""
+        frames = {}
+        for name, bpm in (("out.wav", 150.0), ("ref.wav", 120.0)):
+            clicks = render_clicks(bpm, 6.0)  # 5.5 s at 48 kHz
+            _write_pcm16(tmp_path / name, np.round(16000 * clicks), rate, channels)
+            frames[name] = len(clicks)
+        calls = self._decodes(monkeypatch)
+        row = {"pair_id": "p", "output": "out.wav", "reference": "ref.wav", "ratio": "1.25"}
+        results = cli._evaluate_pair(row, ["chroma", "tempo"], tmp_path)
+        assert [r["metric"] for r in results] == ["chroma", "tempo"]
+        for name, n in frames.items():
+            spans = sorted((lo, hi) for file, lo, hi in calls if file == name)
+            assert spans[0][0] == 0 and spans[-1][1] == n
+            if rate == 44100:  # end to end, no frame twice
+                assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+            else:
+                reader = WavReader(tmp_path / name)
+                reach = len(reader._filter) // 2 // reader._up + 2
+                slack = 2 * reach + reader._down  # each side's reach, and the phase start
+                assert sum(hi - lo for lo, hi in spans) <= n + len(spans) * slack
+
+    def test_nan_past_the_last_frame_fails_the_pair(self, eval_dir, tmp_path, capsys):
+        """6 s of samples end 408 samples past the last full frame of both
+        STFTs; a NaN in the last sample fails the pair, and no row is written."""
+        samples = read_wav(eval_dir / "ref.wav")[: 6 * 44100].copy()
+        assert (len(samples) - 4096) % 2048 and (len(samples) - 2048) % 512
+        samples[-1] = np.nan
+        write_wav(eval_dir / "nan.wav", samples)
+        pairs = _write(eval_dir / "nan.csv", "pair_id,output,reference\n"
+                       "same,same.wav,ref.wav\nbad,nan.wav,ref.wav\n")
+        out = tmp_path / "results.csv"
+        assert _run("evaluate", "--pairs", pairs, "--metrics", "chroma,tempo", "--out", out) == 0
+        assert (f"FAILED bad: {eval_dir / 'nan.wav'}: non-finite samples"
+                in capsys.readouterr().out.splitlines())
+        assert set(_read_results(out)) == {("same", "chroma"), ("same", "tempo")}
+
+    @pytest.mark.parametrize("names", [["tempo"], ["chroma", "tempo"]])
+    def test_short_file_named_before_its_decode(self, eval_dir, monkeypatch, names):
+        write_wav(eval_dir / "short.wav", read_wav(eval_dir / "ref.wav")[: 4 * 44100])
+        calls = self._decodes(monkeypatch)
+        row = {"pair_id": "p", "output": "short.wav", "reference": "ref.wav", "ratio": ""}
+        message = f"{eval_dir / 'short.wav'}: tempo estimation needs at least 5 s of audio"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            cli._evaluate_pair(row, names, eval_dir)
+        assert "short.wav" not in {file for file, _, _ in calls}
+
+    def test_flat_envelope_named(self, eval_dir):
+        write_wav(eval_dir / "silent.wav", np.zeros(6 * 44100))
+        row = {"pair_id": "p", "output": "silent.wav", "reference": "ref.wav", "ratio": ""}
+        message = f"{eval_dir / 'silent.wav'}: no detectable periodicity: flat onset envelope"
+        with pytest.raises(metrics.MetricError, match=re.escape(message)):
+            cli._evaluate_pair(row, ["tempo"], eval_dir)
 
     def test_pair_memory_grows_by_the_dtw_alone(self, tmp_path):
         """From a 1-min to a 3-min pair, traced peak memory grows by the

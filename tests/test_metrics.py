@@ -214,8 +214,9 @@ def test_reader_features_match_array(tmp_path, n):
 
 @pytest.mark.parametrize("channels", [1, 4])
 def test_no_decode_holds_more_than_a_chunk(tmp_path, monkeypatch, channels):
-    """Opening a 44.1 kHz file of several blocks, its chromagram and its
-    tempo each decode at most CHUNK samples a call."""
+    """Opening a 44.1 kHz file of several blocks decodes nothing, and its
+    chromagram, its tempo and the walk that takes both each decode at most
+    CHUNK samples a call."""
     clicks = render_clicks(120.0, 8.0)
     assert len(clicks) > 5 * CHUNK
     path = tmp_path / "x.wav"
@@ -227,9 +228,9 @@ def test_no_decode_holds_more_than_a_chunk(tmp_path, monkeypatch, channels):
         return decode(self, lo, hi)
 
     monkeypatch.setattr(WavReader, "_decode", spy)
-    spans.append([])
     reader = WavReader(path)
-    for feature in (chromagram, tempo_estimate):
+    assert spans == []
+    for feature in (chromagram, tempo_estimate, lambda r: chromagram(r, onset=True)):
         spans.append([])
         feature(reader)
     assert all(spans) and max(map(max, spans)) <= CHUNK, [max(s) for s in spans]
@@ -250,6 +251,21 @@ def test_features_keep_their_bits_whatever_the_block_sizes(monkeypatch, chunk):
         x = _noise(n, n)
         assert np.array_equal(chromagram(x).frames, _chroma_oracle(x))
         assert np.array_equal(metrics._onset_envelope(x), _onset_oracle(x))
+
+
+@pytest.mark.parametrize("chunk", [1, 3000, CHUNK])
+def test_one_walk_gives_both_features(monkeypatch, chunk):
+    """chromagram(x, onset=True) is chromagram(x) and the onset envelope,
+    bit for bit, and tempo_estimate takes that envelope as its own."""
+    monkeypatch.setattr(metrics, "CHUNK", chunk)
+    for n in (5 * 44100, 5 * 44100 + 3 * _H + 11, 7 * 44100 + _W - 1):
+        x = _noise(n, n)
+        chroma, envelope = chromagram(x, onset=True)
+        assert np.array_equal(chroma.frames, _chroma_oracle(x))
+        assert np.array_equal(envelope, _onset_oracle(x))
+        assert tempo_estimate(x, envelope=envelope) == tempo_estimate(x)
+    with pytest.raises(ValueError, match="at least 5 s"):
+        chromagram(np.ones(5 * 44100 - 1), onset=True)
 
 
 def test_self_pair_matches_two_equal_buffers():
