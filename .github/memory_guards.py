@@ -88,12 +88,15 @@ class Guard(NamedTuple):
 EVALUATE = ("evaluate", "--pairs", "pairs.csv", "--strict", "--out", "results.csv", "--metrics")
 
 GUARDS = (
-    # on long pairs the DTW's step bytes (one per cell) take over; the n x m
-    # distance matrix is never held
+    # the DTW holds nothing per cell: checkpoints of its anti-diagonals, one
+    # block's window and a strip of distances; these read 218 and 722 MB at
+    # 10 and 20 min when it held a step byte per cell
     Guard("evaluate chroma,tempo, 2-min self-pair", partial(clicks, seconds=120),
-          EVALUATE + ("chroma,tempo",), 64),
+          EVALUATE + ("chroma,tempo",), 48),
     Guard("evaluate chroma,tempo, 10-min self-pair", partial(clicks, seconds=600),
-          EVALUATE + ("chroma,tempo",), 300),
+          EVALUATE + ("chroma,tempo",), 100),
+    Guard("evaluate chroma,tempo, 20-min self-pair", partial(clicks, seconds=1200),
+          EVALUATE + ("chroma,tempo",), 150),
     # resampled to 44.1 kHz a slice at a time
     Guard("evaluate chroma,tempo, 2-min 48 kHz stereo self-pair",
           partial(pcm16, rate=48000, channels=2, frames=120 * 48000, tone=click_1khz),

@@ -1,9 +1,11 @@
-"""Numerical kernels: DTW fill and backtrack, additive note rendering.
+"""Numerical kernels: DTW with its path, additive note rendering.
 
-Each kernel has exactly one implementation, in numpy.  ``dtw_fill`` does
-the same adds and mins as the textbook scalar recurrence, so its total is
-bit-identical to it; it takes its costs a strip of anti-diagonals at a
-time, and beyond the strip it needs one byte per cell.
+Each kernel has exactly one implementation, in numpy.  ``dtw`` does the
+same adds and mins as the textbook scalar recurrence, so its total and
+path are bit-identical to it; it takes its costs a strip of anti-diagonals
+at a time and keeps nothing per cell: it checkpoints the two live
+anti-diagonals every block of them, and recomputes one block's window of
+cells at a time as it walks the path back.
 ``NoteRenderer`` evaluates a note's phase with angle-addition tables
 instead of a ``sin`` call per sample and partial; it agrees with
 per-sample ``np.sin`` evaluation to within 1e-9 for notes in the first
@@ -27,72 +29,118 @@ _TWO_PI = 2.0 * math.pi
 # DTW with step set {(1,0), (0,1), (1,1)}.
 #
 # Every cell on anti-diagonal d = i + j depends only on diagonals d-1 and
-# d-2, so a diagonal is filled in one shot and only those two are kept, each
-# as an (n+2)-long buffer with cell (i, d-i) at index i+1.  Entries off the
-# matrix stay +inf, so the first row and column need no case of their own.
-# The costs come _STRIP diagonals at a time from ``cost.diagonals(d0, d1)``,
-# which returns (lo, strip) with the cost of cell (i, d-i) at
-# strip[d - d0, i - lo] for every cell of those diagonals; a plain matrix
-# is gathered into the same form.  Cells farther than `band` from the
-# stretched diagonal count as +inf.  The fill returns the total and one step
-# per cell, chosen with the tie order: 0 for the diagonal, else 1 from
-# (i-1, j), else 2 from (i, j-1).  With nd = diag > min(up, left), the step
-# is nd + (nd & (up > left)), written straight into the step bytes; every
-# other pass of a diagonal also writes into buffers made once per fill.
-# The backtrack only follows the steps.
+# d-2, so a diagonal is filled in one shot.  Diagonal d lives in row d % h
+# of an h-row array with cell (i, d-i) at column i - r0 + 1, where r0 is
+# the first row filled; entries off the matrix stay +inf, so the first row
+# and column need no case of their own.  The costs come at most _STRIP
+# diagonals at a time from ``cost.diagonals(d0, lo, out)``, which fills
+# out[d - d0, i - lo] with the cost of cell (i, d-i) for the diagonals and
+# rows out spans; a plain matrix is gathered into the same form.  Cells
+# farther than `band` from the stretched diagonal count as +inf.
+#
+# The first pass fills every diagonal into two rows and copies both at the
+# start of each block of B diagonals (``_block``) as a checkpoint.  The walk
+# back takes the blocks from last to first.  It enters a block at a path
+# cell (i, e - i) and fills diagonals d0..e of rows i - (e - d0) - 1 .. i
+# from the block's checkpoint into an array of their own, with +inf below
+# those rows: a path falls at most one row per diagonal, and a wrong value
+# climbs at most one row per diagonal from the bottom of the window, so
+# every value the path compares is the first pass's, made by the same
+# operations.  Each step compares the three predecessors in the tie order:
+# the diagonal, else (i-1, j), else (i, j-1).  The checkpoints take about
+# 16 n m / B bytes, a block's window 8 B^2, and the walk back fills at most
+# (n + m) B cells.
 
-_STRIP = 64
+_STRIP = 32
+
+
+def _block(n, m):
+    """Diagonals between checkpoints: the multiple of _STRIP nearest
+    (n m)^(1/3), which about balances the checkpoints against a window."""
+    return _STRIP * max(1, round((n * m) ** (1.0 / 3.0) / _STRIP))
 
 
 def _matrix_diagonals(cost):
     """``diagonals`` of an n x m matrix, whose cell (i, d-i) is flat[i*(m-1) + d]."""
-    n, m = cost.shape
-    flat, rows = cost.ravel(), np.arange(n) * (m - 1)
-    return lambda d0, d1: (0, flat[np.clip(rows + np.arange(d0, d1)[:, None], 0, flat.size - 1)])
+    flat, step = cost.ravel(), cost.shape[1] - 1
+
+    def diagonals(d0, lo, out):
+        k, rows = out.shape
+        index = np.arange(lo, lo + rows) * step + np.arange(d0, d0 + k)[:, None]
+        np.take(flat, index, out=out, mode="clip")
+
+    return diagonals
 
 
-def dtw_fill(cost, band=None):
+def dtw(cost, band=None):
+    """The total and the path, from (0, 0) to (n-1, m-1), of the cheapest
+    monotone alignment; the path is None when no finite one exists."""
     n, m = cost.shape
     diagonals = cost.diagonals if hasattr(cost, "diagonals") else _matrix_diagonals(cost)
-    steps = np.zeros((n, m), dtype=np.uint8)
-    flat = steps.ravel()
-    older, old = np.full((2, n + 2), np.inf)  # diagonals d-2 and d-1
+    last, block = n + m - 1, _block(n, m)
     best = np.empty(n)
-    skip, vertical = np.empty((2, n), dtype=bool)
-    base, strip = diagonals(0, min(_STRIP, n + m - 1))
-    old[1] = strip[0, 0]
-    rows = np.arange(n, dtype=np.float64)
-    center = rows * (m - 1) / (n - 1) if n > 1 else np.zeros(n)
-    for d in range(1, n + m - 1):
-        if d % _STRIP == 0:
-            strip = None  # freed before the next is made
-            base, strip = diagonals(d, min(d + _STRIP, n + m - 1))
-        lo, hi = max(0, d - m + 1), min(n - 1, d)
-        k = hi - lo + 1
-        cells = slice(lo * (m - 1) + d, hi * (m - 1) + d + 1, max(m - 1, 1))
-        diag, up, left = older[lo : hi + 1], old[lo : hi + 1], old[lo + 1 : hi + 2]
-        b = np.minimum(up, left, out=best[:k])
-        s = np.greater(diag, b, out=skip[:k])
-        v = np.greater(up, left, out=vertical[:k])
-        v &= s
-        np.add(s, v, out=flat[cells], dtype=np.uint8)
-        np.minimum(diag, b, out=b)
-        new = older[lo + 1 : hi + 2]  # diagonal d-2's buffer takes diagonal d
-        np.add(b, strip[d % _STRIP, lo - base : hi - base + 1], out=new)
-        if band is not None:
-            new[np.abs(d - rows[lo : hi + 1] - center[lo : hi + 1]) > band] = np.inf
-        older, old = old, older
-    return float(old[n]), steps
+    costs = np.empty(_STRIP * min(n, m + _STRIP))
+    if band is not None:
+        rows = np.arange(n, dtype=np.float64)
+        center = rows * (m - 1) / (n - 1) if n > 1 else np.zeros(n)
 
+    def sweep(acc, start, stop, r0, r1):
+        """Fill diagonals start..stop-1 over rows r0..r1 into acc, whose rows
+        (start - 2) % h and (start - 1) % h hold the two diagonals before."""
+        h = acc.shape[0]
+        for d in range(start, stop):
+            if d == start or d % _STRIP == 0:
+                s0, s1 = d, min(stop, d - d % _STRIP + _STRIP)
+                s_lo = max(r0, s0 - m + 1)
+                strip = costs[: (s1 - s0) * (min(r1, s1 - 1) - s_lo + 1)].reshape(s1 - s0, -1)
+                diagonals(s0, s_lo, strip)
+            lo, hi = max(r0, d - m + 1), min(r1, d)
+            c, k = lo - r0, hi - lo + 1
+            old = acc[(d - 1) % h]
+            b = np.minimum(old[c : c + k], old[c + 1 : c + k + 1], out=best[:k])
+            np.minimum(acc[(d - 2) % h, c : c + k], b, out=b)
+            new = acc[d % h, c + 1 : c + k + 1]
+            np.add(b, strip[d - s0, lo - s_lo : hi - s_lo + 1], out=new)
+            if band is not None:
+                new[np.abs(d - rows[lo : hi + 1] - center[lo : hi + 1]) > band] = np.inf
 
-def dtw_backtrack(steps):
-    i, j = steps.shape[0] - 1, steps.shape[1] - 1
+    acc = np.full((2, n + 1), np.inf)
+    diagonals(0, 0, acc[0, 1:2].reshape(1, 1))
+    checkpoints = []  # per block: the index of its first row, and both diagonals before it
+    for d0 in range(0, last, block):
+        d = max(1, d0)
+        a, b = max(0, d - m + 1), min(n - 1, d) + 2
+        checkpoints.append((a, acc[[(d - 2) % 2, (d - 1) % 2], a:b]))
+        sweep(acc, d, min(d0 + block, last), 0, n - 1)
+    total = float(acc[(last - 1) % 2, n])
+    if not np.isfinite(total):
+        return total, None
+
+    costs = np.empty(_STRIP * min(n, block + 1))
+    i, j = n - 1, m - 1
     path = [(i, j)]
-    while i > 0 or j > 0:
-        step = int(steps[i, j])
-        i, j = i - (step != 2), j - (step != 1)
-        path.append((i, j))
-    return path[::-1]
+    while i + j > 0:
+        end = i + j
+        a, held = checkpoints[end // block]
+        del checkpoints[end // block :]
+        d = max(1, end // block * block)
+        r0 = max(0, i - (end - d) - 1)
+        h = end - d + 3
+        acc = np.full((h, i - r0 + 2), np.inf)
+        lo, hi = max(r0 + 1, a), min(i + 2, a + held.shape[1])
+        acc[[(d - 2) % h, (d - 1) % h], lo - r0 : hi - r0] = held[:, lo - a : hi - a]
+        sweep(acc, d, end + 1, r0, i)
+        while i + j >= d and i + j > 0:
+            older, old, c = acc[(i + j - 2) % h], acc[(i + j - 1) % h], i - r0
+            diag, up, left = older[c], old[c], old[c + 1]
+            if diag <= up and diag <= left:
+                i, j = i - 1, j - 1
+            elif up <= left:
+                i -= 1
+            else:
+                j -= 1
+            path.append((i, j))
+    return total, path[::-1]
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ everything to mono float64 at that rate.  Multi-channel input is
 averaged, integer PCM is scaled to [-1, 1), and other rates are resampled
 with a polyphase filter (scipy, imported only when a file needs it).
 A WavReader reads the header on opening, then decodes, resamples and
-checks a slice of a file at a time, so no file is held whole at any rate
-and each slice is checked as it is read; read_wav decodes all of it.
+checks a slice of a file at a time into a buffer its caller passes, so no
+file is held whole at any rate and each slice is checked as it is read;
+read_wav decodes all of it.
 CHUNK samples bound what any audio stage holds at once, from synth to the
 metrics.
 write_wav_blocks writes a 32-bit float file block by block, and write_wav
@@ -126,14 +127,17 @@ def _find_chunks(fh, path) -> tuple[tuple[int, int, int, int], int, int]:
 
 class WavReader:
     """A WAV file as mono float64 samples at ANALYSIS_RATE, decoded a slice
-    at a time.
+    at a time into buffers the caller passes.
 
     Opening reads the header alone.  ``len(reader)`` is the sample count,
-    and ``reader[lo:hi]`` decodes the frames those samples need alone, with
-    the operations a whole-file decode applies: view, float64, PCM scale,
-    channel mean and, at another rate, the polyphase resample.  Every slice
-    is checked before it is returned, so a non-finite sample is refused by
-    the read that reaches it and no caller ever sees one.
+    and ``reader.read_into(out, lo)`` fills ``out`` with samples lo..lo +
+    len(out) - 1, decoding the frames those samples need alone with the
+    operations a whole-file decode applies: view, float64, PCM scale,
+    channel mean and, at another rate, the polyphase resample.  At the
+    file's own rate the frames are decoded straight into ``out``, a piece
+    at a time.  Every slice is checked before the call returns, so a
+    non-finite sample is refused by the read that reaches it and no caller
+    ever sees one.  ``reader[lo:hi]`` reads into a fresh buffer.
     """
 
     def __init__(self, path: str | os.PathLike):
@@ -166,9 +170,17 @@ class WavReader:
         lo, hi, step = key.indices(len(self))
         if step != 1:
             raise ValueError(f"{self.path}: a WAV reader slices without a step")
+        out = np.empty(max(0, hi - lo))
+        self.read_into(out, lo)
+        return out
+
+    def read_into(self, out: np.ndarray, lo: int) -> None:
+        """Fill the float64 buffer ``out`` with samples lo.. of the file; lo +
+        len(out) is at most len(self)."""
+        hi = lo + out.shape[0]
         up, down = self._up, self._down
         if up == down:
-            x = self._decode(lo, max(lo, hi))
+            self._decode(lo, out)
         else:
             from scipy.signal import resample_poly
 
@@ -176,43 +188,47 @@ class WavReader:
             # multiple of down, which keeps a whole-file resample's output phase
             reach = len(self._filter) // 2 // up + 2
             first = max(0, lo * down // up - reach) // down * down
-            stop = min(self._frames, -(-hi * down // up) + reach)
+            frames = np.empty(min(self._frames, -(-hi * down // up) + reach) - first)
+            self._decode(first, frames)
             at = first // down * up
-            x = resample_poly(self._decode(first, stop), up, down, window=self._filter)
-            x = x[lo - at : max(lo, hi) - at]
+            out[:] = resample_poly(frames, up, down, window=self._filter)[lo - at : hi - at]
         # the output is checked: a finite input can overflow in the channel mean or the filter
-        if not np.isfinite(x).all():
+        if not np.isfinite(out).all():
             raise ValueError(f"{self.path}: non-finite samples")
-        return x
 
-    def _decode(self, lo: int, hi: int) -> np.ndarray:
-        """Frames lo..hi-1 as mono float64, decoded CHUNK // channels frames (one
-        at least) at a time: a piece's float64 samples stay within CHUNK."""
-        out = np.empty(hi - lo)
+    def _decode(self, lo: int, out: np.ndarray) -> None:
+        """Frames lo.. as mono float64 into out, decoded CHUNK // channels frames
+        (one at least) at a time: a piece's float64 samples stay within CHUNK."""
         step = max(1, CHUNK // self._channels)
+        dtype = _DTYPES[self._tag, self._bits]
+        scale = _PCM_SCALE[self._bits] if self._tag == _PCM else None
         with open(self.path, "rb") as fh:
             fh.seek(self._offset + lo * self._frame_bytes)
-            for at in range(lo, hi, step):
-                size = min(step, hi - at) * self._frame_bytes
-                raw = np.frombuffer(_read_exact(fh, size, self.path), np.uint8)
+            for at in range(0, out.shape[0], step):
+                piece = out[at : at + step]
+                raw = np.frombuffer(_read_exact(fh, piece.shape[0] * self._frame_bytes,
+                                                self.path), np.uint8)
                 if self._bits == 24:
                     wide = np.zeros((raw.shape[0] // 3, 4), np.uint8)
                     wide[:, 1:] = raw.reshape(-1, 3)
                     raw = wide.ravel()
-                samples = raw.view(_DTYPES[self._tag, self._bits]).astype(np.float64)
-                if self._tag == _PCM:
-                    samples /= _PCM_SCALE[self._bits]
+                if self._channels == 1:
+                    piece[:] = raw.view(dtype)  # cast to float64 in place
+                    if scale is not None:
+                        piece /= scale
+                    continue
+                samples = raw.view(dtype).astype(np.float64)
+                if scale is not None:
+                    samples /= scale
+                frames = samples.reshape(-1, self._channels)
                 if self._channels >= 8:  # mean sums 8 or more columns pairwise
-                    samples = samples.reshape(-1, self._channels).mean(axis=1)
-                elif self._channels > 1:  # mean's bits: the columns added in order
-                    frames = samples.reshape(-1, self._channels)
-                    samples = frames[:, 0] + frames[:, 1]
+                    frames.mean(axis=1, out=piece)
+                else:  # mean's bits: the columns added in order
+                    np.add(frames[:, 0], frames[:, 1], out=piece)
                     for c in range(2, self._channels):
-                        samples += frames[:, c]
-                    samples /= self._channels
-                    samples += 0.0  # mean's sum starts at +0.0, so no -0.0 is left
-                out[at - lo : at - lo + len(samples)] = samples
-        return out
+                        piece += frames[:, c]
+                    piece /= self._channels
+                    piece += 0.0  # mean's sum starts at +0.0, so no -0.0 is left
 
 
 def read_wav(path: str | os.PathLike) -> np.ndarray:

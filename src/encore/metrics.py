@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import _STRIP, dtw_backtrack, dtw_fill
+from ._kernels import _STRIP, dtw
 from .audio_io import ANALYSIS_RATE, CHUNK, WavReader
 from .augment import RATIO_CEILING, RATIO_FLOOR
 from .notes import NoteSequence
@@ -140,13 +140,13 @@ def _walk(x, chroma: bool, onset: bool) -> tuple[np.ndarray | None, np.ndarray |
 
     The pass reads x[lo:lo + block] once per block, where a block is the
     hops of one full batch of the first STFT asked for, chroma's if both,
-    into a stream buffer that keeps only the tail the next frame of either STFT
-    overlaps. Each STFT takes the frames the stream holds in batches of
-    CHUNK // window (one at least): a batch is copied into the windowed
-    buffer, scaled by the window in place, and transformed into the
-    complex buffer. The two STFTs share those three buffers, and a batch's
-    energies or flux terms go to the windowed buffer once it is
-    transformed. Every row is summed in the same order as from one STFT of
+    straight into a stream buffer (a WavReader decodes into it) that keeps
+    only the tail the next frame of either STFT overlaps. Each STFT takes
+    the frames the stream holds in batches of CHUNK // window (one at
+    least): a batch is copied into the windowed buffer, scaled by the
+    window in place, and transformed into the complex buffer. The two
+    STFTs share those three buffers, and a batch's energies or flux terms
+    go to the windowed buffer once it is transformed. Every row is summed in the same order as from one STFT of
     the whole buffer. A short x is zero-padded to a window. Every sample
     is read, also past the last frame, so a WavReader checks the whole file.
     """
@@ -200,7 +200,10 @@ def _walk(x, chroma: bool, onset: bool) -> tuple[np.ndarray | None, np.ndarray |
     start = held = 0  # the sample stream[0] holds, and how many it holds
     for lo in range(0, n, block):
         got = min(block, n - lo)
-        stream[held : held + got] = x[lo : lo + block]  # the slice is freed before the next
+        if isinstance(x, WavReader):
+            x.read_into(stream[held : held + got], lo)
+        else:
+            stream[held : held + got] = x[lo : lo + got]
         held += got
         if lo + block >= n:  # the last block: a short x is zero-padded
             stream[held:] = 0.0
@@ -255,13 +258,14 @@ def chromagram(audio: np.ndarray | WavReader, *, onset: bool = False):
 class _ChromaCosts:
     """DTW costs |a_i - b_j|^2 / 2 of two ChromaMatrix frame arrays (within
     2.1e-7 of 1 - a_i . b_j), a strip of anti-diagonals at a time for
-    ``dtw_fill`` or cell by cell (``at``). A cell is one dot product of the
+    ``dtw`` or cell by cell (``at``). A cell is one dot product of the
     frames extended to 16 columns, [a, s|a|^2/2, s, s, 1-s] . [-b, s',
     s'|b|^2/2, 1-s', s'] with s = 1 for sound and 0 for silence: silence
     matches silence (0) and mismatches sound (1). Every product is a
     multiple of 2**-49 and no partial sum reaches 16, so every cell is exact
     whatever BLAS kernel or order sums it. A strip comes from stacked
-    products of _STRIP rows of a with the b frames their cells reach."""
+    products of _STRIP rows of a with the b frames their cells reach, a
+    group of tiles of about CHUNK products at a time."""
 
     def __init__(self, a: np.ndarray, b: np.ndarray):
         self.shape, self.size = (len(a), len(b)), len(a) * len(b)
@@ -274,19 +278,26 @@ class _ChromaCosts:
         self._b = np.vstack((zero, zero, np.column_stack((-b, sb, hb, 1.0 - sb, sb)), zero))
         self._frames = np.lib.stride_tricks.sliding_window_view(self._b, 2 * _STRIP - 1, axis=0)
 
-    def diagonals(self, d0: int, d1: int) -> tuple[int, np.ndarray]:
-        n, m = self.shape
-        lo, hi = max(0, d0 - m + 1), min(n - 1, d1 - 1)
-        k, tiles, width = d1 - d0, -(-(hi - lo + 1) // _STRIP), _STRIP + d1 - d0 - 1
+    def diagonals(self, d0: int, lo: int, out: np.ndarray) -> None:
+        """out[d - d0, i - lo] = the cost of cell (i, d - i), for the k <= _STRIP
+        diagonals and the rows out spans, each a cell of the matrix or at most
+        _STRIP - 1 columns off either end of its row."""
+        k, rows = out.shape
+        width = _STRIP + k - 1
         # tile t holds rows lo + t*_STRIP + u of a against the width frames of b
         # from d0 - lo - (t+1)*_STRIP + 1 on: diagonal d0 + k meets row u at
         # column k + _STRIP - 1 - u, flat index _STRIP - 1 + u*(width - 1) + k
         first = d0 - lo + _STRIP - 1  # tile 0's first row of self._b
-        grid = (self._a[lo : lo + tiles * _STRIP].reshape(tiles, _STRIP, 16)
-                @ self._frames[first - (tiles - 1) * _STRIP : first + 1 : _STRIP, :, :width][::-1])
-        skew = grid.reshape(tiles, -1)[:, _STRIP - 1 : _STRIP - 1 + _STRIP * (width - 1)]
-        skew = skew.reshape(tiles, _STRIP, width - 1)[:, :, :k]
-        return lo, skew.transpose(2, 0, 1).reshape(k, -1)
+        group = max(1, CHUNK // (_STRIP * width))
+        for t0 in range(0, -(-rows // _STRIP), group):
+            t1 = min(t0 + group, -(-rows // _STRIP))
+            grid = (self._a[lo + t0 * _STRIP : lo + t1 * _STRIP].reshape(t1 - t0, _STRIP, 16)
+                    @ self._frames[first - (t1 - 1) * _STRIP : first - t0 * _STRIP + 1 : _STRIP,
+                                   :, :width][::-1])
+            skew = grid.reshape(t1 - t0, -1)[:, _STRIP - 1 : _STRIP - 1 + _STRIP * (width - 1)]
+            skew = skew.reshape(t1 - t0, _STRIP, width - 1)[:, :, :k]
+            out[:, t0 * _STRIP : t1 * _STRIP] = skew.transpose(2, 0, 1).reshape(k, -1)[
+                :, : rows - t0 * _STRIP]
 
     def at(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """The costs of cells (i[k], j[k])."""
@@ -308,10 +319,10 @@ def dtw_from_costs(
         raise ValueError(f"cost must be a non-empty 2-D matrix, got {cost.shape}")
     if band is not None and band < 0:
         raise ValueError(f"band must be non-negative, got {band}")
-    total, steps = dtw_fill(cost, band)
-    if not np.isfinite(total):
+    total, path = dtw(cost, band)
+    if path is None:
         raise MetricError(f"no monotone path through the cost matrix (band {band} too narrow?)")
-    return total, dtw_backtrack(steps)
+    return total, path
 
 
 @dataclass(frozen=True)
@@ -334,8 +345,9 @@ def chroma_similarity(
     may be audio or its chromagram. Raises MetricError, naming the file if
     there is one, when either input is entirely silent (similarity
     undefined). A pair of the same object is computed once. The DTW holds
-    one step byte per cell and a strip of distances; mean_cosine recomputes
-    the path's cells.
+    checkpoints of its anti-diagonals, one block's window of them and a
+    strip of distances; mean_cosine recomputes the path's cells CHUNK at a
+    time.
     """
     def matrix(audio):
         return audio if isinstance(audio, ChromaMatrix) else chromagram(audio)
@@ -347,8 +359,11 @@ def chroma_similarity(
             raise MetricError(_named(c, "chroma similarity undefined for all-silent audio"))
     costs = _ChromaCosts(ca.frames, cb.frames)
     cost, path = dtw_from_costs(costs, band=band)
-    idx = np.asarray(path)
-    mean_cosine = float(np.mean(1.0 - costs.at(idx[:, 0], idx[:, 1])))
+    cosines = np.empty(len(path))
+    for at in range(0, len(path), CHUNK):
+        i, j = np.array(path[at : at + CHUNK]).T
+        np.subtract(1.0, costs.at(i, j), out=cosines[at : at + CHUNK])
+    mean_cosine = float(np.mean(cosines))
     return ChromaSimilarityResult(
         mean_cosine=mean_cosine,
         dtw_cost=cost,

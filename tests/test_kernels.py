@@ -117,41 +117,33 @@ def _render_notes_per_sample(starts, durs, freqs, amps, n_partials, attack, rele
 def test_dtw_fill_paths_bit_identical(shape):
     rng = np.random.default_rng(hash(shape) % 2**32)
     cost = rng.random(shape)
-    total, steps = kernels.dtw_fill(cost)
+    total, path = kernels.dtw(cost)
     acc = _dtw_fill_scalar(cost)
     assert total == acc[-1, -1]
-    assert steps.shape == shape and steps.dtype == np.uint8
-    assert kernels.dtw_backtrack(steps) == _dtw_backtrack_comparing(acc)
+    assert path == _dtw_backtrack_comparing(acc)
 
 
 def test_dtw_fill_propagates_inf():
     cost = np.array([[0.0, np.inf, 1.0], [1.0, 2.0, np.inf], [np.inf, 1.0, 0.5]])
-    total, steps = kernels.dtw_fill(cost)
+    total, path = kernels.dtw(cost)
     assert total == _dtw_fill_scalar(cost)[-1, -1] == 2.5
-    assert kernels.dtw_backtrack(steps) == [(0, 0), (1, 1), (2, 2)]
-    total, _ = kernels.dtw_fill(np.array([[0.0, np.inf], [np.inf, np.inf]]))
-    assert total == np.inf
+    assert path == [(0, 0), (1, 1), (2, 2)]
+    assert kernels.dtw(np.array([[0.0, np.inf], [np.inf, np.inf]])) == (np.inf, None)
 
 
 def test_backtrack_prefers_diagonal_on_ties():
-    total, steps = kernels.dtw_fill(np.zeros((3, 3)))
-    assert total == 0.0
-    assert kernels.dtw_backtrack(steps) == [(0, 0), (1, 1), (2, 2)]
+    assert kernels.dtw(np.zeros((3, 3))) == (0.0, [(0, 0), (1, 1), (2, 2)])
 
 
 def test_backtrack_prefers_vertical_over_horizontal():
     # the accumulated cost is [[3, 2], [2, 2]]: at (1,1) the diagonal
     # predecessor holds 3 and both others 2, so the (1,0) step wins the tie
     cost = np.array([[3.0, -1.0], [-1.0, 0.0]])
-    total, steps = kernels.dtw_fill(cost)
-    assert total == 2.0
-    assert kernels.dtw_backtrack(steps) == [(0, 0), (0, 1), (1, 1)]
+    assert kernels.dtw(cost) == (2.0, [(0, 0), (0, 1), (1, 1)])
 
 
 def test_backtrack_single_cell():
-    total, steps = kernels.dtw_fill(np.full((1, 1), 0.25))
-    assert total == 0.25
-    assert kernels.dtw_backtrack(steps) == [(0, 0)]
+    assert kernels.dtw(np.full((1, 1), 0.25)) == (0.25, [(0, 0)])
 
 
 def test_backtrack_path_cost_matches_fill():
@@ -159,8 +151,8 @@ def test_backtrack_path_cost_matches_fill():
     for _ in range(50):
         n, m = rng.integers(1, 12, size=2)
         cost = rng.random((n, m))
-        total, steps = kernels.dtw_fill(cost)
-        path = np.asarray(kernels.dtw_backtrack(steps))
+        total, path = kernels.dtw(cost)
+        path = np.asarray(path)
         assert path[0].tolist() == [0, 0] and path[-1].tolist() == [n - 1, m - 1]
         moves = {tuple(move) for move in np.diff(path, axis=0)}
         assert moves <= {(1, 0), (0, 1), (1, 1)}
@@ -183,17 +175,93 @@ _costs = arrays(
 
 
 @settings(max_examples=300, deadline=None)
-@given(cost=_costs, band=st.integers(-1, 15).map(lambda b: None if b == 15 else b))
-def test_dtw_from_costs_matches_oracles(cost, band):
-    try:
-        expected = _dtw_oracle(cost, band)
-    except (MetricError, ValueError) as exc:
-        with pytest.raises(type(exc)):
-            dtw_from_costs(cost, band)
-        return
-    total, path = dtw_from_costs(cost, band)
+@given(cost=_costs, band=st.integers(-1, 15).map(lambda b: None if b == 15 else b),
+       size=st.one_of(st.none(), st.integers(1, 9)))
+def test_dtw_from_costs_matches_oracles(cost, band, size):
+    """Also with a few diagonals between checkpoints, so the path crosses
+    many blocks."""
+    with pytest.MonkeyPatch.context() as patch:
+        if size is not None:
+            patch.setattr(kernels, "_block", lambda n, m: size)
+        try:
+            expected = _dtw_oracle(cost, band)
+        except (MetricError, ValueError) as exc:
+            with pytest.raises(type(exc)):
+                dtw_from_costs(cost, band)
+            return
+        total, path = dtw_from_costs(cost, band)
     assert np.float64(total).tobytes() == np.float64(expected[0]).tobytes()
     assert path == expected[1]
+
+
+# ---------------------------------------------------------------------------
+# DTW across checkpoint blocks: the walk back refills each block's window of
+# rows from its checkpoint, and must compare the first pass's values
+# wherever the path goes.
+
+
+@pytest.fixture
+def block(monkeypatch):
+    """Sets the diagonals between checkpoints, whatever the shape."""
+    return lambda size: monkeypatch.setattr(kernels, "_block", lambda n, m: size)
+
+
+def _assert_matches_oracle(cost, band=None):
+    acc = _dtw_fill_scalar(cost if band is None else _banded_copy(cost, band))
+    total, path = kernels.dtw(cost, band)
+    assert np.float64(total).tobytes() == np.float64(acc[-1, -1]).tobytes()
+    assert path == (_dtw_backtrack_comparing(acc) if np.isfinite(acc[-1, -1]) else None)
+    return path
+
+
+@pytest.mark.parametrize("shape", [(1, 700), (700, 1), (400, 300), (90, 700), (700, 90)])
+def test_dtw_spans_many_blocks(shape):
+    n, m = shape
+    assert (n + m - 1) // kernels._block(n, m) >= 5
+    rng = np.random.default_rng(n * m)
+    _assert_matches_oracle(rng.random(shape))
+    _assert_matches_oracle(np.round(rng.random(shape) * 4) / 4)  # ties everywhere
+
+
+@pytest.mark.parametrize("size", [2, 3, 4])
+def test_diagonal_step_across_a_block_edge(block, size):
+    """A cheap main diagonal: the path takes only diagonal steps, so it
+    leaves each block from its first diagonal for the one before the last
+    of the block below, and enters that block off its last diagonal."""
+    block(size)
+    cost = 1.0 - np.eye(20)
+    path = _assert_matches_oracle(cost)
+    assert path == [(i, i) for i in range(20)]
+    crossings = [(i + j, k + l) for (i, j), (k, l) in zip(path, path[1:])
+                 if (i + j) // size != (k + l) // size]
+    assert any(d1 % size == 0 and d0 % size == size - 2 for d0, d1 in crossings), crossings
+
+
+@pytest.mark.parametrize("size", [1, 2, 5])
+def test_thin_and_all_tie_matrices(block, size):
+    block(size)
+    rng = np.random.default_rng(size)
+    for shape in ((1, 1), (1, 40), (40, 1), (9, 9), (7, 19), (19, 7)):
+        assert len(_assert_matches_oracle(np.zeros(shape))) == max(shape)
+        if 1 in shape:
+            _assert_matches_oracle(rng.random(shape))
+
+
+def test_band_leaves_whole_blocks_at_inf(block):
+    """A narrow band on a wide matrix leaves most of every block's window,
+    and whole blocks of some rows, at +inf; a wall of +inf costs leaves
+    rows below the path infinite for many blocks."""
+    block(4)
+    rng = np.random.default_rng(9)
+    cost = rng.random((12, 60))
+    for band in (1, 3, 6):
+        _assert_matches_oracle(cost, band)
+    walled = rng.random((40, 40))
+    walled[10:, :30] = np.inf
+    path = _assert_matches_oracle(walled)
+    assert all(i < 10 or j >= 30 for i, j in path)
+    _assert_matches_oracle(walled, 20)
+    assert kernels.dtw(walled, 2) == (np.inf, None)
 
 
 def _random_note_arrays(rng, n):

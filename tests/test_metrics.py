@@ -221,11 +221,11 @@ def test_no_decode_holds_more_than_a_chunk(tmp_path, monkeypatch, channels):
     assert len(clicks) > 5 * CHUNK
     path = tmp_path / "x.wav"
     wavfile.write(path, 44100, np.repeat(clicks[:, None], channels, axis=1).astype(np.float32))
-    spans, decode = [], WavReader._decode  # hi - lo of each call, a list per stage
+    spans, decode = [], WavReader._decode  # frames of each call, a list per stage
 
-    def spy(self, lo, hi):
-        spans[-1].append(hi - lo)
-        return decode(self, lo, hi)
+    def spy(self, lo, out):
+        spans[-1].append(len(out))
+        return decode(self, lo, out)
 
     monkeypatch.setattr(WavReader, "_decode", spy)
     reader = WavReader(path)
@@ -308,7 +308,9 @@ def _strip_distance(a, b):
     out = np.full((n, m), np.nan)
     for d0 in range(0, n + m - 1, kernels._STRIP):
         d1 = min(d0 + kernels._STRIP, n + m - 1)
-        lo, strip = costs.diagonals(d0, d1)
+        lo = max(0, d0 - m + 1)
+        strip = np.full((d1 - d0, min(n, d1) - lo), np.nan)
+        costs.diagonals(d0, lo, strip)
         for d in range(d0, d1):
             i = np.arange(max(0, d - m + 1), min(n, d + 1))
             out[i, d - i] = strip[d - d0, i - lo]
@@ -501,21 +503,25 @@ def test_silence_conventions_in_alignment():
 
 @settings(max_examples=80, deadline=None)
 @given(
-    n=st.sampled_from([1, 63, 64, 65, 131]), m=st.sampled_from([1, 63, 64, 65, 131]),
+    n=st.sampled_from([1, 31, 32, 33, 131]), m=st.sampled_from([1, 31, 32, 33, 131]),
     silent=st.sampled_from([(0.0, 0.0), (0.3, 0.0), (0.0, 0.3), (0.3, 0.3), (1.0, 0.2),
                             (1.0, 1.0)]),
     band=st.sampled_from([None, 0, 1, 3]), seed=st.integers(0, 2**32 - 1),
+    block=st.sampled_from([None, 1, 3, 32]),
 )
-def test_strip_fill_matches_matrix_route(n, m, silent, band, seed):
-    """The fill over _ChromaCosts's strips gives the matrix route's total,
-    steps and path, strip edges and silent frames included."""
+def test_strip_fill_matches_matrix_route(n, m, silent, band, seed, block):
+    """The DTW over _ChromaCosts's strips gives the matrix route's total and
+    path, strip edges, block edges, row windows and silent frames included."""
     rng = np.random.default_rng(seed)
     a, b = _grid_frames(rng, n, silent[0]), _grid_frames(rng, m, silent[1])
     costs, matrix = metrics._ChromaCosts(a, b), _cosine_distance_matrix(a, b)
-    total, steps = kernels.dtw_fill(costs, band)
-    want_total, want_steps = kernels.dtw_fill(matrix, band)
+    with pytest.MonkeyPatch.context() as patch:
+        if block is not None:
+            patch.setattr(kernels, "_block", lambda n, m: block)
+        total, path = kernels.dtw(costs, band)
+        want_total, want_path = kernels.dtw(matrix, band)
     assert np.float64(total).tobytes() == np.float64(want_total).tobytes()
-    assert np.array_equal(steps, want_steps)
+    assert path == want_path
     if np.isfinite(want_total):
         assert dtw_from_costs(costs, band) == dtw_from_costs(matrix, band)
     else:
